@@ -26,9 +26,9 @@ per line) so synthetic data can be swapped for real data.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
-from scipy import stats
 
 from .core import RngStream, SampleOracle, Vector, as_point
 
@@ -252,6 +252,8 @@ class PricingEnv(Environment):
         self.lower = np.full(n, 0.5 * buyers / n)
         self.upper = np.full(n, 1.5 * buyers / n)
         self.slope = rho * theta
+        log_factorial = np.array([math.lgamma(c + 1.0) for c in range(self.buyers + 1)])
+        self._log_choose = log_factorial[-1] - log_factorial - log_factorial[::-1]
 
     @classmethod
     def synthetic(
@@ -291,19 +293,30 @@ class PricingEnv(Environment):
     def _draw_at(self, points, gen, replicates):
         probs = self._probabilities_at(points)
         k = points.shape[0]
-        out = np.empty((replicates, k))
-        for j in range(k):
-            counts = gen.multinomial(self.buyers, probs[j], size=replicates)
-            demand = counts[:, :-1]
-            out[:, j] = -(demand @ points[j]) + self.restock_cost(demand)
-        return out
+        # point-major, as k calls of size=replicates would draw
+        counts = gen.multinomial(self.buyers, probs[:, None, :], size=(k, replicates))
+        demand = counts[..., :-1]
+        revenue = np.matmul(demand, points[:, :, None])[..., 0]
+        return np.ascontiguousarray((self.restock_cost(demand) - revenue).T)
+
+    def _binomial_pmf(self, item_probs) -> Vector:
+        """(n, buyers + 1) matrix of Binomial(buyers, p_i) pmfs, one row per item.
+
+        Exact at p = 0 and p = 1: the zero-probability outcomes get 0, not NaN.
+        """
+        p = np.asarray(item_probs, dtype=np.float64)[:, None]
+        counts = np.arange(self.buyers + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hits = np.where(counts == 0, 0.0, counts * np.log(p))
+            misses = np.where(counts == self.buyers, 0.0,
+                              (self.buyers - counts) * np.log1p(-p))
+        return np.exp(self._log_choose + hits + misses)
 
     def expected_restock_cost(self, item_probs) -> float:
         """Exact expected restocking cost given per-item purchase probabilities."""
         p = as_point(item_probs, self.dimension)
         counts = np.arange(self.buyers + 1)
-        # (n, buyers+1) matrix of binomial pmfs, one row per item
-        pmf = stats.binom.pmf(counts[None, :], self.buyers, p[:, None])
+        pmf = self._binomial_pmf(p)
         low = np.minimum(counts, self.lower[:, None])
         mid = np.clip(counts - self.lower[:, None], 0.0, (self.upper - self.lower)[:, None])
         high = np.maximum(counts - self.upper[:, None], 0.0)
@@ -492,9 +505,10 @@ class StrategicEnv(Environment):
 
     def _draw_at(self, points, gen, replicates):
         k = points.shape[0]
+        # point-major, as k calls of size=replicates would draw
+        chosen = gen.integers(0, self.population_size, size=(k, replicates))
         out = np.empty((replicates, k))
-        for j in range(k):
-            idx = gen.integers(0, self.population_size, size=replicates)
+        for j, idx in enumerate(chosen):
             presented = _best_response_many(points[j], self.features[idx])
             scores = presented @ points[j][:-1] + points[j][-1]
             out[:, j] = _logistic_loss(scores, self.labels[idx])

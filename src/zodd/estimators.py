@@ -25,6 +25,13 @@ directions * batch (one_point).  The batch size replicates draws at fixed
 probe points; the direction set is drawn once per call and shared by all
 replicates.  Given the same (x, config, stream), an estimate is bit-for-bit
 reproducible.
+
+One kernel computes every estimate.  :func:`estimate_gradients` runs it on
+R base points at once, the rows of an (R, d) array: the R * N directions
+come from one draw on the call's ``directions`` child stream, and all probe
+points go to the oracle in one ``sample_at`` call on its ``draws`` child
+stream.  :func:`estimate_gradient` and the per-kind functions are its
+R = 1 case, so a single estimate consumes exactly the draws it always did.
 """
 
 from __future__ import annotations
@@ -140,8 +147,15 @@ class GradientEstimate:
 
 
 def _draw_directions(
-    cfg: EstimatorConfig, d: int, rng: RngStream, override
+    cfg: EstimatorConfig, d: int, rows: int, rng: RngStream, override
 ) -> Vector:
+    """Directions as an (rows, N, d) array, or (1, N, d) shared by every row.
+
+    Random directions come from one (rows * N, d) draw on the call's
+    ``directions`` stream, so row r holds draws r*N .. r*N + N - 1.
+    """
+    if cfg.kind == "coordinate":
+        return np.eye(d)[None]
     if override is not None:
         dirs = np.asarray(override, dtype=np.float64)
         if dirs.ndim != 2 or dirs.shape != (cfg.directions, d):
@@ -152,36 +166,92 @@ def _draw_directions(
             np.linalg.norm(dirs, axis=1), 1.0, atol=1e-9
         ):
             raise ValueError("sphere direction override must have unit rows")
-        return dirs
+        return dirs[None]
     gen = rng.child("directions").generator()
-    if cfg.kind == "gaussian":
-        return gaussian_matrix(gen, d, cfg.directions)
-    return sphere_matrix(gen, d, cfg.directions)
+    draw = gaussian_matrix if cfg.kind == "gaussian" else sphere_matrix
+    return draw(gen, d, rows * cfg.directions).reshape(rows, cfg.directions, d)
 
 
-def _two_point(
-    x: Vector,
+def _kernel(
+    X: Vector,
     cfg: EstimatorConfig,
     oracle: SampleOracle,
     rng: RngStream,
-    dirs: Vector,
-    scale: float,
+    override=None,
+) -> tuple[Vector, Vector, Vector, Vector | None]:
+    """The one estimator computation: (R, d) base points in, (R, d) gradients out.
+
+    Every row probes its own directions; all R * (2N or N) probe points go
+    to the oracle in one ``sample_at`` call on the ``draws`` stream, so the
+    budget is charged once for the whole call.  Returns the gradients, the
+    directions (R or 1, N, d), and the forward and backward sample values
+    as (batch, R, N) arrays (backward is None for ``one_point``).
+    """
+    rows, d = X.shape
+    dirs = _draw_directions(cfg, d, rows, rng, override)
+    n = dirs.shape[1]
+    base = X[:, None, :]
+    if cfg.kind == "one_point":
+        probes = base + cfg.mu * dirs
+    else:
+        probes = np.concatenate([base + cfg.mu * dirs, base - cfg.mu * dirs], axis=1)
+    values = oracle.sample_at(
+        probes.reshape(-1, d), rng.child("draws"), replicates=cfg.batch
+    ).reshape(cfg.batch, rows, -1)
+    if cfg.kind == "one_point":
+        forward, backward = values, None
+        coeffs = values.mean(axis=0) / (2.0 * cfg.mu)
+    else:
+        forward, backward = values[:, :, :n], values[:, :, n:]
+        coeffs = (forward - backward).mean(axis=0) / (2.0 * cfg.mu)
+    if cfg.kind == "gaussian":
+        scale = 1.0 / cfg.directions
+    elif cfg.kind == "coordinate":
+        scale = 1.0
+    else:
+        scale = d / cfg.directions
+    # matmul, unlike einsum, sums each row in the order of a single (N,) @ (N, d)
+    gradients = scale * np.matmul(coeffs[:, None, :], dirs)[:, 0, :]
+    return gradients, dirs, forward, backward
+
+
+def estimate_gradients(
+    X, cfg: EstimatorConfig, oracle: SampleOracle, rng: RngStream
+) -> Vector:
+    """Independent estimates at every row of the (R, d) array ``X``.
+
+    Returns an (R, d) array.  One call draws all R * N directions and all
+    R * samples_per_estimate(d) samples at once, so it is much cheaper than
+    R single estimates; the draws are laid out by row, and the single-point
+    estimators are exactly the R = 1 case.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != oracle.dimension:
+        raise ValueError(f"points must be (R, {oracle.dimension}), got {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points have non-finite entries")
+    return _kernel(X, cfg, oracle, rng)[0]
+
+
+def _estimate_one(
+    x, cfg: EstimatorConfig, oracle: SampleOracle, rng: RngStream, override=None
 ) -> GradientEstimate:
-    n = dirs.shape[0]
-    probes = np.concatenate([x + cfg.mu * dirs, x - cfg.mu * dirs], axis=0)
-    values = oracle.sample_at(probes, rng.child("draws"), replicates=cfg.batch)
-    forward, backward = values[:, :n], values[:, n:]
-    diffs = (forward - backward).mean(axis=0) / (2.0 * cfg.mu)
-    gradient = scale * (diffs @ dirs)
+    x = as_point(x, oracle.dimension)
+    gradients, dirs, forward, backward = _kernel(x[None, :], cfg, oracle, rng, override)
     return GradientEstimate(
-        gradient=gradient,
-        samples_used=2 * n * cfg.batch,
+        gradient=gradients[0],
+        samples_used=cfg.samples_per_estimate(oracle.dimension),
         kind=cfg.kind,
         mu=cfg.mu,
-        _directions=dirs,
-        _forward=forward,
-        _backward=backward,
+        _directions=dirs[0],
+        _forward=forward[:, 0],
+        _backward=None if backward is None else backward[:, 0],
     )
+
+
+def _check_kind(cfg: EstimatorConfig, kind: str) -> None:
+    if cfg.kind != kind:
+        raise ValueError(f"config kind is {cfg.kind!r}, not {kind!r}")
 
 
 def grad_coordinate(
@@ -191,11 +261,8 @@ def grad_coordinate(
 
     Consumes 2 * d * batch draws, two fresh ones per axis and replicate.
     """
-    if cfg.kind != "coordinate":
-        raise ValueError(f"config kind is {cfg.kind!r}, not 'coordinate'")
-    x = as_point(x, oracle.dimension)
-    dirs = np.eye(oracle.dimension)
-    return _two_point(x, cfg, oracle, rng, dirs, scale=1.0)
+    _check_kind(cfg, "coordinate")
+    return _estimate_one(x, cfg, oracle, rng)
 
 
 def grad_sphere(
@@ -211,13 +278,8 @@ def grad_sphere(
     point still gets its own independent draws.  ``directions`` overrides
     the random unit vectors, for diagnostics.
     """
-    if cfg.kind != "sphere":
-        raise ValueError(f"config kind is {cfg.kind!r}, not 'sphere'")
-    x = as_point(x, oracle.dimension)
-    dirs = _draw_directions(cfg, oracle.dimension, rng, directions)
-    return _two_point(
-        x, cfg, oracle, rng, dirs, scale=oracle.dimension / cfg.directions
-    )
+    _check_kind(cfg, "sphere")
+    return _estimate_one(x, cfg, oracle, rng, directions)
 
 
 def grad_gaussian(
@@ -228,11 +290,8 @@ def grad_gaussian(
     directions=None,
 ) -> GradientEstimate:
     """Two-point estimate along standard normal directions, scaled by 1 / N."""
-    if cfg.kind != "gaussian":
-        raise ValueError(f"config kind is {cfg.kind!r}, not 'gaussian'")
-    x = as_point(x, oracle.dimension)
-    dirs = _draw_directions(cfg, oracle.dimension, rng, directions)
-    return _two_point(x, cfg, oracle, rng, dirs, scale=1.0 / cfg.directions)
+    _check_kind(cfg, "gaussian")
+    return _estimate_one(x, cfg, oracle, rng, directions)
 
 
 def grad_one_point(
@@ -248,32 +307,8 @@ def grad_one_point(
     backward probe the raw objective value rides on every term, so the
     variance is much larger than the two-point variants at equal budget.
     """
-    if cfg.kind != "one_point":
-        raise ValueError(f"config kind is {cfg.kind!r}, not 'one_point'")
-    x = as_point(x, oracle.dimension)
-    dirs = _draw_directions(cfg, oracle.dimension, rng, directions)
-    values = oracle.sample_at(
-        x + cfg.mu * dirs, rng.child("draws"), replicates=cfg.batch
-    )
-    coeffs = values.mean(axis=0) / (2.0 * cfg.mu)
-    gradient = (oracle.dimension / cfg.directions) * (coeffs @ dirs)
-    return GradientEstimate(
-        gradient=gradient,
-        samples_used=cfg.directions * cfg.batch,
-        kind=cfg.kind,
-        mu=cfg.mu,
-        _directions=dirs,
-        _forward=values,
-        _backward=None,
-    )
-
-
-_DISPATCH = {
-    "coordinate": grad_coordinate,
-    "sphere": grad_sphere,
-    "gaussian": grad_gaussian,
-    "one_point": grad_one_point,
-}
+    _check_kind(cfg, "one_point")
+    return _estimate_one(x, cfg, oracle, rng, directions)
 
 
 def mse_upper_bound(
@@ -338,5 +373,5 @@ def mse_upper_bound(
 def estimate_gradient(
     x, cfg: EstimatorConfig, oracle: SampleOracle, rng: RngStream
 ) -> GradientEstimate:
-    """Run the estimator selected by ``cfg.kind``."""
-    return _DISPATCH[cfg.kind](x, cfg, oracle, rng)
+    """Run the estimator selected by ``cfg.kind`` at the single point ``x``."""
+    return _estimate_one(x, cfg, oracle, rng)

@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--suite", required=True, choices=[*sorted(SUITES), "all"])
     verify_p.add_argument("--out", default=".", help="directory for verify_report.txt")
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--threads", type=int, default=1,
-                          help="accepted for interface uniformity; suites run serially")
 
     plan_p = sub.add_parser("plan", help="print a parameter schedule for a target accuracy")
     plan_p.add_argument("--kind", required=True, choices=list(PLANNER_KINDS))

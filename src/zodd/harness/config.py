@@ -107,10 +107,13 @@ class EstimatorSpec:
                 f"[estimator.{self.name}] plan: environment does not expose the "
                 "noise and smoothness constants a planner schedule needs"
             )
-        plan = plan_parameters(
-            self.kind, self.plan_regime, self.plan_epsilon, env.dimension,
-            sigma, M, H if H else None,
-        )
+        try:
+            plan = plan_parameters(
+                self.kind, self.plan_regime, self.plan_epsilon, env.dimension,
+                sigma, M, H,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[estimator.{self.name}] plan: {exc}") from exc
         return plan.estimator_config(), plan.step
 
 
@@ -395,7 +398,17 @@ def parse_config(path) -> ExperimentConfig:
         tuning=tuning,
     )
     _check_budget_feasible(config)
+    _check_plans(config)
     return config
+
+
+def _check_plans(config: ExperimentConfig) -> None:
+    """Resolve every planner request now, so an impossible one fails before any row."""
+    planned = [spec for spec in config.estimators if spec.plan_regime is not None]
+    if planned:
+        env = config.environment.build()
+        for spec in planned:
+            spec.resolve(env)
 
 
 def _check_budget_feasible(config: ExperimentConfig) -> None:

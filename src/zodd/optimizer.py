@@ -167,7 +167,9 @@ def plan_parameters(
     ``regime`` selects the smoothness assumption the schedule leans on:
     ``grad`` needs only the gradient Lipschitz constant M, ``hessian``
     additionally needs the Hessian Lipschitz constant H and buys a better
-    epsilon exponent with it.  The step is always 1 / (4 M).
+    epsilon exponent with it.  H = 0 (a quadratic) is accepted for sphere
+    and gaussian, whose hessian schedules do not read H; the coordinate
+    schedule divides by it and needs H > 0.  The step is always 1 / (4 M).
 
     The random-direction schedules are only backed by their analysis for
     epsilon up to 1/3 (sphere, and gaussian in the ``grad`` regime) or 1/4
@@ -191,8 +193,12 @@ def plan_parameters(
             f"epsilon {epsilon} above the supported bound {cap:.4g} for "
             f"{kind}/{regime}"
         )
-    if regime == "hessian" and (H is None or H <= 0):
-        raise ValueError("hessian regime requires a positive H")
+    if regime == "hessian":
+        if H is None or not H >= 0:
+            raise ValueError("hessian regime requires H >= 0")
+        if kind == "coordinate" and H == 0:
+            # mu = (18 sigma^2 / (m H^2))^(1/6) has no finite value
+            raise ValueError("coordinate/hessian requires a positive H")
 
     if kind == "coordinate":
         if regime == "grad":

@@ -23,7 +23,7 @@ from zodd.environments import (
     save_population,
     save_prices,
 )
-from zodd.environments import _best_response_many
+from zodd.environments import _best_response_many, _logistic_loss
 
 
 class TestEnvironmentBase:
@@ -198,6 +198,59 @@ class TestRestockCost:
                 )
                 expected += pmf * per_item
         assert env.expected_restock_cost(p) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("buyers", [1, 7, 120])
+    def test_binomial_pmf_matches_scipy(self, buyers):
+        stats = pytest.importorskip("scipy.stats")
+        env = PricingEnv.synthetic(0, n=4, buyers=buyers)
+        p = np.array([0.0, 1e-300, 0.3, 1.0])
+        ours = env._binomial_pmf(p)
+        reference = stats.binom.pmf(np.arange(buyers + 1)[None, :], buyers, p[:, None])
+        assert np.all(np.isfinite(ours))
+        assert np.array_equal(ours == 0.0, reference == 0.0)
+        np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=0.0)
+
+
+def _pricing_draws_per_point(env, points, gen, replicates):
+    """The one-point-at-a-time form of PricingEnv._draw_at."""
+    probs = env._probabilities_at(points)
+    out = np.empty((replicates, points.shape[0]))
+    for j in range(points.shape[0]):
+        demand = gen.multinomial(env.buyers, probs[j], size=replicates)[:, :-1]
+        out[:, j] = -(demand @ points[j]) + env.restock_cost(demand)
+    return out
+
+
+def _strategic_draws_per_point(env, points, gen, replicates):
+    """The one-point-at-a-time form of StrategicEnv._draw_at."""
+    out = np.empty((replicates, points.shape[0]))
+    for j in range(points.shape[0]):
+        idx = gen.integers(0, env.population_size, size=replicates)
+        presented = _best_response_many(points[j], env.features[idx])
+        scores = presented @ points[j][:-1] + points[j][-1]
+        out[:, j] = _logistic_loss(scores, env.labels[idx])
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 5, 8, 16, 200])
+@pytest.mark.parametrize("replicates", [1, 3, 7])
+def test_vectorized_pricing_draws_match_per_point_loop(k, replicates):
+    env = PricingEnv.synthetic(3, n=8, buyers=100)
+    points = RngStream(k).generator().uniform(0.3, 1.5, (k, 8))
+    got = env._draw_at(points, RngStream(5).generator(), replicates)
+    expected = _pricing_draws_per_point(env, points, RngStream(5).generator(), replicates)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("k", [2, 5, 8, 16, 200])
+@pytest.mark.parametrize("replicates", [1, 3, 7])
+def test_vectorized_strategic_draws_match_per_point_loop(k, replicates):
+    env = StrategicEnv.synthetic(2, count=120)
+    points = RngStream(k).generator().uniform(-1.0, 1.5, (k, 12))
+    got = env._draw_at(points, RngStream(9).generator(), replicates)
+    expected = _strategic_draws_per_point(env, points, RngStream(9).generator(), replicates)
+    assert np.array_equal(got, expected)
 
 
 class TestPricingObjective:

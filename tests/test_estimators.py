@@ -11,6 +11,7 @@ from zodd.estimators import (
     ESTIMATOR_KINDS,
     EstimatorConfig,
     estimate_gradient,
+    estimate_gradients,
     grad_coordinate,
     grad_gaussian,
     grad_one_point,
@@ -267,3 +268,70 @@ class TestFreshDrawsEveryProbe:
         est = estimate_gradient(np.zeros(3), cfg, env, RngStream(0))
         values = np.concatenate([est._forward.ravel(), est._backward.ravel()])
         assert len(np.unique(values)) == values.size
+
+
+class TestBatchedKernel:
+    @given(
+        kind=st.sampled_from(ESTIMATOR_KINDS),
+        rows=st.integers(min_value=1, max_value=64),
+        batch=st.sampled_from([1, 3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pure_function_of_points_config_and_stream(self, kind, rows, batch, seed):
+        d = 4
+        X = RngStream(seed).child("points").generator().uniform(-1, 1, (rows, d))
+        before = X.copy()
+        cfg = EstimatorConfig(kind, mu=0.2, directions=3, batch=batch)
+        rng = RngStream(seed).child("kernel")
+        a = estimate_gradients(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), rng)
+        b = estimate_gradients(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), rng)
+        assert a.shape == (rows, d)
+        assert np.array_equal(a, b)
+        assert np.array_equal(X, before)
+
+    def test_coordinate_rows_are_exact_on_quadratics(self):
+        env = QuadraticEnv(np.diag([1.0, 3.0, 0.5]), np.array([1.0, -2.0, 0.0]), sigma=0.0)
+        X = RngStream(4).generator().uniform(-2, 2, (37, 3))
+        cfg = EstimatorConfig("coordinate", mu=0.1, batch=3)
+        grads = estimate_gradients(X, cfg, env, RngStream(0))
+        for x, g in zip(X, grads):
+            assert np.allclose(g, env.gradient(x), atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_single_row_is_the_single_estimate(self, kind):
+        env = QuadraticEnv.isotropic(5, sigma=0.5)
+        cfg = EstimatorConfig(kind, mu=0.1, directions=7, batch=2)
+        x = np.linspace(-1, 1, 5)
+        single = estimate_gradient(x, cfg, env, RngStream(3).child("e"))
+        batched = estimate_gradients(x[None, :], cfg, env, RngStream(3).child("e"))
+        assert np.array_equal(batched[0], single.gradient)
+
+    def test_rows_take_consecutive_directions_and_one_oracle_call(self):
+        # row r uses direction rows r*N .. r*N + N - 1 of one draw
+        d, N, R, m = 3, 4, 5, 2
+        cfg = EstimatorConfig("sphere", mu=0.5, directions=N, batch=m)
+        oracle = _RecordingOracle(d)
+        X = RngStream(1).generator().uniform(-1, 1, (R, d))
+        rng = RngStream(2)
+        grads = estimate_gradients(X, cfg, oracle, rng)
+        assert len(oracle.batches) == 1
+        points, replicates = oracle.batches[0]
+        assert points.shape == (R * 2 * N, d) and replicates == m
+        assert oracle.budget.consumed == R * cfg.samples_per_estimate(d)
+        dirs = sphere_matrix(rng.child("directions").generator(), d, R * N)
+        for r in range(R):
+            u = dirs[r * N:(r + 1) * N]
+            assert np.allclose(points[r * 2 * N:r * 2 * N + N], X[r] + 0.5 * u)
+            # f = |x|^2 / 2: central differences give u . x exactly
+            assert np.allclose(grads[r], (d / N) * ((u @ X[r]) @ u), atol=1e-12)
+
+    def test_point_validation(self):
+        env = QuadraticEnv.isotropic(3, sigma=0.0)
+        cfg = EstimatorConfig("sphere", mu=0.1)
+        with pytest.raises(ValueError):
+            estimate_gradients(np.zeros(3), cfg, env, RngStream(0))
+        with pytest.raises(ValueError):
+            estimate_gradients(np.zeros((2, 4)), cfg, env, RngStream(0))
+        with pytest.raises(ValueError):
+            estimate_gradients(np.full((2, 3), np.nan), cfg, env, RngStream(0))

@@ -1,6 +1,8 @@
 """Config grammar, experiment driver, tuning, verify suites, and the CLI."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from zodd.harness.verify import (
     run_suite,
     run_unbiasedness,
 )
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 GOOD_CONFIG = """\
 [environment]
@@ -224,6 +228,22 @@ epsilon = 0.2
         spec = EstimatorSpec(name="p", kind="sphere", plan_regime="grad", plan_epsilon=0.2)
         with pytest.raises(ConfigError):
             spec.resolve(PricingEnv.synthetic(0, n=3))
+
+    def test_coordinate_hessian_plan_on_quadratic_fails_at_parse_time(self, tmp_path):
+        # H = 0 on a quadratic: the coordinate schedule's probe radius is infinite
+        path = _write(tmp_path, """\
+[environment]
+kind = quadratic
+dimension = 3
+
+[estimator.coord]
+kind = coordinate
+plan = hessian
+epsilon = 0.25
+""")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert "[estimator.coord]" in str(err.value) and "positive H" in str(err.value)
 
     def test_tuning_section(self, tmp_path):
         path = _write(tmp_path, """\
@@ -511,6 +531,47 @@ step = 40.0
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         body = (tmp_path / "o" / "results.csv").read_text()
         assert "diverged" in body
+
+    def test_hessian_plan_on_quadratic_runs(self, tmp_path, capsys):
+        path = _write(tmp_path, """\
+[environment]
+kind = quadratic
+dimension = 3
+sigma = 0.5
+
+[run]
+seeds = 0 1
+budget = 20000
+eval_draws = 50
+
+[estimator.planned]
+kind = sphere
+plan = hessian
+epsilon = 0.25
+""")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "h")]) == 0
+        rows = (tmp_path / "h" / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+
+    @pytest.mark.parametrize("name, results_sha, trace_sha", [
+        ("quadratic.ini",
+         "ba58e6d1c73a302d3a3c67729e377a8b4743faa7074a27b04c906ade46dc8e72",
+         "63ca97327e5d137793ac207ef32a90386093cf070d9f1c9c600aed4fb847f33e"),
+        ("planned_quadratic.ini",
+         "8b9e37d142355f0b7338ca892c9d4a0d748f7a5820868f506afb0c7beeb3c53b",
+         "cc0c37b4f07d7e29145819f742fa5d09c3709355856342dddd0b760e3e0006b7"),
+    ])
+    def test_demo_outputs_are_pinned(self, name, results_sha, trace_sha, tmp_path):
+        # digests of the single-estimate stream layout; any drift in a
+        # random draw or a float of zodd run shows up here
+        assert main(["run", "--config", str(DEMO_CONFIGS / name), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == results_sha
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
+
+    def test_verify_has_no_threads_option(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "moments", "--out", str(tmp_path), "--threads", "2"])
+        assert err.value.code == 2
 
     def test_verify_writes_report(self, tmp_path, capsys):
         code = main(["verify", "--suite", "descent_lemma", "--out", str(tmp_path),

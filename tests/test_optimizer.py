@@ -106,6 +106,17 @@ class TestPlannerSchedules:
             plan_parameters("sphere", "grad", 0.1, 3, 1.0, -1.0)
         with pytest.raises(ValueError):
             plan_parameters("sphere", "hessian", 0.1, 3, 1.0, 1.0)  # H missing
+        with pytest.raises(ValueError):
+            plan_parameters("sphere", "hessian", 0.1, 3, 1.0, 1.0, -1.0)
+
+    def test_zero_hessian_constant(self):
+        # the randomized hessian schedules never read H, so a quadratic's H = 0
+        # plans exactly like any other H; coordinate divides by H
+        for kind in ("sphere", "gaussian"):
+            flat = plan_parameters(kind, "hessian", 0.25, 3, 1.0, 1.0, 0.0)
+            assert flat == plan_parameters(kind, "hessian", 0.25, 3, 1.0, 1.0, 5.0)
+        with pytest.raises(ValueError):
+            plan_parameters("coordinate", "hessian", 0.25, 3, 1.0, 1.0, 0.0)
 
     def test_constants_validation(self):
         with pytest.raises(ValueError):
