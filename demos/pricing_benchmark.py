@@ -10,7 +10,7 @@ comparison noise-free.
 import numpy as np
 
 from zodd.harness.config import EnvironmentSpec, EstimatorSpec, ExperimentConfig
-from zodd.harness.runner import STATUS_OK, run_cell
+from zodd.harness.runner import STATUS_OK, run_chains
 
 SEEDS = tuple(range(20))
 
@@ -36,9 +36,9 @@ def main():
 
     print(f"{'method':<12}{'mean obj':>10}{'sd':>8}")
     for spec in config.estimators:
+        # every seed of one method descends in lockstep, each on its own stream
         vals = []
-        for seed in SEEDS:
-            outcome = run_cell(config, spec, seed)
+        for outcome in run_chains(config, [spec] * len(SEEDS), SEEDS):
             assert outcome.row.status == STATUS_OK
             vals.append(env.exact_objective(outcome.output_point))
         print(f"{spec.name:<12}{np.mean(vals):>10.2f}{np.std(vals, ddof=1):>8.2f}")

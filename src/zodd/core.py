@@ -8,12 +8,13 @@ identity and a label, so any draw in the library is a pure function of the
 root seed and the chain of labels that leads to it.  Distinct stream ids give
 statistically independent generators, which is what lets independent pieces
 of work (directions of one estimate, seeds of one experiment) run in any
-order, or concurrently, without changing results.
+order, or batched together, without changing results.
 
 A :class:`SampleOracle` is the only way samples enter the library.  Every
 draw is counted by a :class:`BudgetCounter`; when a hard budget is set, a
 draw that would exceed it raises :class:`BudgetExhaustedError` before any
-state is consumed.
+state is consumed.  One ``sample_at`` call may serve many independent
+streams at once, one per block of points, each block drawn as if alone.
 """
 
 from __future__ import annotations
@@ -121,6 +122,72 @@ def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
     return rng
+
+
+def distinct_children(streams, *labels: int | str) -> list[RngStream]:
+    """``[s.child(*labels) for s in streams]``, deriving each distinct child once.
+
+    Equal streams get the very same child object, so the result can be
+    deduplicated again cheaply.
+    """
+    made: dict[RngStream, RngStream] = {}
+    out = []
+    for stream in streams:
+        child = made.get(stream)
+        if child is None:
+            child = made[stream] = stream.child(*labels)
+        out.append(child)
+    return out
+
+
+class _BlockGenerators:
+    """One generator per block of points, each at the start of its stream.
+
+    A stream that repeats within one call builds its Philox once; every later
+    block of that stream rewinds it to the saved initial state, which is much
+    cheaper than building a new generator.
+    """
+
+    def __init__(self, streams: list[RngStream]) -> None:
+        self._streams = streams
+
+    def __len__(self) -> int:
+        return len(self._streams)
+
+    def __iter__(self):
+        started: dict[RngStream, tuple[np.random.Generator, dict]] = {}
+        for stream in self._streams:
+            seen = started.get(stream)
+            if seen is None:
+                gen = stream.generator()
+                started[stream] = (gen, gen.bit_generator.state)
+            else:
+                gen, initial = seen
+                gen.bit_generator.state = initial
+            yield gen
+
+
+def draw_blocks(gens, k: int, draw, axis: int = 0) -> Vector:
+    """Join ``draw(gen, lo, hi)`` over the equal blocks of k points along ``axis``.
+
+    ``gens`` is what :meth:`SampleOracle._draw_at` receives: one generator
+    for all k points, or one per block; ``gen`` draws for points lo..hi-1.
+    """
+    if isinstance(gens, np.random.Generator):
+        return draw(gens, 0, k)
+    size = k // len(gens)
+    parts = [draw(gen, g * size, (g + 1) * size) for g, gen in enumerate(gens)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def row_norms(X) -> Vector:
+    """Euclidean norm of every row of X, each bit-equal to ``np.linalg.norm(row)``.
+
+    The stacked (1, d) @ (d, 1) products take the same dot-product path as the
+    norm of a single vector; ``einsum`` and ``sum(axis=1)`` round differently.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
 
 
 def draw_coordinate(i: int, d: int) -> Direction:
@@ -236,10 +303,17 @@ class SampleOracle(ABC):
         """Dimension of the decision vector."""
 
     @abstractmethod
-    def _draw_at(
-        self, points: Vector, gen: np.random.Generator, replicates: int
-    ) -> Vector:
-        """Return a (replicates, k) array of draws for the (k, d) points."""
+    def _draw_at(self, points: Vector, gens, replicates: int) -> Vector:
+        """Return a (replicates, k) array of draws for the (k, d) points.
+
+        ``gens`` is one generator for all points, or a sized iterable of G
+        generators for G equal contiguous blocks of the points; block g must
+        be drawn from the g-th generator exactly as a call with that block
+        alone would draw it, and before the next generator is taken (a
+        repeated stream reuses one generator, rewound).  :func:`draw_blocks`
+        does the splitting, so the deterministic work can run once over all
+        k points.
+        """
 
     def sample(self, x, rng: RngStream | np.random.Generator) -> float:
         """One draw of f(x, xi), xi ~ D(x).  Consumes one unit of budget."""
@@ -247,13 +321,14 @@ class SampleOracle(ABC):
         self._budget.charge(1)
         return float(self._draw_at(x[None, :], _as_generator(rng), 1)[0, 0])
 
-    def sample_at(
-        self,
-        points,
-        rng: RngStream | np.random.Generator,
-        replicates: int = 1,
-    ) -> Vector:
+    def sample_at(self, points, rng, replicates: int = 1) -> Vector:
         """Independent draws at many points: (replicates, k) array.
+
+        ``rng`` is one stream (or generator) for all k points, or a sequence
+        of G RngStreams: the points then split into G equal contiguous blocks,
+        and block g is drawn exactly as ``sample_at(block_g, rng[g],
+        replicates)`` would draw it.  A stream may repeat; each of its blocks
+        starts from the beginning of the stream.
 
         All draws are independent across points and replicates; the budget
         is charged atomically, so either the whole batch is counted or a
@@ -268,5 +343,13 @@ class SampleOracle(ABC):
             raise ValueError("replicates must be >= 1")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points have non-finite entries")
+        single = isinstance(rng, (RngStream, np.random.Generator))
+        if not single:
+            rng = list(rng)
+            if not rng or pts.shape[0] % len(rng):
+                raise ValueError(
+                    f"{pts.shape[0]} points do not split into {len(rng)} equal blocks"
+                )
         self._budget.charge(pts.shape[0] * replicates)
-        return self._draw_at(pts, _as_generator(rng), replicates)
+        gens = _as_generator(rng) if single else _BlockGenerators(rng)
+        return self._draw_at(pts, gens, replicates)

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .core import RngStream, SampleOracle, Vector, as_point
+from .core import RngStream, SampleOracle, Vector, as_point, draw_blocks, row_norms
 
 
 class UnsupportedEnvironmentError(RuntimeError):
@@ -166,11 +166,15 @@ class QuadraticEnv(Environment):
         x = as_point(x, self.dimension)
         return self.A @ x + self.b
 
-    def _draw_at(self, points, gen, replicates):
+    def _draw_at(self, points, gens, replicates):
+        k = points.shape[0]
         mean = self.exact_objective_at(points)
         if self.sigma == 0.0:
-            return np.broadcast_to(mean, (replicates, points.shape[0])).copy()
-        return mean + self.sigma * gen.standard_normal((replicates, points.shape[0]))
+            return np.broadcast_to(mean, (replicates, k)).copy()
+        noise = draw_blocks(
+            gens, k, lambda gen, lo, hi: gen.standard_normal((replicates, hi - lo)), axis=1
+        )
+        return mean + self.sigma * noise
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +294,15 @@ class PricingEnv(Environment):
         per_item = 2.0 * self.slope * low + self.slope * mid + 3.0 * self.slope * high
         return per_item.sum(axis=-1)
 
-    def _draw_at(self, points, gen, replicates):
+    def _draw_at(self, points, gens, replicates):
         probs = self._probabilities_at(points)
-        k = points.shape[0]
-        # point-major, as k calls of size=replicates would draw
-        counts = gen.multinomial(self.buyers, probs[:, None, :], size=(k, replicates))
+        # point-major, as one call of size=replicates per point would draw
+        counts = draw_blocks(
+            gens, points.shape[0],
+            lambda gen, lo, hi: gen.multinomial(
+                self.buyers, probs[lo:hi, None, :], size=(hi - lo, replicates)
+            ),
+        )
         demand = counts[..., :-1]
         revenue = np.matmul(demand, points[:, :, None])[..., 0]
         return np.ascontiguousarray((self.restock_cost(demand) - revenue).T)
@@ -503,16 +511,35 @@ class StrategicEnv(Environment):
         scores = presented @ x[:-1] + x[-1]
         return float(_logistic_loss(scores, self.labels).mean())
 
-    def _draw_at(self, points, gen, replicates):
+    def _draw_at(self, points, gens, replicates):
         k = points.shape[0]
-        # point-major, as k calls of size=replicates would draw
-        chosen = gen.integers(0, self.population_size, size=(k, replicates))
-        out = np.empty((replicates, k))
-        for j, idx in enumerate(chosen):
-            presented = _best_response_many(points[j], self.features[idx])
-            scores = presented @ points[j][:-1] + points[j][-1]
-            out[:, j] = _logistic_loss(scores, self.labels[idx])
-        return out
+        # point-major, as one call of size=replicates per point would draw
+        chosen = draw_blocks(
+            gens, k,
+            lambda gen, lo, hi: gen.integers(0, self.population_size, size=(hi - lo, replicates)),
+        )
+        weights = points[:, :-1]
+        intercepts = points[:, -1:]
+        features = self.features[chosen]
+        # stacked matmuls round each point exactly as its own (m, f) @ (f,) and
+        # norm(w) would, so the draws match best_response point by point
+        scores = np.matmul(features, weights[:, :, None])[..., 0] + intercepts
+        negative = scores < 0.0
+        if np.any(negative):
+            norms = row_norms(weights)
+            if np.any((norms == 0.0) & negative.any(axis=1)):
+                raise DegenerateClassifierError(
+                    "zero feature weights: no move can change the score"
+                )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gaps = -scores / norms[:, None]
+                units = weights / norms[:, None]
+            move = negative & (gaps * gaps < 2.0)
+            if np.any(move):
+                point, agent = np.nonzero(move)
+                features[point, agent] += gaps[point, agent, None] * units[point]
+                scores = np.matmul(features, weights[:, :, None])[..., 0] + intercepts
+        return np.ascontiguousarray(_logistic_loss(scores, self.labels[chosen]).T)
 
     def save_population(self, path) -> None:
         save_population(path, self.features, self.labels)

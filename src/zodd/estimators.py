@@ -17,7 +17,10 @@ Four estimators are provided:
   by 1 / directions,
 * ``one_point``: the forward-only sphere variant, kept as a baseline; its
   single-sided probes carry the full objective value, which inflates the
-  variance by orders of magnitude.
+  variance by orders of magnitude.  It scales by d / (2 mu), so it targets
+  *half* the smoothed gradient (the standard one-point estimator of
+  Flaxman, Kalai & McMahan uses d / mu); the scale is kept so that one_point
+  runs and the steps tuned for them stay comparable.
 
 Each estimate consumes a fixed, declared number of oracle draws:
 2 * d * batch (coordinate), 2 * directions * batch (sphere, gaussian), and
@@ -32,6 +35,14 @@ come from one draw on the call's ``directions`` child stream, and all probe
 points go to the oracle in one ``sample_at`` call on its ``draws`` child
 stream.  :func:`estimate_gradient` and the per-kind functions are its
 R = 1 case, so a single estimate consumes exactly the draws it always did.
+
+The descent loop of :mod:`zodd.harness.runner` calls the kernel with one
+stream *per row* instead: R lockstep chains, each with its own stream and
+probe radius.  Row r then draws exactly what a single estimate on its own
+stream draws, so lockstep groups never change a draw; rows that share a
+stream (tuning candidates of one trial) share its one direction draw, and
+the oracle rewinds the stream for each of their probe blocks.  The runner
+caps a group at 2^14 draws per step (or one chain, if a chain costs more).
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from .core import (
     SampleOracle,
     Vector,
     as_point,
+    distinct_children,
     gaussian_matrix,
     sphere_matrix,
 )
@@ -172,38 +184,70 @@ def _draw_directions(
     return draw(gen, d, rows * cfg.directions).reshape(rows, cfg.directions, d)
 
 
+def _streams_per_row(cfg: EstimatorConfig, d: int, streams) -> tuple[Vector, list]:
+    """Directions and ``draws`` streams when every row brings its own stream.
+
+    Each distinct stream draws its N directions and derives its children
+    once; rows that share a stream share that draw, exactly as separate
+    single-row calls on the stream would draw it.
+    """
+    slot: dict[RngStream, int] = {}
+    index = [slot.setdefault(stream, len(slot)) for stream in streams]
+    distinct = list(slot)
+    if cfg.kind == "coordinate":
+        dirs = np.eye(d)[None]
+    else:
+        drawn = [_draw_directions(cfg, d, 1, s, None) for s in distinct]
+        table = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+        dirs = table if len(distinct) == len(index) else table[index]
+    draws = distinct_children(distinct, "draws")
+    return dirs, [draws[i] for i in index]
+
+
 def _kernel(
     X: Vector,
     cfg: EstimatorConfig,
     oracle: SampleOracle,
-    rng: RngStream,
+    rng,
     override=None,
+    mu=None,
 ) -> tuple[Vector, Vector, Vector, Vector | None]:
     """The one estimator computation: (R, d) base points in, (R, d) gradients out.
 
-    Every row probes its own directions; all R * (2N or N) probe points go
-    to the oracle in one ``sample_at`` call on the ``draws`` stream, so the
-    budget is charged once for the whole call.  Returns the gradients, the
-    directions (R or 1, N, d), and the forward and backward sample values
-    as (batch, R, N) arrays (backward is None for ``one_point``).
+    ``rng`` is one stream for every row, whose directions are laid out by
+    row, or a sequence of R streams, one per row: row r then draws exactly
+    what a single-row call on its stream draws.  ``mu`` optionally gives
+    each row its own probe radius, an (R,) array; the default is ``cfg.mu``.
+
+    All R * (2N or N) probe points go to the oracle in one ``sample_at``
+    call, so the budget is charged once for the whole call.  Returns the
+    gradients, the directions (R or 1, N, d), and the forward and backward
+    sample values as (batch, R, N) arrays (backward is None for
+    ``one_point``).
     """
     rows, d = X.shape
-    dirs = _draw_directions(cfg, d, rows, rng, override)
-    n = dirs.shape[1]
-    base = X[:, None, :]
-    if cfg.kind == "one_point":
-        probes = base + cfg.mu * dirs
+    if isinstance(rng, RngStream):
+        dirs = _draw_directions(cfg, d, rows, rng, override)
+        draws = rng.child("draws")
     else:
-        probes = np.concatenate([base + cfg.mu * dirs, base - cfg.mu * dirs], axis=1)
+        dirs, draws = _streams_per_row(cfg, d, rng)
+    n = dirs.shape[1]
+    radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
+    base = X[:, None, :]
+    offsets = radius[:, :, None] * dirs
+    if cfg.kind == "one_point":
+        probes = base + offsets
+    else:
+        probes = np.concatenate([base + offsets, base - offsets], axis=1)
     values = oracle.sample_at(
-        probes.reshape(-1, d), rng.child("draws"), replicates=cfg.batch
+        probes.reshape(-1, d), draws, replicates=cfg.batch
     ).reshape(cfg.batch, rows, -1)
     if cfg.kind == "one_point":
         forward, backward = values, None
-        coeffs = values.mean(axis=0) / (2.0 * cfg.mu)
+        coeffs = values.mean(axis=0) / (2.0 * radius)
     else:
         forward, backward = values[:, :, :n], values[:, :, n:]
-        coeffs = (forward - backward).mean(axis=0) / (2.0 * cfg.mu)
+        coeffs = (forward - backward).mean(axis=0) / (2.0 * radius)
     if cfg.kind == "gaussian":
         scale = 1.0 / cfg.directions
     elif cfg.kind == "coordinate":
@@ -303,7 +347,8 @@ def grad_one_point(
 ) -> GradientEstimate:
     """Forward-only sphere estimate: (d / N) sum_i mean_j f(x + mu s_i) s_i / (2 mu).
 
-    Consumes directions * batch draws.  Kept as a baseline: without the
+    Consumes directions * batch draws.  Its mean is half the ball-smoothed
+    gradient, because of the 2 mu.  Kept as a baseline: without the
     backward probe the raw objective value rides on every term, so the
     variance is much larger than the two-point variants at equal budget.
     """

@@ -16,6 +16,7 @@ from .runner import (
     TRACE_COLUMNS,
     ResultRow,
     TraceRow,
+    run_chains,
     run_experiment,
     run_row,
     write_results,
@@ -38,6 +39,7 @@ __all__ = [
     "STATUS_BUDGET_ERROR",
     "ResultRow",
     "TraceRow",
+    "run_chains",
     "run_experiment",
     "run_row",
     "write_results",

@@ -45,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=".", help="directory for results.csv and trace.csv")
     run_p.add_argument("--seed", type=int, default=None,
                        help="run a single seed instead of the configured list")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent rows")
 
     verify_p = sub.add_parser("verify", help="replay a statistical check suite")
     verify_p.add_argument("--suite", required=True, choices=[*sorted(SUITES), "all"])
@@ -86,7 +84,7 @@ def _cmd_run(args) -> int:
                 f"tuned {outcome.method}: step={chosen.step} mu={chosen.mu} "
                 f"directions={chosen.directions} batch={chosen.batch}"
             )
-    results, traces = run_experiment(config, threads=max(1, args.threads))
+    results, traces = run_experiment(config)
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
     trace_path = os.path.join(args.out, "trace.csv")

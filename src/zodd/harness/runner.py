@@ -1,9 +1,21 @@
 """Experiment driver: one descent run per (estimator, seed) row.
 
-Each row owns an independent environment instance and an independent RNG
-stream, so rows may execute in any order or in parallel without changing
-a single byte of the output CSVs.  Timing is off by default for the same
-reason; ``[run] timing = true`` opts in and fills the wall-time column.
+Every row is a *chain*: a fixed-step descent with its own environment
+budget, RNG stream, step, probe radius, uniformly drawn output iterate and
+divergence check.  :func:`run_chains` is the one descent loop.  It runs
+chains in lockstep groups: chains with the same estimator kind, direction
+count and batch (so the same cost and iteration count) share one (R, d)
+state, and each step makes one estimator call and one oracle call for the
+whole group.  Grouping never changes a draw: every chain draws from its own
+stream exactly what it would draw alone, so results do not depend on which
+chains share a group, and the CSVs are byte-identical to one-chain-at-a-time
+runs.  A group holds at most ``max(1, GROUP_DRAWS // cost)`` chains, so its
+probe array is never larger than one chain's or 2^14 draws, whichever is
+larger.  A diverged chain leaves its group; the others go on.
+
+Timing is off by default because it would break byte-identity; ``[run]
+timing = true`` fills the wall-time column with the wall time of the row's
+lockstep group.
 """
 
 from __future__ import annotations
@@ -11,15 +23,19 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RngStream
-from ..estimators import estimate_gradient
+from ..core import RngStream, distinct_children, row_norms
+from ..estimators import EstimatorConfig, _kernel
+# perfbench/tracer.py wraps estimate_gradient by this name; the loop calls _kernel
+from ..estimators import estimate_gradient  # noqa: F401
 from ..optimizer import DIVERGENCE_NORM, select_uniform_index
 from .config import ExperimentConfig
+
+# oracle draws per step of one lockstep group, unless one chain alone costs more
+GROUP_DRAWS = 1 << 14
 
 RESULT_COLUMNS = (
     "method", "seed", "obj_mean", "obj_sd", "samples_used",
@@ -59,71 +75,141 @@ class RowOutcome:
     output_point: np.ndarray | None
 
 
-def run_cell(config: ExperimentConfig, spec, seed: int) -> RowOutcome:
-    """One descent run for an explicit estimator spec (tuning reuses this)."""
-    method = spec.name
+@dataclass(frozen=True)
+class _Chain:
+    method: str
+    seed: int
+    cfg: EstimatorConfig
+    step: float
+
+
+def run_chains(config: ExperimentConfig, specs, seeds) -> list[RowOutcome]:
+    """One descent run per (spec, seed) pair, in the order given.
+
+    Chain i runs ``specs[i]`` on seed ``seeds[i]``; its row, trace and
+    output point are exactly what it would produce alone.
+    """
+    env = config.environment.build()
+    chains = [_Chain(spec.name, seed, *spec.resolve(env)) for spec, seed in zip(specs, seeds)]
+    groups: dict[tuple, list[int]] = {}
+    for i, chain in enumerate(chains):
+        cfg = chain.cfg
+        groups.setdefault((cfg.kind, cfg.directions, cfg.batch), []).append(i)
+    outcomes: list[RowOutcome | None] = [None] * len(chains)
+    for members in groups.values():
+        cost = chains[members[0]].cfg.samples_per_estimate(env.dimension)
+        size = max(1, GROUP_DRAWS // cost)
+        for lo in range(0, len(members), size):
+            group = members[lo:lo + size]
+            for i, outcome in zip(group, _run_group(config, env, [chains[i] for i in group])):
+                outcomes[i] = outcome
+    return outcomes
+
+
+def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list[RowOutcome]:
+    """Lockstep descent of chains that share kind, directions and batch.
+
+    ``eval_env`` is an unbudgeted environment for the final evaluation; the
+    descent draws from a fresh one whose budget is the sum of the chains'.
+    """
     started = time.perf_counter() if config.timing else None
-
-    env = config.environment.build(budget=config.budget)
-    cfg, step = spec.resolve(env)
-    d = env.dimension
-    cost = cfg.samples_per_estimate(d)
-    rng = RngStream(seed).child("method", method)
-
+    cfg = chains[0].cfg
+    cost = cfg.samples_per_estimate(eval_env.dimension)
     iterations = config.budget // cost
     if iterations == 0:
-        row = ResultRow(
-            method=method, seed=seed, obj_mean=math.nan, obj_sd=math.nan,
-            samples_used=0, wall_time_s=_elapsed(started),
-            grad_norm_sq=None, status=STATUS_BUDGET_ERROR,
-        )
-        return RowOutcome(row, (), None)
-
-    output_index = select_uniform_index(iterations + 1, rng)
-    x = config.start_point().copy()
-    iterates = [x.copy()]
-    trace: list[TraceRow] = []
-    status = STATUS_OK
-    for t in range(iterations):
-        estimate = estimate_gradient(x, cfg, env, rng.child("iteration", t))
-        trace.append(
-            TraceRow(
-                method=method, seed=seed,
-                cumulative_samples=(t + 1) * cost,
-                obj_estimate=float(estimate.probe_mean),
+        elapsed = _elapsed(started)
+        return [
+            RowOutcome(
+                ResultRow(
+                    method=c.method, seed=c.seed, obj_mean=math.nan, obj_sd=math.nan,
+                    samples_used=0, wall_time_s=elapsed,
+                    grad_norm_sq=None, status=STATUS_BUDGET_ERROR,
+                ),
+                (), None,
             )
-        )
-        x = x - step * estimate.gradient
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
-            status = STATUS_DIVERGED
-            break
-        iterates.append(x.copy())
-    samples_used = len(trace) * cost
+            for c in chains
+        ]
 
-    if status == STATUS_DIVERGED:
+    env = config.environment.build(budget=len(chains) * config.budget)
+    streams = [RngStream(c.seed).child("method", c.method) for c in chains]
+    start = config.start_point()
+    outputs = [None] * len(chains)
+    due: dict[int, list[int]] = {}
+    for i, rng in enumerate(streams):
+        due.setdefault(select_uniform_index(iterations + 1, rng), []).append(i)
+    for i in due.pop(0, ()):
+        outputs[i] = start.copy()
+    traces: list[list[TraceRow]] = [[] for _ in chains]
+    diverged = set()
+
+    # the rows still descending: their chain numbers, iterates and knobs
+    live = np.arange(len(chains))
+    X = np.tile(start, (len(chains), 1))
+    steps = np.array([[c.step] for c in chains], dtype=np.float64)
+    mus = np.array([c.cfg.mu for c in chains], dtype=np.float64)
+    for t in range(iterations):
+        rngs = distinct_children([streams[i] for i in live], "iteration", t)
+        gradients, _, forward, backward = _kernel(X, cfg, env, rngs, mu=mus)
+        spent = (t + 1) * cost
+        for r, i in enumerate(live):
+            # the reduction of GradientEstimate.probe_mean, chain by chain
+            if backward is None:
+                probe_mean = forward[:, r].mean()
+            else:
+                probe_mean = (forward[:, r].mean() + backward[:, r].mean()) / 2.0
+            traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, float(probe_mean)))
+        X = X - steps * gradients
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.isfinite(X).all(axis=1) | (row_norms(X) > DIVERGENCE_NORM)
+        for i in due.get(t + 1, ()):
+            r = int(np.searchsorted(live, i))
+            if r < live.size and live[r] == i:  # a diverged chain's output is never read
+                outputs[i] = X[r].copy()
+        if bad.any():
+            diverged.update(live[bad].tolist())
+            keep = ~bad
+            live, X, steps, mus = live[keep], X[keep], steps[keep], mus[keep]
+            if live.size == 0:
+                break
+
+    done = [i for i in range(len(chains)) if i not in diverged]
+    if done:
+        values = eval_env.sample_at(
+            np.stack([outputs[i] for i in done]),
+            [streams[i].child("eval") for i in done],
+            replicates=config.eval_draws,
+        )
+        column = {i: values[:, j].copy() for j, i in enumerate(done)}
+    elapsed = _elapsed(started)
+    rows = []
+    for i, c in enumerate(chains):
+        trace = tuple(traces[i])
+        if i in diverged:
+            row = ResultRow(
+                method=c.method, seed=c.seed, obj_mean=math.nan, obj_sd=math.nan,
+                samples_used=len(trace) * cost, wall_time_s=elapsed,
+                grad_norm_sq=math.nan if env.supports_gradient else None,
+                status=STATUS_DIVERGED,
+            )
+            rows.append(RowOutcome(row, trace, None))
+            continue
+        drawn = column[i]
+        grad_norm_sq = None
+        if env.supports_gradient:
+            grad_norm_sq = float(np.sum(env.gradient(outputs[i]) ** 2))
         row = ResultRow(
-            method=method, seed=seed, obj_mean=math.nan, obj_sd=math.nan,
-            samples_used=samples_used, wall_time_s=_elapsed(started),
-            grad_norm_sq=math.nan if env.supports_gradient else None,
-            status=status,
+            method=c.method, seed=c.seed,
+            obj_mean=float(drawn.mean()), obj_sd=float(drawn.std(ddof=1)),
+            samples_used=len(trace) * cost, wall_time_s=elapsed,
+            grad_norm_sq=grad_norm_sq, status=STATUS_OK,
         )
-        return RowOutcome(row, tuple(trace), None)
+        rows.append(RowOutcome(row, trace, outputs[i]))
+    return rows
 
-    x_out = iterates[output_index]
-    eval_env = config.environment.build()
-    values = eval_env.sample_at(
-        x_out[None, :], rng.child("eval"), replicates=config.eval_draws
-    )[:, 0]
-    grad_norm_sq = None
-    if env.supports_gradient:
-        grad_norm_sq = float(np.sum(env.gradient(x_out) ** 2))
-    row = ResultRow(
-        method=method, seed=seed,
-        obj_mean=float(values.mean()), obj_sd=float(values.std(ddof=1)),
-        samples_used=samples_used, wall_time_s=_elapsed(started),
-        grad_norm_sq=grad_norm_sq, status=status,
-    )
-    return RowOutcome(row, tuple(trace), x_out)
+
+def run_cell(config: ExperimentConfig, spec, seed: int) -> RowOutcome:
+    """One descent run for an explicit estimator spec."""
+    return run_chains(config, [spec], [seed])[0]
 
 
 def run_row(config: ExperimentConfig, method: str, seed: int) -> tuple[ResultRow, list[TraceRow]]:
@@ -137,19 +223,12 @@ def _elapsed(started: float | None) -> float | None:
     return None if started is None else time.perf_counter() - started
 
 
-def run_experiment(
-    config: ExperimentConfig, threads: int = 1
-) -> tuple[list[ResultRow], list[TraceRow]]:
-    """All (estimator, seed) rows in config order; parallel rows merge in order."""
-    cells = [(spec.name, seed) for spec in config.estimators for seed in config.seeds]
-    if threads <= 1:
-        outputs = [run_row(config, method, seed) for method, seed in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_row, config, method, seed) for method, seed in cells]
-            outputs = [f.result() for f in futures]
-    results = [row for row, _ in outputs]
-    traces = [t for _, trace in outputs for t in trace]
+def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRow], list[TraceRow]]:
+    """All (estimator, seed) rows in config order, as one lockstep run."""
+    cells = [(spec, seed) for spec in config.estimators for seed in config.seeds]
+    outcomes = run_chains(config, [spec for spec, _ in cells], [seed for _, seed in cells])
+    results = [o.row for o in outcomes]
+    traces = [t for o in outcomes for t in o.trace]
     return results, traces
 
 

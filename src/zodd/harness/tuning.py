@@ -7,7 +7,8 @@ two-point randomized methods and the batch size for the coordinate and
 one-point methods (those keep their configured direction count).  Each
 candidate is scored by the mean objective of a few short runs on
 tuning-only seeds, and the winning knobs replace the configured ones
-before the real experiment executes.
+before the real experiment executes.  All candidates and trials of one
+estimator run as one lockstep :func:`~zodd.harness.runner.run_chains` call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from itertools import product
 import math
 
 from .config import EstimatorSpec, ExperimentConfig, TuningSpec
-from .runner import STATUS_OK, run_cell
+from .runner import STATUS_OK, run_chains
+# the tracer in perfbench/ wraps run_cell by this name
+from .runner import run_cell  # noqa: F401
 
 TUNING_SEED_BASE = 7_000_001
 
@@ -56,16 +59,14 @@ def candidate_specs(spec: EstimatorSpec, tuning: TuningSpec) -> list[EstimatorSp
     return out
 
 
-def score_candidate(config: ExperimentConfig, candidate: EstimatorSpec) -> float:
-    """Mean objective at the selected output over the tuning trials.
+def _trial_seeds(config: ExperimentConfig) -> list[int]:
+    return [TUNING_SEED_BASE + trial for trial in range(config.tuning.trials)]
 
-    Uses the exact objective where the environment provides one,
-    otherwise the Monte Carlo evaluation mean.  Failed runs score +inf.
-    """
-    env = config.environment.build()
+
+def _mean_objective(env, outcomes) -> float:
+    """Mean objective at the selected outputs; +inf if any run failed."""
     scores = []
-    for trial in range(config.tuning.trials):
-        outcome = run_cell(config, candidate, TUNING_SEED_BASE + trial)
+    for outcome in outcomes:
         if outcome.row.status != STATUS_OK:
             return math.inf
         if env.supports_exact_objective:
@@ -75,13 +76,35 @@ def score_candidate(config: ExperimentConfig, candidate: EstimatorSpec) -> float
     return float(sum(scores) / len(scores))
 
 
+def score_candidate(config: ExperimentConfig, candidate: EstimatorSpec) -> float:
+    """Mean objective at the selected output over the tuning trials.
+
+    Uses the exact objective where the environment provides one,
+    otherwise the Monte Carlo evaluation mean.  Failed runs score +inf.
+    """
+    seeds = _trial_seeds(config)
+    outcomes = run_chains(config, [candidate] * len(seeds), seeds)
+    return _mean_objective(config.environment.build(), outcomes)
+
+
 def tune_method(config: ExperimentConfig, spec: EstimatorSpec) -> TuningOutcome:
-    """Pick the grid point with the lowest mean objective; first wins ties."""
+    """Pick the grid point with the lowest mean objective; first wins ties.
+
+    Every candidate's trials run together in one lockstep call.
+    """
+    candidates = candidate_specs(spec, config.tuning)
+    seeds = _trial_seeds(config)
+    outcomes = run_chains(
+        config,
+        [c for c in candidates for _ in seeds],
+        [seed for _ in candidates for seed in seeds],
+    )
+    env = config.environment.build()
     table = []
     best = None
     best_score = math.inf
-    for candidate in candidate_specs(spec, config.tuning):
-        score = score_candidate(config, candidate)
+    for i, candidate in enumerate(candidates):
+        score = _mean_objective(env, outcomes[i * len(seeds):(i + 1) * len(seeds)])
         table.append((candidate, score))
         if score < best_score:
             best, best_score = candidate, score

@@ -13,10 +13,12 @@ from zodd.core import (
     RngStream,
     SampleOracle,
     as_point,
+    distinct_children,
     draw_coordinate,
     draw_gaussian,
     draw_sphere,
     gaussian_matrix,
+    row_norms,
     sphere_matrix,
 )
 
@@ -233,3 +235,29 @@ class TestSampleOracle:
         o = _CountingOracle(2)
         out = o.sample_at(np.array([1.0, 1.0]), RngStream(0))
         assert out.shape == (1, 1)
+
+
+    def test_grouped_draws_rewind_repeated_streams(self):
+        o = _CountingOracle(2)
+        o.sample_at(np.zeros((6, 2)), [RngStream(0), RngStream(1), RngStream(0)], replicates=2)
+        assert o.calls == [(6, 2)]
+        assert o.budget.consumed == 12
+
+
+class TestStreamHelpers:
+    def test_distinct_children_derive_once_per_stream(self):
+        a, b = RngStream(1), RngStream(2)
+        out = distinct_children([a, b, RngStream(1), a], "iteration", 3)
+        assert out == [s.child("iteration", 3) for s in (a, b, a, a)]
+        assert out[0] is out[2] is out[3]
+
+    @given(
+        rows=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=30),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_norms_equal_norm_of_each_row(self, rows, d, scale, seed):
+        X = scale * RngStream(seed).generator().standard_normal((rows, d))
+        assert np.array_equal(row_norms(X), [np.linalg.norm(x) for x in X])

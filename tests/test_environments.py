@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zodd.core import RngStream
+from zodd.core import BudgetExhaustedError, RngStream
 from zodd.environments import (
     DegenerateClassifierError,
     Environment,
@@ -252,6 +252,73 @@ def test_vectorized_strategic_draws_match_per_point_loop(k, replicates):
     expected = _strategic_draws_per_point(env, points, RngStream(9).generator(), replicates)
     assert np.array_equal(got, expected)
 
+
+
+def test_vectorized_strategic_draws_raise_on_a_degenerate_point():
+    env = StrategicEnv.synthetic(2, count=120)
+    points = np.ones((3, 12))
+    points[1, :-1] = 0.0
+    points[1, -1] = -1.0  # zero weights, every score negative: no move helps
+    with pytest.raises(DegenerateClassifierError):
+        env._draw_at(points, RngStream(9).generator(), 4)
+    points[1, -1] = 1.0  # zero weights that accept everyone need no move
+    got = env._draw_at(points, RngStream(9).generator(), 4)
+    expected = _strategic_draws_per_point(env, points, RngStream(9).generator(), 4)
+    assert np.array_equal(got, expected)
+
+
+def test_vectorized_strategic_draws_match_when_agents_move():
+    env = StrategicEnv.synthetic(4, count=200)
+    w = np.full(11, 0.3)
+    points = np.array([np.append(w, c) for c in (-0.8, -0.2, 0.4, -1.5)])
+    gen = RngStream(1).generator()
+    chosen = gen.integers(0, env.population_size, size=(4, 16))
+    presented = [_best_response_many(p, env.features[idx]) for p, idx in zip(points, chosen)]
+    assert any(not np.array_equal(a, env.features[idx]) for a, idx in zip(presented, chosen))
+    got = env._draw_at(points, RngStream(1).generator(), 16)
+    expected = _strategic_draws_per_point(env, points, RngStream(1).generator(), 16)
+    assert np.array_equal(got, expected)
+
+
+_GROUPED_ENVS = {
+    "quadratic": lambda: QuadraticEnv.isotropic(12, sigma=0.7),
+    "pricing": lambda: PricingEnv.synthetic(3, n=12, buyers=50),
+    "strategic": lambda: StrategicEnv.synthetic(2, count=120),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GROUPED_ENVS))
+@pytest.mark.parametrize("labels", [[0], [0, 1, 2], [0, 0, 1, 0], [3, 1, 3, 3, 2, 1]])
+@pytest.mark.parametrize("replicates", [1, 5])
+def test_grouped_draws_equal_separate_calls(kind, labels, replicates):
+    # block g of a grouped call is drawn as a call with that block alone;
+    # repeated streams start over for each of their blocks
+    env = _GROUPED_ENVS[kind]()
+    per_block = 3
+    points = RngStream(len(labels)).generator().uniform(0.2, 1.2, (per_block * len(labels), 12))
+    streams = [RngStream(8).child("block", label) for label in labels]
+    got = env.sample_at(points, streams, replicates)
+    assert env.budget.consumed == points.shape[0] * replicates
+    expected = np.concatenate([
+        env.sample_at(points[g * per_block:(g + 1) * per_block], stream, replicates)
+        for g, stream in enumerate(streams)
+    ], axis=1)
+    assert np.array_equal(got, expected)
+
+
+def test_grouped_draws_charge_once_and_atomically():
+    env = QuadraticEnv.isotropic(2, sigma=1.0, budget=23)
+    streams = [RngStream(0), RngStream(1), RngStream(0)]
+    env.sample_at(np.zeros((6, 2)), streams, replicates=2)
+    assert env.budget.consumed == 12
+    with pytest.raises(BudgetExhaustedError):
+        env.sample_at(np.zeros((6, 2)), streams, replicates=2)
+    assert env.budget.consumed == 12
+    with pytest.raises(ValueError, match="equal blocks"):
+        env.sample_at(np.zeros((4, 2)), streams)
+    with pytest.raises(ValueError, match="equal blocks"):
+        env.sample_at(np.zeros((4, 2)), [])
+    assert env.budget.consumed == 12
 
 class TestPricingObjective:
     def _unit_share_env(self):

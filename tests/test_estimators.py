@@ -134,6 +134,20 @@ class TestExactnessOnQuadratics:
         est = grad_one_point(np.ones(3), cfg, env, RngStream(0))
         assert np.array_equal(est.gradient, np.zeros(3))
 
+    def test_one_point_targets_half_the_smoothed_gradient(self):
+        # on a quadratic the ball-smoothed gradient is grad F itself; the
+        # d / (2 mu) scale makes one_point average to half of it
+        grad = np.array([1.0, 2.0, 3.0, 4.0])
+        env = QuadraticEnv(np.eye(4), grad, sigma=0.0)
+        x, mu, K = np.zeros(4), 0.5, 400_000
+        rng = RngStream(17)
+        est = grad_one_point(x, EstimatorConfig("one_point", mu=mu, directions=K), env, rng)
+        u = sphere_matrix(rng.child("directions").generator(), 4, K)
+        terms = 4 * env.exact_objective_at(x + mu * u)[:, None] * u / (2 * mu)
+        assert np.allclose(terms.mean(axis=0), est.gradient, rtol=0, atol=1e-9)
+        se = terms.std(axis=0, ddof=1) / np.sqrt(K)
+        assert np.all(np.abs(est.gradient - grad / 2) < 5 * se)
+
     def test_one_point_mean_vanishes_on_constant(self):
         # f == c: single estimates are far from zero but average out
         env = QuadraticEnv(np.zeros((2, 2)), np.zeros(2), sigma=0.0)

@@ -299,13 +299,6 @@ class TestRunner:
         assert sph_rows[0].cumulative_samples == 10
         assert sph_rows[-1].cumulative_samples == 1200
 
-    def test_threads_do_not_change_results(self, good_config):
-        cfg = parse_config(good_config)
-        serial, traces1 = run_experiment(cfg, threads=1)
-        parallel, traces4 = run_experiment(cfg, threads=4)
-        assert serial == parallel
-        assert traces1 == traces4
-
     def test_grad_norm_only_for_analytic_gradient(self, tmp_path, good_config):
         results, _ = run_experiment(parse_config(good_config))
         assert all(isinstance(r.grad_norm_sq, float) for r in results)
@@ -451,6 +444,20 @@ trials = 2
         assert outcome.chosen.step == pytest.approx(0.25)
         assert len(outcome.scores) == 2
 
+    def test_tune_scores_every_candidate_as_alone(self, tmp_path):
+        cfg = self._config(tmp_path, """\
+[tuning]
+enabled = true
+step = 0.01 0.25
+mu = 0.05 0.2
+directions = 1 3
+trials = 2
+""")
+        outcome = tune_method(cfg, cfg.estimators[0])
+        candidates = candidate_specs(cfg.estimators[0], cfg.tuning)
+        assert [c for c, _ in outcome.scores] == candidates
+        assert [s for _, s in outcome.scores] == [score_candidate(cfg, c) for c in candidates]
+
     def test_infeasible_candidate_scores_inf(self, tmp_path):
         cfg = self._config(tmp_path, "")
         spec = EstimatorSpec(name="big", kind="sphere", mu=0.1, directions=10_000, step=0.1)
@@ -492,8 +499,7 @@ class TestCli:
     def test_run_and_rerun_byte_identical(self, good_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(good_config), "--out", str(out1)]) == 0
-        assert main(["run", "--config", str(good_config), "--out", str(out2),
-                     "--threads", "3"]) == 0
+        assert main(["run", "--config", str(good_config), "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         header = (out1 / "results.csv").read_text().splitlines()[0]
@@ -571,6 +577,11 @@ epsilon = 0.25
     def test_verify_has_no_threads_option(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "moments", "--out", str(tmp_path), "--threads", "2"])
+        assert err.value.code == 2
+
+    def test_run_has_no_threads_option(self, good_config, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", str(good_config), "--out", str(tmp_path), "--threads", "2"])
         assert err.value.code == 2
 
     def test_verify_writes_report(self, tmp_path, capsys):
