@@ -6,154 +6,60 @@ at the probed point.  The package provides the probe-based gradient
 estimators, their worst-case error bounds, a step-size/iteration
 planner, benchmark environments whose exact objectives are known, and a
 reproducible experiment harness.
+
+The top-level names are the public API listed in the README; everything
+else is reached through its module (``zodd.core``, ``zodd.estimators``,
+``zodd.optimizer``, ``zodd.smoothing``, ``zodd.environments``,
+``zodd.harness``).
 """
 
-from .core import (
-    BudgetCounter,
-    BudgetExhaustedError,
-    Direction,
-    DirectionKind,
-    RngStream,
-    SampleOracle,
-    as_point,
-    draw_coordinate,
-    draw_gaussian,
-    draw_sphere,
-    gaussian_matrix,
-    sphere_matrix,
-)
-from .environments import (
-    DegenerateClassifierError,
-    Environment,
-    PricingEnv,
-    QuadraticEnv,
-    StrategicEnv,
-    UnsupportedEnvironmentError,
-    best_response,
-    load_population,
-    load_prices,
-    make_synthetic_population,
-    make_synthetic_prices,
-    save_population,
-    save_prices,
-)
+from .core import BudgetCounter, BudgetExhaustedError, RngStream, SampleOracle
+from .environments import PricingEnv, QuadraticEnv, StrategicEnv, best_response
 from .estimators import (
-    ESTIMATOR_KINDS,
     EstimatorConfig,
     GradientEstimate,
-    ProbeRecord,
     estimate_gradient,
     estimate_gradients,
-    grad_coordinate,
-    grad_gaussian,
-    grad_one_point,
-    grad_sphere,
     mse_upper_bound,
 )
 from .optimizer import (
-    DIVERGENCE_NORM,
-    PLANNER_KINDS,
-    REGIMES,
     DivergenceError,
     ParameterPlan,
     PlannerConstants,
-    PowerIterationError,
     RunTrace,
-    SmoothnessConstants,
     descent_bound_sides,
-    operator_norm,
     plan_parameters,
     run_descent,
-    sample_complexity_order,
-    select_uniform_index,
-    smoothness_from_location_scale,
 )
-from .smoothing import (
-    KERNELS,
-    DegenerateSampleError,
-    SmoothedFunctionOracle,
-    SmoothedGradient,
-    analytic_moment,
-    gaussian_projected_outer_moment,
-    gaussian_weighted_outer_moment,
-    minibatch_variance_ratio,
-    smoothed_gradient,
-    smoothing_bias_bound,
-    sphere_projected_outer_moment,
-    sphere_weighted_outer_moment,
-)
+from .smoothing import analytic_moment
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
     # core
     "BudgetCounter",
     "BudgetExhaustedError",
-    "Direction",
-    "DirectionKind",
     "RngStream",
     "SampleOracle",
-    "as_point",
-    "draw_coordinate",
-    "draw_gaussian",
-    "draw_sphere",
-    "gaussian_matrix",
-    "sphere_matrix",
     # environments
-    "DegenerateClassifierError",
-    "Environment",
     "PricingEnv",
     "QuadraticEnv",
     "StrategicEnv",
-    "UnsupportedEnvironmentError",
     "best_response",
-    "load_population",
-    "load_prices",
-    "make_synthetic_population",
-    "make_synthetic_prices",
-    "save_population",
-    "save_prices",
     # estimators
-    "ESTIMATOR_KINDS",
     "EstimatorConfig",
     "GradientEstimate",
-    "ProbeRecord",
     "estimate_gradient",
     "estimate_gradients",
-    "grad_coordinate",
-    "grad_gaussian",
-    "grad_one_point",
-    "grad_sphere",
     "mse_upper_bound",
     # optimizer
-    "DIVERGENCE_NORM",
-    "PLANNER_KINDS",
-    "REGIMES",
     "DivergenceError",
     "ParameterPlan",
     "PlannerConstants",
-    "PowerIterationError",
     "RunTrace",
-    "SmoothnessConstants",
     "descent_bound_sides",
-    "operator_norm",
     "plan_parameters",
     "run_descent",
-    "sample_complexity_order",
-    "select_uniform_index",
-    "smoothness_from_location_scale",
     # smoothing
-    "KERNELS",
-    "DegenerateSampleError",
-    "SmoothedFunctionOracle",
-    "SmoothedGradient",
     "analytic_moment",
-    "gaussian_projected_outer_moment",
-    "gaussian_weighted_outer_moment",
-    "minibatch_variance_ratio",
-    "smoothed_gradient",
-    "smoothing_bias_bound",
-    "sphere_projected_outer_moment",
-    "sphere_weighted_outer_moment",
 ]

@@ -1,6 +1,10 @@
 """Foundations: decision vectors, splittable RNG streams, search directions,
 and budgeted sampling oracles.
 
+Search directions are the rows of an (n, d) array: :func:`sphere_matrix`
+draws uniform unit vectors and :func:`gaussian_matrix` standard normal
+ones; coordinate directions are the rows of the identity.
+
 Everything downstream draws its randomness through :class:`RngStream`, a thin
 wrapper over a counter-based bit generator.  A stream is identified by a
 ``(seed, stream)`` pair; deriving a child stream is a pure hash of the parent
@@ -23,7 +27,6 @@ import hashlib
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,43 +49,6 @@ def as_point(x, dimension: int | None = None) -> Vector:
     if not np.all(np.isfinite(arr)):
         raise ValueError("point has non-finite entries")
     return arr
-
-
-class DirectionKind(str, Enum):
-    COORDINATE = "coordinate"
-    SPHERE = "sphere"
-    GAUSSIAN = "gaussian"
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A probe direction together with the family it was drawn from.
-
-    ``axis`` is the 0-based position of the nonzero entry and is only set for
-    coordinate directions.
-    """
-
-    coords: Vector
-    kind: DirectionKind
-    axis: int | None = None
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=np.float64)
-        object.__setattr__(self, "coords", coords)
-        if coords.ndim != 1 or coords.size == 0:
-            raise ValueError("direction must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("direction has non-finite entries")
-        if self.kind is DirectionKind.COORDINATE:
-            if self.axis is None or not (0 <= self.axis < coords.size):
-                raise ValueError("coordinate direction needs a valid axis")
-            expected = np.zeros(coords.size)
-            expected[self.axis] = 1.0
-            if not np.array_equal(coords, expected):
-                raise ValueError("coordinate direction must be a standard basis vector")
-        elif self.kind is DirectionKind.SPHERE:
-            if abs(np.linalg.norm(coords) - 1.0) > 1e-12:
-                raise ValueError("sphere direction must have unit norm")
 
 
 @dataclass(frozen=True)
@@ -190,27 +156,6 @@ def row_norms(X) -> Vector:
     return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
 
 
-def draw_coordinate(i: int, d: int) -> Direction:
-    """The i-th standard basis direction, 1-based, in dimension d."""
-    if not (1 <= i <= d):
-        raise ValueError(f"coordinate index {i} out of range 1..{d}")
-    coords = np.zeros(d)
-    coords[i - 1] = 1.0
-    return Direction(coords, DirectionKind.COORDINATE, axis=i - 1)
-
-
-def draw_sphere(rng: RngStream | np.random.Generator, d: int) -> Direction:
-    """One direction uniform on the unit sphere in dimension d."""
-    gen = _as_generator(rng)
-    return Direction(sphere_matrix(gen, d, 1)[0], DirectionKind.SPHERE)
-
-
-def draw_gaussian(rng: RngStream | np.random.Generator, d: int) -> Direction:
-    """One standard Gaussian direction in dimension d."""
-    gen = _as_generator(rng)
-    return Direction(gen.standard_normal(d), DirectionKind.GAUSSIAN)
-
-
 def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
     """n unit-sphere directions as rows of an (n, d) array."""
     if d < 1 or n < 0:
@@ -233,15 +178,7 @@ def gaussian_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
 
 
 class BudgetExhaustedError(RuntimeError):
-    """A draw was requested beyond the sampling budget.
-
-    ``wasted`` counts draws that were consumed by the failed computation and
-    then discarded; with batch-atomic charging it is zero.
-    """
-
-    def __init__(self, message: str, wasted: int = 0):
-        super().__init__(message)
-        self.wasted = wasted
+    """A draw was requested beyond the sampling budget; nothing was consumed."""
 
 
 class BudgetCounter:

@@ -33,28 +33,25 @@ One kernel computes every estimate.  :func:`estimate_gradients` runs it on
 R base points at once, the rows of an (R, d) array: the R * N directions
 come from one draw on the call's ``directions`` child stream, and all probe
 points go to the oracle in one ``sample_at`` call on its ``draws`` child
-stream.  :func:`estimate_gradient` and the per-kind functions are its
-R = 1 case, so a single estimate consumes exactly the draws it always did.
+stream.  :func:`estimate_gradient` is its R = 1 case and selects the
+estimator by ``cfg.kind``; directions exist only as rows of these (N, d)
+arrays.
 
-The descent loop of :mod:`zodd.harness.runner` calls the kernel with one
-stream *per row* instead: R lockstep chains, each with its own stream and
-probe radius.  Row r then draws exactly what a single estimate on its own
-stream draws, so lockstep groups never change a draw; rows that share a
-stream (tuning candidates of one trial) share its one direction draw, and
-the oracle rewinds the stream for each of their probe blocks.  The runner
-caps a group at 2^14 draws per step (or one chain, if a chain costs more).
+The descent loop, :func:`zodd.optimizer.lockstep_descent`, calls the kernel
+with one stream *per row* instead: R lockstep chains, each with its own
+stream and probe radius.  Row r then draws exactly what a single estimate on
+its own stream draws, so lockstep groups never change a draw; rows that
+share a stream (tuning candidates of one trial) share its one direction
+draw, and the oracle rewinds the stream for each of their probe blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    Direction,
-    DirectionKind,
     RngStream,
     SampleOracle,
     Vector,
@@ -104,14 +101,6 @@ class EstimatorConfig:
         return 2 * self.directions * self.batch
 
 
-class ProbeRecord(NamedTuple):
-    """One probe direction with its forward and backward sample values."""
-
-    direction: Direction
-    forward: Vector
-    backward: Vector | None
-
-
 @dataclass(frozen=True)
 class GradientEstimate:
     """A gradient estimate plus the raw probe data that produced it."""
@@ -136,31 +125,8 @@ class GradientEstimate:
             return float(self._forward.mean())
         return float((self._forward.mean() + self._backward.mean()) / 2.0)
 
-    @property
-    def probes(self) -> list[ProbeRecord]:
-        """Per-direction diagnostics, materialized on demand."""
-        if self.kind == "coordinate":
-            kinds = [
-                Direction(row, DirectionKind.COORDINATE, axis=i)
-                for i, row in enumerate(self._directions)
-            ]
-        elif self.kind == "gaussian":
-            kinds = [Direction(row, DirectionKind.GAUSSIAN) for row in self._directions]
-        else:
-            kinds = [Direction(row, DirectionKind.SPHERE) for row in self._directions]
-        return [
-            ProbeRecord(
-                direction=kinds[i],
-                forward=self._forward[:, i].copy(),
-                backward=None if self._backward is None else self._backward[:, i].copy(),
-            )
-            for i in range(self._directions.shape[0])
-        ]
 
-
-def _draw_directions(
-    cfg: EstimatorConfig, d: int, rows: int, rng: RngStream, override
-) -> Vector:
+def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, rng: RngStream) -> Vector:
     """Directions as an (rows, N, d) array, or (1, N, d) shared by every row.
 
     Random directions come from one (rows * N, d) draw on the call's
@@ -168,17 +134,6 @@ def _draw_directions(
     """
     if cfg.kind == "coordinate":
         return np.eye(d)[None]
-    if override is not None:
-        dirs = np.asarray(override, dtype=np.float64)
-        if dirs.ndim != 2 or dirs.shape != (cfg.directions, d):
-            raise ValueError(
-                f"direction override must be ({cfg.directions}, {d}), got {dirs.shape}"
-            )
-        if cfg.kind in ("sphere", "one_point") and not np.allclose(
-            np.linalg.norm(dirs, axis=1), 1.0, atol=1e-9
-        ):
-            raise ValueError("sphere direction override must have unit rows")
-        return dirs[None]
     gen = rng.child("directions").generator()
     draw = gaussian_matrix if cfg.kind == "gaussian" else sphere_matrix
     return draw(gen, d, rows * cfg.directions).reshape(rows, cfg.directions, d)
@@ -197,7 +152,7 @@ def _streams_per_row(cfg: EstimatorConfig, d: int, streams) -> tuple[Vector, lis
     if cfg.kind == "coordinate":
         dirs = np.eye(d)[None]
     else:
-        drawn = [_draw_directions(cfg, d, 1, s, None) for s in distinct]
+        drawn = [_draw_directions(cfg, d, 1, s) for s in distinct]
         table = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
         dirs = table if len(distinct) == len(index) else table[index]
     draws = distinct_children(distinct, "draws")
@@ -209,7 +164,6 @@ def _kernel(
     cfg: EstimatorConfig,
     oracle: SampleOracle,
     rng,
-    override=None,
     mu=None,
 ) -> tuple[Vector, Vector, Vector, Vector | None]:
     """The one estimator computation: (R, d) base points in, (R, d) gradients out.
@@ -227,7 +181,7 @@ def _kernel(
     """
     rows, d = X.shape
     if isinstance(rng, RngStream):
-        dirs = _draw_directions(cfg, d, rows, rng, override)
+        dirs = _draw_directions(cfg, d, rows, rng)
         draws = rng.child("draws")
     else:
         dirs, draws = _streams_per_row(cfg, d, rng)
@@ -277,83 +231,17 @@ def estimate_gradients(
     return _kernel(X, cfg, oracle, rng)[0]
 
 
-def _estimate_one(
-    x, cfg: EstimatorConfig, oracle: SampleOracle, rng: RngStream, override=None
-) -> GradientEstimate:
-    x = as_point(x, oracle.dimension)
-    gradients, dirs, forward, backward = _kernel(x[None, :], cfg, oracle, rng, override)
+def _as_estimate(cfg: EstimatorConfig, gradients, dirs, forward, backward) -> GradientEstimate:
+    """The first row of a :func:`_kernel` result as a :class:`GradientEstimate`."""
     return GradientEstimate(
         gradient=gradients[0],
-        samples_used=cfg.samples_per_estimate(oracle.dimension),
+        samples_used=cfg.samples_per_estimate(gradients.shape[1]),
         kind=cfg.kind,
         mu=cfg.mu,
         _directions=dirs[0],
         _forward=forward[:, 0],
         _backward=None if backward is None else backward[:, 0],
     )
-
-
-def _check_kind(cfg: EstimatorConfig, kind: str) -> None:
-    if cfg.kind != kind:
-        raise ValueError(f"config kind is {cfg.kind!r}, not {kind!r}")
-
-
-def grad_coordinate(
-    x, cfg: EstimatorConfig, oracle: SampleOracle, rng: RngStream
-) -> GradientEstimate:
-    """Central differences along every coordinate axis.
-
-    Consumes 2 * d * batch draws, two fresh ones per axis and replicate.
-    """
-    _check_kind(cfg, "coordinate")
-    return _estimate_one(x, cfg, oracle, rng)
-
-
-def grad_sphere(
-    x,
-    cfg: EstimatorConfig,
-    oracle: SampleOracle,
-    rng: RngStream,
-    directions=None,
-) -> GradientEstimate:
-    """Two-point estimate along uniform sphere directions, scaled by d / N.
-
-    Directions are drawn once and shared across the batch; every probe
-    point still gets its own independent draws.  ``directions`` overrides
-    the random unit vectors, for diagnostics.
-    """
-    _check_kind(cfg, "sphere")
-    return _estimate_one(x, cfg, oracle, rng, directions)
-
-
-def grad_gaussian(
-    x,
-    cfg: EstimatorConfig,
-    oracle: SampleOracle,
-    rng: RngStream,
-    directions=None,
-) -> GradientEstimate:
-    """Two-point estimate along standard normal directions, scaled by 1 / N."""
-    _check_kind(cfg, "gaussian")
-    return _estimate_one(x, cfg, oracle, rng, directions)
-
-
-def grad_one_point(
-    x,
-    cfg: EstimatorConfig,
-    oracle: SampleOracle,
-    rng: RngStream,
-    directions=None,
-) -> GradientEstimate:
-    """Forward-only sphere estimate: (d / N) sum_i mean_j f(x + mu s_i) s_i / (2 mu).
-
-    Consumes directions * batch draws.  Its mean is half the ball-smoothed
-    gradient, because of the 2 mu.  Kept as a baseline: without the
-    backward probe the raw objective value rides on every term, so the
-    variance is much larger than the two-point variants at equal budget.
-    """
-    _check_kind(cfg, "one_point")
-    return _estimate_one(x, cfg, oracle, rng, directions)
 
 
 def mse_upper_bound(
@@ -418,5 +306,10 @@ def mse_upper_bound(
 def estimate_gradient(
     x, cfg: EstimatorConfig, oracle: SampleOracle, rng: RngStream
 ) -> GradientEstimate:
-    """Run the estimator selected by ``cfg.kind`` at the single point ``x``."""
-    return _estimate_one(x, cfg, oracle, rng)
+    """Run the estimator selected by ``cfg.kind`` at the single point ``x``.
+
+    Consumes ``cfg.samples_per_estimate(d)`` draws, all in one ``sample_at``
+    call; every probe point gets its own independent draws.
+    """
+    x = as_point(x, oracle.dimension)
+    return _as_estimate(cfg, *_kernel(x[None, :], cfg, oracle, rng))

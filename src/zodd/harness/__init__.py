@@ -18,7 +18,6 @@ from .runner import (
     TraceRow,
     run_chains,
     run_experiment,
-    run_row,
     write_results,
     write_trace,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "TraceRow",
     "run_chains",
     "run_experiment",
-    "run_row",
     "write_results",
     "write_trace",
     "TuningOutcome",

@@ -2,16 +2,17 @@
 
 Every row is a *chain*: a fixed-step descent with its own environment
 budget, RNG stream, step, probe radius, uniformly drawn output iterate and
-divergence check.  :func:`run_chains` is the one descent loop.  It runs
-chains in lockstep groups: chains with the same estimator kind, direction
-count and batch (so the same cost and iteration count) share one (R, d)
-state, and each step makes one estimator call and one oracle call for the
-whole group.  Grouping never changes a draw: every chain draws from its own
-stream exactly what it would draw alone, so results do not depend on which
-chains share a group, and the CSVs are byte-identical to one-chain-at-a-time
-runs.  A group holds at most ``max(1, GROUP_DRAWS // cost)`` chains, so its
-probe array is never larger than one chain's or 2^14 draws, whichever is
-larger.  A diverged chain leaves its group; the others go on.
+divergence check.  :func:`run_chains` runs every row of ``zodd run`` and
+tuning through the one descent loop, :func:`zodd.optimizer.lockstep_descent`,
+in lockstep groups: chains with the same estimator kind, direction count and
+batch (so the same cost and iteration count) share one (R, d) state, and
+each step makes one estimator call and one oracle call for the whole group.
+Grouping never changes a draw: every chain draws from its own stream exactly
+what it would draw alone, so results do not depend on which chains share a
+group, and the CSVs are byte-identical to one-chain-at-a-time runs.  A group
+holds at most ``max(1, GROUP_DRAWS // cost)`` chains, so its probe array is
+never larger than one chain's or 2^14 draws, whichever is larger.  A
+diverged chain leaves its group; the others go on.
 
 Timing is off by default because it would break byte-identity; ``[run]
 timing = true`` fills the wall-time column with the wall time of the row's
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RngStream, distinct_children, row_norms
-from ..estimators import EstimatorConfig, _kernel
-# perfbench/tracer.py wraps estimate_gradient by this name; the loop calls _kernel
+from ..core import RngStream
+from ..estimators import EstimatorConfig
+# perfbench/tracer.py wraps estimate_gradient by this name
 from ..estimators import estimate_gradient  # noqa: F401
-from ..optimizer import DIVERGENCE_NORM, select_uniform_index
+from ..optimizer import lockstep_descent, select_uniform_index
 from .config import ExperimentConfig
 
 # oracle draws per step of one lockstep group, unless one chain alone costs more
@@ -142,35 +143,23 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
     traces: list[list[TraceRow]] = [[] for _ in chains]
     diverged = set()
 
-    # the rows still descending: their chain numbers, iterates and knobs
-    live = np.arange(len(chains))
     X = np.tile(start, (len(chains), 1))
-    steps = np.array([[c.step] for c in chains], dtype=np.float64)
-    mus = np.array([c.cfg.mu for c in chains], dtype=np.float64)
-    for t in range(iterations):
-        rngs = distinct_children([streams[i] for i in live], "iteration", t)
-        gradients, _, forward, backward = _kernel(X, cfg, env, rngs, mu=mus)
-        spent = (t + 1) * cost
-        for r, i in enumerate(live):
+    steps = [c.step for c in chains]
+    mus = [c.cfg.mu for c in chains]
+    for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations):
+        spent = (step.t + 1) * cost
+        for r, i in enumerate(step.live):
             # the reduction of GradientEstimate.probe_mean, chain by chain
-            if backward is None:
-                probe_mean = forward[:, r].mean()
+            if step.backward is None:
+                probe_mean = step.forward[:, r].mean()
             else:
-                probe_mean = (forward[:, r].mean() + backward[:, r].mean()) / 2.0
+                probe_mean = (step.forward[:, r].mean() + step.backward[:, r].mean()) / 2.0
             traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, float(probe_mean)))
-        X = X - steps * gradients
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~np.isfinite(X).all(axis=1) | (row_norms(X) > DIVERGENCE_NORM)
-        for i in due.get(t + 1, ()):
-            r = int(np.searchsorted(live, i))
-            if r < live.size and live[r] == i:  # a diverged chain's output is never read
-                outputs[i] = X[r].copy()
-        if bad.any():
-            diverged.update(live[bad].tolist())
-            keep = ~bad
-            live, X, steps, mus = live[keep], X[keep], steps[keep], mus[keep]
-            if live.size == 0:
-                break
+        for i in due.get(step.t + 1, ()):
+            r = int(np.searchsorted(step.live, i))
+            if r < step.live.size and step.live[r] == i:  # a diverged chain's output is never read
+                outputs[i] = step.X[r].copy()
+        diverged.update(step.live[step.bad].tolist())
 
     done = [i for i in range(len(chains)) if i not in diverged]
     if done:
@@ -210,13 +199,6 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
 def run_cell(config: ExperimentConfig, spec, seed: int) -> RowOutcome:
     """One descent run for an explicit estimator spec."""
     return run_chains(config, [spec], [seed])[0]
-
-
-def run_row(config: ExperimentConfig, method: str, seed: int) -> tuple[ResultRow, list[TraceRow]]:
-    """Execute one (estimator, seed) cell of the experiment grid."""
-    spec = next(s for s in config.estimators if s.name == method)
-    outcome = run_cell(config, spec, seed)
-    return outcome.row, list(outcome.trace)
 
 
 def _elapsed(started: float | None) -> float | None:

@@ -6,6 +6,12 @@ returned point drawn *uniformly at random* from the visited iterates: with
 noisy, possibly biased estimates the last iterate carries no guarantee, but
 the uniformly drawn one inherits the average-gradient-norm bound.
 
+:func:`lockstep_descent` is the one descent loop.  It advances R independent
+chains as one (R, d) state, with one estimator call per step, each chain on
+its own stream, step and probe radius, and drops a chain that diverges.
+:func:`run_descent` is its one-chain case and keeps the full trace;
+:func:`zodd.harness.runner.run_chains` drives it for every row of a run.
+
 When the environment is analytic, every finished run can be audited: for a
 step at most 1 / (4 M) the trajectory satisfies, deterministically,
 
@@ -26,12 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import RngStream, SampleOracle, Vector, as_point
-from .estimators import EstimatorConfig, GradientEstimate, estimate_gradient
+from .core import RngStream, SampleOracle, Vector, as_point, distinct_children, row_norms
+from .estimators import EstimatorConfig, GradientEstimate, _as_estimate, _kernel
 
 DIVERGENCE_NORM = 1e9
 
@@ -260,6 +266,57 @@ def select_uniform_index(count: int, rng: RngStream) -> int:
     return int(rng.child("output").generator().integers(0, count))
 
 
+class Step(NamedTuple):
+    """One step of :func:`lockstep_descent`, for the rows live before it.
+
+    ``live`` holds the chain numbers of the rows; ``X`` their iterates
+    x_{t+1} after the update; ``bad`` the rows that diverged at this step,
+    which leave the live set before the next one.  ``gradients``,
+    ``directions``, ``forward`` and ``backward`` are the estimator kernel's
+    outputs for the step's estimates at x_t.
+    """
+
+    t: int
+    live: np.ndarray
+    X: Vector
+    bad: np.ndarray
+    gradients: Vector
+    directions: Vector
+    forward: Vector
+    backward: Vector | None
+
+
+def lockstep_descent(
+    X, cfg: EstimatorConfig, oracle: SampleOracle, streams, steps, mus, iterations: int
+) -> Iterator[Step]:
+    """The one descent loop: R chains advanced together as an (R, d) state.
+
+    Row r starts at ``X[r]`` and descends with step ``steps[r]`` and probe
+    radius ``mus[r]`` on its own stream ``streams[r]``: at step t it draws
+    from ``streams[r].child("iteration", t)`` exactly what a single estimate
+    on that stream draws, whichever rows share the call.  Each step makes
+    one estimator call for all live rows, updates x_{t+1} = x_t - step * g_t
+    and yields a :class:`Step`; a row whose iterate has norm above 1e9 or a
+    non-finite entry is marked ``bad`` and leaves the live set.  The loop
+    ends after ``iterations`` steps or when no row is live.
+    """
+    live = np.arange(len(streams))
+    steps = np.asarray(steps, dtype=np.float64)[:, None]
+    mus = np.asarray(mus, dtype=np.float64)
+    for t in range(iterations):
+        rngs = distinct_children([streams[i] for i in live], "iteration", t)
+        gradients, dirs, forward, backward = _kernel(X, cfg, oracle, rngs, mu=mus)
+        X = X - steps * gradients
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.isfinite(X).all(axis=1) | (row_norms(X) > DIVERGENCE_NORM)
+        yield Step(t, live, X, bad, gradients, dirs, forward, backward)
+        if bad.any():
+            keep = ~bad
+            live, X, steps, mus = live[keep], X[keep], steps[keep], mus[keep]
+            if live.size == 0:
+                return
+
+
 def run_descent(
     x0,
     plan: ParameterPlan,
@@ -270,16 +327,18 @@ def run_descent(
 ) -> tuple[Vector, RunTrace]:
     """Fixed-step descent with sampled gradients; returns (x_bar, trace).
 
-    Runs ``plan.iterations`` updates from ``x0``.  The reported point x_bar
-    is drawn uniformly from the iterates x_0..x_T on a stream dedicated to
-    output selection, so it is independent of the sampling randomness.
-    Iterates whose norm exceeds 1e9, or with non-finite entries, abort the
-    run with :class:`DivergenceError` carrying the partial trace.
+    Runs ``plan.iterations`` updates from ``x0``, the one-chain case of
+    :func:`lockstep_descent`.  The reported point x_bar is drawn uniformly
+    from the iterates x_0..x_T on a stream dedicated to output selection,
+    so it is independent of the sampling randomness.  Iterates whose norm
+    exceeds 1e9, or with non-finite entries, abort the run with
+    :class:`DivergenceError` carrying the partial trace.
     """
     x = as_point(x0, oracle.dimension)
     if thin < 1:
         raise ValueError("thin must be >= 1")
     cfg = plan.estimator_config()
+    cost = cfg.samples_per_estimate(oracle.dimension)
     keep_estimates = thin == 1
     track_gradient = getattr(oracle, "supports_gradient", False)
 
@@ -297,29 +356,27 @@ def run_descent(
         g = oracle.gradient(x)
         trace.grad_norm_sq.append(float(g @ g))
 
-    spent = 0
-    for t in range(plan.iterations):
-        estimate = estimate_gradient(x, cfg, oracle, rng.child("iteration", t))
-        spent += estimate.samples_used
-        x = x - plan.step * estimate.gradient
-
-        norm = float(np.linalg.norm(x))
-        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-            raise DivergenceError(
-                f"iterate {t + 1} diverged (norm {norm:.3e})", trace, t + 1
-            )
-
-        if t + 1 == output_index:
+    chain = lockstep_descent(
+        x[None, :], cfg, oracle, [rng], [plan.step], [cfg.mu], plan.iterations
+    )
+    for step in chain:
+        t = step.t + 1
+        x = step.X[0]
+        if step.bad[0]:
+            norm = float(np.linalg.norm(x))
+            raise DivergenceError(f"iterate {t} diverged (norm {norm:.3e})", trace, t)
+        if t == output_index:
             x_bar = x.copy()
-        stored = (t + 1) % thin == 0 or t + 1 == plan.iterations
-        if stored:
+        if t % thin == 0 or t == plan.iterations:
             trace.iterates.append(x.copy())
-            trace.samples_cumulative.append(spent)
+            trace.samples_cumulative.append(t * cost)
             if track_gradient:
                 g = oracle.gradient(x)
                 trace.grad_norm_sq.append(float(g @ g))
         if keep_estimates:
-            trace.estimates.append(estimate)
+            trace.estimates.append(_as_estimate(
+                cfg, step.gradients, step.directions, step.forward, step.backward
+            ))
 
     return x_bar, trace
 

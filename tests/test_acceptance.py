@@ -19,7 +19,7 @@ from zodd.harness.config import (
     ExperimentConfig,
     TuningSpec,
 )
-from zodd.harness.runner import STATUS_OK, run_cell
+from zodd.harness.runner import STATUS_OK, run_chains
 from zodd.harness.tuning import tuned_config
 from zodd.harness.verify import (
     run_descent_lemma,
@@ -201,11 +201,14 @@ def test_09_estimator_ordering_on_pricing(report):
     )
     tuned, _ = tuned_config(config)
     env = config.environment.build()
+    cells = [(spec, seed) for spec in tuned.estimators for seed in tuned.seeds]
+    outcomes = iter(run_chains(tuned, [spec for spec, _ in cells],
+                               [seed for _, seed in cells]))
     means, variances = {}, {}
     for spec in tuned.estimators:
         vals = []
         for seed in tuned.seeds:
-            outcome = run_cell(tuned, spec, seed)
+            outcome = next(outcomes)
             assert outcome.row.status == STATUS_OK, (spec.name, seed,
                                                      outcome.row.status)
             vals.append(env.exact_objective(outcome.output_point))

@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 from zodd.core import (
     BudgetCounter,
     BudgetExhaustedError,
-    Direction,
-    DirectionKind,
     RngStream,
     SampleOracle,
     as_point,
     distinct_children,
-    draw_coordinate,
-    draw_gaussian,
-    draw_sphere,
     gaussian_matrix,
     row_norms,
     sphere_matrix,
 )
+from zodd.environments import QuadraticEnv
+from zodd.estimators import EstimatorConfig, estimate_gradient
 
 
 class TestRngStream:
@@ -71,34 +68,20 @@ class TestRngStream:
 
 class TestDirections:
     def test_coordinate_direction(self):
-        d = draw_coordinate(2, 5)
-        assert d.kind is DirectionKind.COORDINATE
-        assert d.axis == 1
-        assert np.array_equal(d.coords, np.eye(5)[1])
-
-    def test_coordinate_bounds(self):
-        with pytest.raises(ValueError):
-            draw_coordinate(0, 5)
-        with pytest.raises(ValueError):
-            draw_coordinate(6, 5)
+        # coordinate estimates probe along the standard basis, in axis order
+        env = QuadraticEnv.isotropic(5, sigma=0.0)
+        est = estimate_gradient(np.ones(5), EstimatorConfig("coordinate", mu=0.1), env, RngStream(0))
+        assert np.array_equal(est._directions, np.eye(5))
 
     def test_sphere_direction_is_unit(self):
-        d = draw_sphere(RngStream(0), 8)
-        assert d.kind is DirectionKind.SPHERE
-        assert np.linalg.norm(d.coords) == pytest.approx(1.0, abs=1e-12)
+        U = sphere_matrix(RngStream(0).generator(), 8, 1)
+        assert U.shape == (1, 8)
+        assert np.linalg.norm(U[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_direction_shape(self):
-        d = draw_gaussian(RngStream(0), 8)
-        assert d.kind is DirectionKind.GAUSSIAN
-        assert d.coords.shape == (8,)
-
-    def test_direction_validation_rejects_bad_sphere(self):
-        with pytest.raises(ValueError):
-            Direction(np.array([1.0, 1.0]), DirectionKind.SPHERE)
-
-    def test_direction_validation_rejects_bad_coordinate(self):
-        with pytest.raises(ValueError):
-            Direction(np.array([0.5, 0.5]), DirectionKind.COORDINATE, axis=0)
+        gen = RngStream(0).generator()
+        assert gaussian_matrix(gen, 8, 1).shape == (1, 8)
+        assert gaussian_matrix(gen, 8, 0).shape == (0, 8)
 
     def test_sphere_matrix_rows_are_unit(self):
         U = sphere_matrix(RngStream(1).generator(), 6, 100)
@@ -110,9 +93,12 @@ class TestDirections:
         assert S.shape == (100, 6)
 
     def test_accepts_generator_or_stream(self):
-        a = draw_sphere(RngStream(5), 3)
-        b = draw_sphere(RngStream(5).generator(), 3)
-        assert np.array_equal(a.coords, b.coords)
+        # a stream's fresh generator replays the same rows, and fewer rows
+        # are a prefix of more: row r depends only on the draws before it
+        for draw in (sphere_matrix, gaussian_matrix):
+            a = draw(RngStream(5).generator(), 3, 4)
+            assert np.array_equal(draw(RngStream(5).generator(), 3, 4), a)
+            assert np.array_equal(draw(RngStream(5).generator(), 3, 2), a[:2])
 
 
 class TestAsPoint:

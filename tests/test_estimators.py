@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zodd.core import BudgetExhaustedError, RngStream, SampleOracle, sphere_matrix
+from zodd.core import (
+    BudgetExhaustedError,
+    RngStream,
+    SampleOracle,
+    gaussian_matrix,
+    sphere_matrix,
+)
 from zodd.environments import QuadraticEnv
 from zodd.estimators import (
     ESTIMATOR_KINDS,
     EstimatorConfig,
     estimate_gradient,
     estimate_gradients,
-    grad_coordinate,
-    grad_gaussian,
-    grad_one_point,
-    grad_sphere,
     mse_upper_bound,
 )
 
@@ -54,12 +56,6 @@ class TestConfig:
             EstimatorConfig("sphere", mu=0.1, batch=0)
         with pytest.raises(ValueError):
             EstimatorConfig("simplex", mu=0.1)
-
-    def test_kind_mismatch_rejected(self):
-        env = QuadraticEnv.isotropic(3, sigma=0.0)
-        cfg = EstimatorConfig("coordinate", mu=0.1)
-        with pytest.raises(ValueError):
-            grad_sphere(np.zeros(3), cfg, env, RngStream(0))
 
 
 class TestCostAccounting:
@@ -107,31 +103,33 @@ class TestExactnessOnQuadratics:
         x = np.array([0.3, -1.0, 2.0])
         for mu in (1e-3, 0.1, 1.0):
             cfg = EstimatorConfig("coordinate", mu=mu)
-            est = grad_coordinate(x, cfg, env, RngStream(0))
+            est = estimate_gradient(x, cfg, env, RngStream(0))
             assert np.allclose(est.gradient, env.gradient(x), atol=1e-9)
 
     def test_sphere_matches_projection_formula(self):
         env = QuadraticEnv(np.diag([1.0, 3.0, 0.5]), np.array([1.0, -2.0, 0.0]), sigma=0.0)
         x = np.array([0.3, -1.0, 2.0])
-        dirs = sphere_matrix(RngStream(9).generator(), 3, 7)
+        rng = RngStream(9)
+        dirs = sphere_matrix(rng.child("directions").generator(), 3, 7)
         cfg = EstimatorConfig("sphere", mu=0.2, directions=7)
-        est = grad_sphere(x, cfg, env, RngStream(0), directions=dirs)
+        est = estimate_gradient(x, cfg, env, rng)
         expected = (3 / 7) * ((dirs @ env.gradient(x)) @ dirs)
         assert np.allclose(est.gradient, expected, atol=1e-9)
 
     def test_gaussian_matches_projection_formula(self):
         env = QuadraticEnv(np.diag([1.0, 3.0, 0.5]), np.array([1.0, -2.0, 0.0]), sigma=0.0)
         x = np.array([0.3, -1.0, 2.0])
-        dirs = RngStream(9).generator().standard_normal((7, 3))
+        rng = RngStream(9)
+        dirs = gaussian_matrix(rng.child("directions").generator(), 3, 7)
         cfg = EstimatorConfig("gaussian", mu=0.2, directions=7)
-        est = grad_gaussian(x, cfg, env, RngStream(0), directions=dirs)
+        est = estimate_gradient(x, cfg, env, rng)
         expected = (1 / 7) * ((dirs @ env.gradient(x)) @ dirs)
         assert np.allclose(est.gradient, expected, atol=1e-9)
 
     def test_one_point_on_zero_function_is_zero(self):
         env = QuadraticEnv(np.zeros((3, 3)), np.zeros(3), sigma=0.0)
         cfg = EstimatorConfig("one_point", mu=0.2, directions=6)
-        est = grad_one_point(np.ones(3), cfg, env, RngStream(0))
+        est = estimate_gradient(np.ones(3), cfg, env, RngStream(0))
         assert np.array_equal(est.gradient, np.zeros(3))
 
     def test_one_point_targets_half_the_smoothed_gradient(self):
@@ -141,7 +139,7 @@ class TestExactnessOnQuadratics:
         env = QuadraticEnv(np.eye(4), grad, sigma=0.0)
         x, mu, K = np.zeros(4), 0.5, 400_000
         rng = RngStream(17)
-        est = grad_one_point(x, EstimatorConfig("one_point", mu=mu, directions=K), env, rng)
+        est = estimate_gradient(x, EstimatorConfig("one_point", mu=mu, directions=K), env, rng)
         u = sphere_matrix(rng.child("directions").generator(), 4, K)
         terms = 4 * env.exact_objective_at(x + mu * u)[:, None] * u / (2 * mu)
         assert np.allclose(terms.mean(axis=0), est.gradient, rtol=0, atol=1e-9)
@@ -160,7 +158,7 @@ class TestExactnessOnQuadratics:
         shifted = Shifted(np.zeros((2, 2)), np.zeros(2), sigma=0.0)
         K = 5000
         cfg = EstimatorConfig("one_point", mu=0.5, directions=K)
-        est = grad_one_point(x, cfg, shifted, RngStream(3))
+        est = estimate_gradient(x, cfg, shifted, RngStream(3))
         # per-direction terms are (d c / 2 mu) u_i with |u_i| = 1
         per_dir_sd = 2 * 4.0 / (2 * 0.5) / np.sqrt(2)
         tol = 5 * per_dir_sd / np.sqrt(K)
@@ -188,23 +186,6 @@ class TestEstimateStructure:
         est = estimate_gradient(np.ones(3), cfg, env, RngStream(1))
         stacked = np.concatenate([est._forward.ravel(), est._backward.ravel()])
         assert est.probe_mean == pytest.approx(stacked.mean(), rel=1e-12)
-
-    def test_probes_materialize_per_direction(self):
-        env = QuadraticEnv.isotropic(3, sigma=0.0)
-        cfg = EstimatorConfig("sphere", mu=0.3, directions=4, batch=2)
-        est = estimate_gradient(np.ones(3), cfg, env, RngStream(1))
-        probes = est.probes
-        assert len(probes) == 4
-        assert probes[0].forward.shape == (2,)
-        assert np.linalg.norm(probes[0].direction.coords) == pytest.approx(1.0)
-
-    def test_direction_override_validation(self):
-        env = QuadraticEnv.isotropic(3, sigma=0.0)
-        cfg = EstimatorConfig("sphere", mu=0.3, directions=2)
-        with pytest.raises(ValueError):
-            grad_sphere(np.zeros(3), cfg, env, RngStream(0), directions=np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            grad_sphere(np.zeros(3), cfg, env, RngStream(0), directions=np.ones((2, 3)))
 
 
 class TestMseUpperBound:

@@ -20,8 +20,8 @@ from zodd.harness.runner import (
     STATUS_BUDGET_ERROR,
     STATUS_DIVERGED,
     STATUS_OK,
+    run_cell,
     run_experiment,
-    run_row,
 )
 from zodd.harness.tuning import candidate_specs, score_candidate, tune_method
 from zodd.harness.verify import (
@@ -373,13 +373,12 @@ step = 40.0
 
     def test_timing_column_opt_in(self, good_config, tmp_path):
         cfg = parse_config(good_config)
-        row, _ = run_row(cfg, "sph", 0)
-        assert row.wall_time_s is None
+        spec = next(s for s in cfg.estimators if s.name == "sph")
+        assert run_cell(cfg, spec, 0).row.wall_time_s is None
         timed = _write(tmp_path, GOOD_CONFIG + "timing = true\n")
         # timing flag lives in [run]; append there instead
         timed.write_text(GOOD_CONFIG.replace("[run]\n", "[run]\ntiming = true\n"))
-        row, _ = run_row(parse_config(timed), "sph", 0)
-        assert row.wall_time_s > 0
+        assert run_cell(parse_config(timed), spec, 0).row.wall_time_s > 0
 
 
 class TestTuning:
@@ -573,6 +572,15 @@ epsilon = 0.25
         assert main(["run", "--config", str(DEMO_CONFIGS / name), "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == results_sha
         assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
+
+    def test_descent_lemma_report_is_pinned(self, tmp_path):
+        # the suite's runs go through run_descent; any drift in a draw, an
+        # update or a printed float changes the report's bytes
+        assert main(["verify", "--suite", "descent_lemma", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "verify_report.txt").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "32207fb772b27cfb63dd258d8794ed26233cc76f776befcb67af37a6f8f0e8c2")
 
     def test_verify_has_no_threads_option(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,6 @@
 """Parameter planner, descent loop, and smoothness helpers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -186,6 +187,27 @@ class TestRunDescent:
         b, tb = run_descent(np.ones(3), self._plan(), env, RngStream(7))
         assert np.array_equal(a, b)
         assert np.array_equal(ta.iterates[-1], tb.iterates[-1])
+
+    @pytest.mark.parametrize("make_env, x0, plan, seed, digest", [
+        (lambda: QuadraticEnv.isotropic(4, sigma=0.5), np.full(4, 1.5),
+         ParameterPlan("sphere", "grad", mu=0.1, directions=5, batch=2,
+                       step=0.2, iterations=25), 11,
+         "3e1a66377a68c343dd8c5cde0a51b0ea7f6a0bb9ff9d89daac645e2215142952"),
+        (lambda: QuadraticEnv.isotropic(3, sigma=0.5), np.full(3, 1.5),
+         ParameterPlan("coordinate", "grad", mu=0.1, directions=3, batch=2,
+                       step=0.2, iterations=25), 12,
+         "f4fd2033cc1d2312c359e77642921c4fd6dd5dc965027f6fb7ad8758243eef1a"),
+        (lambda: PricingEnv.synthetic(0, n=5), np.ones(5),
+         ParameterPlan("one_point", "grad", mu=0.1, directions=4, batch=1,
+                       step=1e-3, iterations=25), 13,
+         "180f52ac6fb9f3df6215ab004dfcd12dd57781cd1f3ccfe1a29a8655bc91c544"),
+    ], ids=["sphere", "coordinate", "one_point"])
+    def test_trajectory_is_pinned(self, make_env, x0, plan, seed, digest):
+        # every iterate, estimate gradient and x_bar, bit for bit: any drift
+        # in a draw, the update or the output pick changes the digest
+        x_bar, trace = run_descent(x0, plan, make_env(), RngStream(seed))
+        blob = np.concatenate(trace.iterates + [e.gradient for e in trace.estimates] + [x_bar])
+        assert hashlib.sha256(blob.tobytes()).hexdigest() == digest
 
     def test_thinning(self):
         env = QuadraticEnv.isotropic(3, sigma=0.5)
