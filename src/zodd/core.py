@@ -106,13 +106,38 @@ def distinct_children(streams, *labels: int | str) -> list[RngStream]:
     return out
 
 
-class _BlockGenerators:
-    """One generator per block of points, each at the start of its stream.
+def _start_state(stream: RngStream) -> dict:
+    """The Philox state at which ``stream.generator()`` begins."""
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([stream.seed, stream.stream], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
-    A stream that repeats within one call builds its Philox once; every later
-    block of that stream rewinds it to the saved initial state, which is much
-    cheaper than building a new generator.
+
+def stream_generators(streams):
+    """Yield a generator at the start of each stream in turn, all one object.
+
+    The first stream builds the generator; every later one resets its bit
+    generator to that stream's start, which draws exactly what
+    ``stream.generator()`` draws at a fraction of the cost of building one.
+    Draw everything from a generator before taking the next.
     """
+    gen = None
+    for stream in streams:
+        if gen is None:
+            gen = stream.generator()
+        else:
+            gen.bit_generator.state = _start_state(stream)
+        yield gen
+
+
+class _BlockGenerators:
+    """One generator per block of points, each at the start of its stream."""
 
     def __init__(self, streams: list[RngStream]) -> None:
         self._streams = streams
@@ -121,16 +146,7 @@ class _BlockGenerators:
         return len(self._streams)
 
     def __iter__(self):
-        started: dict[RngStream, tuple[np.random.Generator, dict]] = {}
-        for stream in self._streams:
-            seen = started.get(stream)
-            if seen is None:
-                gen = stream.generator()
-                started[stream] = (gen, gen.bit_generator.state)
-            else:
-                gen, initial = seen
-                gen.bit_generator.state = initial
-            yield gen
+        return stream_generators(self._streams)
 
 
 def draw_blocks(gens, k: int, draw, axis: int = 0) -> Vector:
@@ -167,7 +183,8 @@ def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
         bad = norms == 0.0
         u[bad] = gen.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(u, axis=1)
-    return u / norms[:, None]
+    u /= norms[:, None]
+    return u
 
 
 def gaussian_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
@@ -246,10 +263,10 @@ class SampleOracle(ABC):
         ``gens`` is one generator for all points, or a sized iterable of G
         generators for G equal contiguous blocks of the points; block g must
         be drawn from the g-th generator exactly as a call with that block
-        alone would draw it, and before the next generator is taken (a
-        repeated stream reuses one generator, rewound).  :func:`draw_blocks`
-        does the splitting, so the deterministic work can run once over all
-        k points.
+        alone would draw it, and before the next generator is taken (the
+        blocks share one generator, reset to each block's stream).
+        :func:`draw_blocks` does the splitting, so the deterministic work can
+        run once over all k points.
         """
 
     def sample(self, x, rng: RngStream | np.random.Generator) -> float:

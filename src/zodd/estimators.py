@@ -42,7 +42,7 @@ with one stream *per row* instead: R lockstep chains, each with its own
 stream and probe radius.  Row r then draws exactly what a single estimate on
 its own stream draws, so lockstep groups never change a draw; rows that
 share a stream (tuning candidates of one trial) share its one direction
-draw, and the oracle rewinds the stream for each of their probe blocks.
+draw, and the oracle restarts the stream for each of their probe blocks.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .core import (
     distinct_children,
     gaussian_matrix,
     sphere_matrix,
+    stream_generators,
 )
 
 ESTIMATOR_KINDS = ("coordinate", "sphere", "gaussian", "one_point")
@@ -126,17 +127,21 @@ class GradientEstimate:
         return float((self._forward.mean() + self._backward.mean()) / 2.0)
 
 
-def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, rng: RngStream) -> Vector:
-    """Directions as an (rows, N, d) array, or (1, N, d) shared by every row.
+def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams) -> Vector:
+    """Directions as an (S * rows, N, d) array for S streams.
 
-    Random directions come from one (rows * N, d) draw on the call's
-    ``directions`` stream, so row r holds draws r*N .. r*N + N - 1.
+    Each stream's random directions come from one (rows * N, d) draw on its
+    ``directions`` child, so its row r holds draws r*N .. r*N + N - 1; the
+    streams' rows follow one another.  Coordinate directions are one
+    (1, N, d) array shared by every row.
     """
     if cfg.kind == "coordinate":
         return np.eye(d)[None]
-    gen = rng.child("directions").generator()
     draw = gaussian_matrix if cfg.kind == "gaussian" else sphere_matrix
-    return draw(gen, d, rows * cfg.directions).reshape(rows, cfg.directions, d)
+    gens = stream_generators(s.child("directions") for s in streams)
+    drawn = [draw(gen, d, rows * cfg.directions) for gen in gens]
+    table = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+    return table.reshape(-1, cfg.directions, d)
 
 
 def _streams_per_row(cfg: EstimatorConfig, d: int, streams) -> tuple[Vector, list]:
@@ -149,12 +154,9 @@ def _streams_per_row(cfg: EstimatorConfig, d: int, streams) -> tuple[Vector, lis
     slot: dict[RngStream, int] = {}
     index = [slot.setdefault(stream, len(slot)) for stream in streams]
     distinct = list(slot)
-    if cfg.kind == "coordinate":
-        dirs = np.eye(d)[None]
-    else:
-        drawn = [_draw_directions(cfg, d, 1, s) for s in distinct]
-        table = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-        dirs = table if len(distinct) == len(index) else table[index]
+    dirs = _draw_directions(cfg, d, 1, distinct)
+    if cfg.kind != "coordinate" and len(distinct) < len(index):
+        dirs = dirs[index]
     draws = distinct_children(distinct, "draws")
     return dirs, [draws[i] for i in index]
 
@@ -181,7 +183,7 @@ def _kernel(
     """
     rows, d = X.shape
     if isinstance(rng, RngStream):
-        dirs = _draw_directions(cfg, d, rows, rng)
+        dirs = _draw_directions(cfg, d, rows, [rng])
         draws = rng.child("draws")
     else:
         dirs, draws = _streams_per_row(cfg, d, rng)
@@ -192,7 +194,9 @@ def _kernel(
     if cfg.kind == "one_point":
         probes = base + offsets
     else:
-        probes = np.concatenate([base + offsets, base - offsets], axis=1)
+        probes = np.empty((rows, 2 * n, d))
+        np.add(base, offsets, out=probes[:, :n])
+        np.subtract(base, offsets, out=probes[:, n:])
     values = oracle.sample_at(
         probes.reshape(-1, d), draws, replicates=cfg.batch
     ).reshape(cfg.batch, rows, -1)

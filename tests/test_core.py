@@ -15,6 +15,7 @@ from zodd.core import (
     gaussian_matrix,
     row_norms,
     sphere_matrix,
+    stream_generators,
 )
 from zodd.environments import QuadraticEnv
 from zodd.estimators import EstimatorConfig, estimate_gradient
@@ -236,6 +237,20 @@ class TestStreamHelpers:
         out = distinct_children([a, b, RngStream(1), a], "iteration", 3)
         assert out == [s.child("iteration", 3) for s in (a, b, a, a)]
         assert out[0] is out[2] is out[3]
+
+    def test_stream_generators_start_every_stream_afresh(self):
+        # one bit generator, reset per stream, draws what a fresh generator
+        # draws, whatever the previous stream left buffered
+        top = 2**64 - 1
+        streams = [RngStream(0), RngStream(top, top), RngStream(0),
+                   RngStream(5).child("x"), RngStream(3, 2**63), RngStream(top, top)]
+        got = [(gen.integers(0, 1000, 5), gen.standard_normal(7))
+               for gen in stream_generators(streams)]
+        assert len({id(gen) for gen in stream_generators(streams)}) == 1
+        for stream, (ints, normals) in zip(streams, got):
+            fresh = stream.generator()
+            assert np.array_equal(ints, fresh.integers(0, 1000, 5))
+            assert np.array_equal(normals, fresh.standard_normal(7))
 
     @given(
         rows=st.integers(min_value=1, max_value=40),

@@ -23,7 +23,12 @@ from zodd.environments import (
     save_population,
     save_prices,
 )
-from zodd.environments import _best_response_many, _logistic_loss
+from zodd.environments import (
+    QUADRATIC_BLOCK_ROWS,
+    _best_response_many,
+    _diagonal_form,
+    _logistic_loss,
+)
 
 
 class TestEnvironmentBase:
@@ -127,6 +132,82 @@ class TestQuadraticEnv:
         x = np.array([1.0, 0.0, -1.0])
         values = env.sample_at(x, RngStream(3), replicates=5)[:, 0]
         assert np.allclose(values, env.exact_objective(x), rtol=1e-14)
+
+
+def _einsum_objective(env, pts):
+    """The general form of QuadraticEnv.exact_objective_at, for any A."""
+    return 0.5 * np.einsum("ki,ij,kj->k", pts, env.A, pts) + pts @ env.b
+
+
+def _quadratic_points(seed, k, d):
+    """(k, d) points at mixed scales, with +0.0, -0.0 and partly zero rows."""
+    gen = RngStream(seed).generator()
+    pts = gen.standard_normal((k, d)) * gen.choice([1e-3, 1.0, 1e3], size=(k, 1))
+    row = gen.integers(0, 6, k)
+    pts[row == 0] = 0.0
+    pts[row == 1] = -0.0
+    pts[row == 2, ::2] = -0.0
+    return pts
+
+
+_DIAGONAL_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(min_value=1e-3, max_value=1e3)
+)
+
+
+class TestQuadraticFastPath:
+    @given(
+        diag=st.lists(_DIAGONAL_ENTRY, min_size=1, max_size=64),
+        k=st.integers(min_value=0, max_value=3 * QUADRATIC_BLOCK_ROWS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_diagonal_form_is_bit_equal_to_the_einsum(self, diag, k, seed):
+        d = len(diag)
+        pts = _quadratic_points(seed, k, d)
+        b = RngStream(seed).child("b").generator().uniform(-2, 2, d)
+        env = QuadraticEnv(np.diag(diag), b, sigma=0.0)
+        assert env._diag is not None
+        quad = np.einsum("ki,ij,kj->k", pts, env.A, pts)
+        assert np.array_equal(_diagonal_form(pts, env._diag).view(np.int64),
+                              quad.view(np.int64))
+        assert np.array_equal(env.exact_objective_at(pts).view(np.int64),
+                              _einsum_objective(env, pts).view(np.int64))
+
+    @given(
+        d=st.integers(min_value=2, max_value=64),
+        k=st.integers(min_value=0, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_non_diagonal_matrix_takes_the_einsum(self, d, k, seed):
+        gen = RngStream(seed).generator()
+        M = gen.standard_normal((d, d))
+        A = M @ M.T / d
+        A = (A + A.T) / 2 + np.eye(d)
+        env = QuadraticEnv(A, gen.uniform(-1, 1, d), sigma=0.0)
+        assert env._diag is None
+        pts = _quadratic_points(seed, k, d)
+        assert np.array_equal(env.exact_objective_at(pts).view(np.int64),
+                              _einsum_objective(env, pts).view(np.int64))
+
+    def test_negative_zero_entries_give_the_einsum_bits(self):
+        # -0.0 off the diagonal still counts as diagonal; a -0.0 diagonal
+        # entry is kept as +0.0, the sign the einsum's sum gives
+        negative_zero = np.where(np.eye(2, dtype=bool), np.diag([-0.0, 2.0]), -0.0)
+        env = QuadraticEnv(negative_zero, np.zeros(2), sigma=0.0)
+        assert np.array_equal(env._diag.view(np.int64), np.array([0.0, 2.0]).view(np.int64))
+        pts = np.array([[1.0, -2.0], [-0.0, 3.0], [0.0, 0.0]])
+        for A in (negative_zero, -0.0 * np.eye(2)):
+            env = QuadraticEnv(A, np.zeros(2), sigma=0.0)
+            quad = np.einsum("ki,ij,kj->k", pts, env.A, pts)
+            assert np.array_equal(_diagonal_form(pts, env._diag).view(np.int64),
+                                  quad.view(np.int64))
+
+    def test_only_an_exactly_diagonal_matrix_takes_the_fast_path(self):
+        assert QuadraticEnv.isotropic(3, sigma=0.0, curvature=2.0)._diag is not None
+        tiny = np.array([[1.0, 1e-300], [1e-300, 1.0]])
+        assert QuadraticEnv(tiny, np.zeros(2), sigma=0.0)._diag is None
 
 
 class TestPricingProbabilities:
@@ -301,6 +382,24 @@ def test_grouped_draws_equal_separate_calls(kind, labels, replicates):
     assert env.budget.consumed == points.shape[0] * replicates
     expected = np.concatenate([
         env.sample_at(points[g * per_block:(g + 1) * per_block], stream, replicates)
+        for g, stream in enumerate(streams)
+    ], axis=1)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kind", sorted(_GROUPED_ENVS))
+def test_grouped_draws_equal_fresh_generators_per_block(kind):
+    # the blocks of one call share one bit generator, reset to each block's
+    # stream: every block draws what a fresh stream.generator() draws
+    env = _GROUPED_ENVS[kind]()
+    per_block, replicates = 4, 3
+    top = 2**64 - 1
+    streams = [RngStream(top, 5), RngStream(8).child("a"), RngStream(top, 5),
+               RngStream(0), RngStream(8).child("a"), RngStream(3, 2**63)]
+    points = RngStream(1).generator().uniform(0.2, 1.2, (per_block * len(streams), 12))
+    got = env.sample_at(points, streams, replicates)
+    expected = np.concatenate([
+        env._draw_at(points[g * per_block:(g + 1) * per_block], stream.generator(), replicates)
         for g, stream in enumerate(streams)
     ], axis=1)
     assert np.array_equal(got, expected)

@@ -16,6 +16,7 @@ from zodd.environments import QuadraticEnv
 from zodd.estimators import (
     ESTIMATOR_KINDS,
     EstimatorConfig,
+    _kernel,
     estimate_gradient,
     estimate_gradients,
     mse_upper_bound,
@@ -284,6 +285,37 @@ class TestBatchedKernel:
         assert a.shape == (rows, d)
         assert np.array_equal(a, b)
         assert np.array_equal(X, before)
+
+    @given(
+        kind=st.sampled_from(ESTIMATOR_KINDS),
+        rows=st.integers(min_value=1, max_value=8),
+        per_row=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_probes_equal_the_concatenated_form(self, kind, rows, per_row, seed):
+        d = 5
+        gen = RngStream(seed).child("points").generator()
+        X = gen.uniform(-1, 1, (rows, d))
+        cfg = EstimatorConfig(kind, mu=0.3, directions=4)
+        if per_row:
+            # one stream per row, some shared, and a radius per row
+            rng = [RngStream(seed).child("row", r % 3) for r in range(rows)]
+            mu = gen.uniform(0.01, 1.0, rows)
+            radius = mu[:, None]
+        else:
+            rng, mu = RngStream(seed), None
+            radius = np.full((rows, 1), cfg.mu)
+        oracle = _RecordingOracle(d)
+        dirs = _kernel(X, cfg, oracle, rng, mu)[1]
+        base = X[:, None, :]
+        offsets = radius[:, :, None] * dirs
+        if kind == "one_point":
+            expected = base + offsets
+        else:
+            expected = np.concatenate([base + offsets, base - offsets], axis=1)
+        (points, _), = oracle.batches
+        assert np.array_equal(points.view(np.int64), expected.reshape(-1, d).view(np.int64))
 
     def test_coordinate_rows_are_exact_on_quadratics(self):
         env = QuadraticEnv(np.diag([1.0, 3.0, 0.5]), np.array([1.0, -2.0, 0.0]), sigma=0.0)
