@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,6 @@ class RngStream:
         return RngStream(self.seed, int.from_bytes(h.digest(), "little"))
 
 
-def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
 def distinct_children(streams, *labels: int | str) -> list[RngStream]:
     """``[s.child(*labels) for s in streams]``, deriving each distinct child once.
 
@@ -136,29 +131,16 @@ def stream_generators(streams):
         yield gen
 
 
-class _BlockGenerators:
-    """One generator per block of points, each at the start of its stream."""
-
-    def __init__(self, streams: list[RngStream]) -> None:
-        self._streams = streams
-
-    def __len__(self) -> int:
-        return len(self._streams)
-
-    def __iter__(self):
-        return stream_generators(self._streams)
-
-
-def draw_blocks(gens, k: int, draw, axis: int = 0) -> Vector:
+def draw_blocks(streams: list[RngStream], k: int, draw, axis: int = 0) -> Vector:
     """Join ``draw(gen, lo, hi)`` over the equal blocks of k points along ``axis``.
 
-    ``gens`` is what :meth:`SampleOracle._draw_at` receives: one generator
-    for all k points, or one per block; ``gen`` draws for points lo..hi-1.
+    ``streams`` is the list :meth:`SampleOracle._draw_at` receives, one
+    stream per equal contiguous block; ``gen`` starts at the block's stream
+    and draws for points lo..hi-1.
     """
-    if isinstance(gens, np.random.Generator):
-        return draw(gens, 0, k)
-    size = k // len(gens)
-    parts = [draw(gen, g * size, (g + 1) * size) for g, gen in enumerate(gens)]
+    size = k // len(streams)
+    parts = [draw(gen, g * size, (g + 1) * size)
+             for g, gen in enumerate(stream_generators(streams))]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
@@ -239,9 +221,8 @@ class SampleOracle(ABC):
     """A source of scalar samples f(x, xi) with xi drawn from D(x).
 
     Subclasses implement ``_draw_at``; the base class owns budget
-    accounting.  ``sample`` draws one value at one point; ``sample_at``
-    draws ``replicates`` independent values at each of k points in one
-    atomic charge of ``k * replicates`` draws.
+    accounting.  ``sample_at`` draws ``replicates`` independent values at
+    each of k points in one atomic charge of ``k * replicates`` draws.
     """
 
     def __init__(self, budget: int | None = None):
@@ -257,37 +238,35 @@ class SampleOracle(ABC):
         """Dimension of the decision vector."""
 
     @abstractmethod
-    def _draw_at(self, points: Vector, gens, replicates: int) -> Vector:
+    def _draw_at(self, points: Vector, streams: list[RngStream], replicates: int) -> Vector:
         """Return a (replicates, k) array of draws for the (k, d) points.
 
-        ``gens`` is one generator for all points, or a sized iterable of G
-        generators for G equal contiguous blocks of the points; block g must
-        be drawn from the g-th generator exactly as a call with that block
-        alone would draw it, and before the next generator is taken (the
-        blocks share one generator, reset to each block's stream).
+        ``streams`` holds G RngStreams for G equal contiguous blocks of the
+        points; block g must be drawn from a generator at the start of
+        ``streams[g]`` exactly as a call with that block alone would draw it.
         :func:`draw_blocks` does the splitting, so the deterministic work can
         run once over all k points.
         """
 
-    def sample(self, x, rng: RngStream | np.random.Generator) -> float:
-        """One draw of f(x, xi), xi ~ D(x).  Consumes one unit of budget."""
-        x = as_point(x, self.dimension)
-        self._budget.charge(1)
-        return float(self._draw_at(x[None, :], _as_generator(rng), 1)[0, 0])
-
     def sample_at(self, points, rng, replicates: int = 1) -> Vector:
         """Independent draws at many points: (replicates, k) array.
 
-        ``rng`` is one stream (or generator) for all k points, or a sequence
-        of G RngStreams: the points then split into G equal contiguous blocks,
-        and block g is drawn exactly as ``sample_at(block_g, rng[g],
+        ``rng`` is one RngStream for all k points, or a non-empty sequence
+        of G RngStreams: the points then split into G equal contiguous
+        blocks, and block g is drawn exactly as ``sample_at(block_g, rng[g],
         replicates)`` would draw it.  A stream may repeat; each of its blocks
         starts from the beginning of the stream.
 
         All draws are independent across points and replicates; the budget
-        is charged atomically, so either the whole batch is counted or a
-        BudgetExhaustedError is raised with nothing consumed.
+        is charged atomically, so either the whole batch is counted or an
+        error is raised with nothing consumed.
         """
+        if isinstance(rng, RngStream):
+            streams = [rng]
+        elif isinstance(rng, Sequence) and all(isinstance(s, RngStream) for s in rng):
+            streams = list(rng)
+        else:
+            raise TypeError("rng must be an RngStream or a sequence of RngStreams")
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[None, :]
@@ -297,13 +276,9 @@ class SampleOracle(ABC):
             raise ValueError("replicates must be >= 1")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points have non-finite entries")
-        single = isinstance(rng, (RngStream, np.random.Generator))
-        if not single:
-            rng = list(rng)
-            if not rng or pts.shape[0] % len(rng):
-                raise ValueError(
-                    f"{pts.shape[0]} points do not split into {len(rng)} equal blocks"
-                )
+        if not streams or pts.shape[0] % len(streams):
+            raise ValueError(
+                f"{pts.shape[0]} points do not split into {len(streams)} equal blocks"
+            )
         self._budget.charge(pts.shape[0] * replicates)
-        gens = _as_generator(rng) if single else _BlockGenerators(rng)
-        return self._draw_at(pts, gens, replicates)
+        return self._draw_at(pts, streams, replicates)

@@ -183,13 +183,13 @@ class QuadraticEnv(Environment):
         x = as_point(x, self.dimension)
         return self.A @ x + self.b
 
-    def _draw_at(self, points, gens, replicates):
+    def _draw_at(self, points, streams, replicates):
         k = points.shape[0]
         mean = self.exact_objective_at(points)
         if self.sigma == 0.0:
             return np.broadcast_to(mean, (replicates, k)).copy()
         noise = draw_blocks(
-            gens, k, lambda gen, lo, hi: gen.standard_normal((replicates, hi - lo)), axis=1
+            streams, k, lambda gen, lo, hi: gen.standard_normal((replicates, hi - lo)), axis=1
         )
         return mean + self.sigma * noise
 
@@ -330,11 +330,11 @@ class PricingEnv(Environment):
         per_item = 2.0 * self.slope * low + self.slope * mid + 3.0 * self.slope * high
         return per_item.sum(axis=-1)
 
-    def _draw_at(self, points, gens, replicates):
+    def _draw_at(self, points, streams, replicates):
         probs = self._probabilities_at(points)
         # point-major, as one call of size=replicates per point would draw
         counts = draw_blocks(
-            gens, points.shape[0],
+            streams, points.shape[0],
             lambda gen, lo, hi: gen.multinomial(
                 self.buyers, probs[lo:hi, None, :], size=(hi - lo, replicates)
             ),
@@ -376,9 +376,6 @@ class PricingEnv(Environment):
         p = self.choice_probabilities(x)[:-1]
         expected_revenue = self.buyers * float(x @ p)
         return -expected_revenue + self.expected_restock_cost(p)
-
-    def save_prices(self, path) -> None:
-        save_prices(path, self.theta, self.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +531,17 @@ class StrategicEnv(Environment):
     def population_size(self) -> int:
         return self.features.shape[0]
 
-    def loss_for(self, x, xi, label) -> float:
-        """Loss of classifier x on one presented feature vector."""
-        x = as_point(x, self.dimension)
-        xi = as_point(xi, self.dimension - 1)
-        score = float(x[:-1] @ xi + x[-1])
-        return float(_logistic_loss(np.array([score]), np.array([float(label)]))[0])
-
     def exact_objective(self, x) -> float:
         x = as_point(x, self.dimension)
         presented = _best_response_many(x, self.features)
         scores = presented @ x[:-1] + x[-1]
         return float(_logistic_loss(scores, self.labels).mean())
 
-    def _draw_at(self, points, gens, replicates):
+    def _draw_at(self, points, streams, replicates):
         k = points.shape[0]
         # point-major, as one call of size=replicates per point would draw
         chosen = draw_blocks(
-            gens, k,
+            streams, k,
             lambda gen, lo, hi: gen.integers(0, self.population_size, size=(hi - lo, replicates)),
         )
         weights = points[:, :-1]
@@ -576,6 +566,3 @@ class StrategicEnv(Environment):
                 features[point, agent] += gaps[point, agent, None] * units[point]
                 scores = np.matmul(features, weights[:, :, None])[..., 0] + intercepts
         return np.ascontiguousarray(_logistic_loss(scores, self.labels[chosen]).T)
-
-    def save_population(self, path) -> None:
-        save_population(path, self.features, self.labels)

@@ -233,7 +233,10 @@ class _Section:
         raw = self._raw(key, None)
         if raw is None:
             return default
-        return _parse_list(self.name, key, raw, float, "a number")
+        values = _parse_list(self.name, key, raw, float, "a number")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"[{self.name}] {key}: must be finite")
+        return values
 
     def reject_unknown(self) -> None:
         unknown = set(self.items) - self.seen
@@ -248,10 +251,23 @@ def _parse_environment(section: _Section) -> EnvironmentSpec:
         "kind", required=True, choices={"quadratic", "pricing", "strategic"}
     )
     defaults = {"quadratic": 5, "pricing": 30, "strategic": 12}
-    if kind == "pricing":
-        dimension = section.get_int("products", defaults[kind])
-    else:
-        dimension = section.get_int("dimension", defaults[kind])
+    key = "products" if kind == "pricing" else "dimension"
+    dimension = section.get_int(key)
+    price_file = section.get_str("price_file")
+    population_file = section.get_str("population_file")
+    data_key, data_file = (
+        ("price_file", price_file) if kind == "pricing" else ("population_file", population_file)
+    )
+    if kind != "quadratic" and data_file is not None:
+        size = _data_file_dimension(section.name, data_key, kind, data_file)
+        if dimension is not None and dimension != size:
+            raise ConfigError(
+                f"[{section.name}] {key}: {dimension} disagrees with {data_key}, "
+                f"which gives {size}"
+            )
+        dimension = size
+    elif dimension is None:
+        dimension = defaults[kind]
     spec = EnvironmentSpec(
         kind=kind,
         dimension=dimension,
@@ -261,8 +277,8 @@ def _parse_environment(section: _Section) -> EnvironmentSpec:
         buyers=section.get_int("buyers", 120),
         agents=section.get_int("agents", 400),
         separation=section.get_float("separation", 1.0),
-        price_file=section.get_str("price_file"),
-        population_file=section.get_str("population_file"),
+        price_file=price_file,
+        population_file=population_file,
     )
     section.reject_unknown()
     if spec.dimension < 1:
@@ -272,6 +288,19 @@ def _parse_environment(section: _Section) -> EnvironmentSpec:
     if kind == "strategic" and spec.dimension < 2:
         raise ConfigError(f"[{section.name}] strategic dimension is features + 1 >= 2")
     return spec
+
+
+def _data_file_dimension(section_name: str, key: str, kind: str, path: str) -> int:
+    """The dimension a price or population file fixes.
+
+    The file is read at parse time, so an unreadable one is a config error.
+    """
+    try:
+        if kind == "pricing":
+            return load_prices(path)[0].shape[0]
+        return load_population(path)[0].shape[1] + 1
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[{section_name}] {key}: {exc}") from exc
 
 
 def _parse_estimator(section: _Section, name: str) -> EstimatorSpec:
@@ -324,6 +353,12 @@ def _parse_tuning(section: _Section) -> TuningSpec:
         trials=section.get_int("trials", 3),
     )
     section.reject_unknown()
+    for key, values in (("step", spec.steps), ("mu", spec.mus)):
+        if any(value <= 0 for value in values):
+            raise ConfigError(f"[{section.name}] {key}: every value must be positive")
+    for key, values in (("directions", spec.directions), ("batch", spec.batches)):
+        if any(value < 1 for value in values):
+            raise ConfigError(f"[{section.name}] {key}: every value must be >= 1")
     if spec.enabled:
         if not spec.steps or not spec.mus:
             raise ConfigError("[tuning] enabled tuning needs step and mu lists")

@@ -77,10 +77,6 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the step cap."""
-
-
 @dataclass(frozen=True)
 class PlannerConstants:
     """Order constants of the planner schedules.
@@ -408,77 +404,3 @@ def descent_bound_sides(trace: RunTrace, env, step: float) -> tuple[float, float
     mse = float(((grads - used) ** 2).sum(axis=1).mean())
     rhs = 4.0 * gap / (step * n) + 3.0 * mse
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# Smoothness constants from location-scale structure
-# ---------------------------------------------------------------------------
-
-
-class SmoothnessConstants(NamedTuple):
-    M: float
-    H: float | None
-
-
-def operator_norm(A, tol: float = 1e-10, max_steps: int = 10_000) -> float:
-    """Largest singular value of A by power iteration on A'A.
-
-    Deterministic (fixed internal seed); raises PowerIterationError when
-    the value has not stabilized to relative tolerance within the cap.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A has non-finite entries")
-    if np.all(A == 0.0):
-        return 0.0
-    # rescale to O(1) entries so the Gram product can neither underflow
-    # nor overflow for extreme but representable inputs
-    scale = float(np.max(np.abs(A)))
-    A = A / scale
-    gen = RngStream(0).child("power-iteration").generator()
-    v = gen.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    gram = A.T @ A
-    previous = 0.0
-    for _ in range(max_steps):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            # v landed in the null space; restart from a fresh vector
-            v = gen.standard_normal(A.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm
-        value = math.sqrt(norm)
-        if abs(value - previous) <= tol * max(value, 1e-300):
-            return scale * value
-        previous = value
-    raise PowerIterationError(
-        f"operator norm did not stabilize to {tol:g} within {max_steps} steps"
-    )
-
-
-def smoothness_from_location_scale(
-    A, beta: float, rho: float | None = None
-) -> SmoothnessConstants:
-    """Objective smoothness constants when the sampled distribution moves
-    with the decision as a location-scale family with matrix A.
-
-    With the per-sample loss beta-gradient-Lipschitz,
-    M = sqrt(beta^2 (1 + |A|^2) max(1, |A|^2)) for |A| the operator norm;
-    when a Hessian Lipschitz constant rho is supplied,
-    H = sqrt(rho^2 (1 + |A|^2) max(1, |A|^4)).
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if rho is not None and rho <= 0:
-        raise ValueError("rho must be positive when given")
-    norm = operator_norm(A)
-    norm_sq = norm * norm
-    M = math.sqrt(beta * beta * (1.0 + norm_sq) * max(1.0, norm_sq))
-    H = None
-    if rho is not None:
-        H = math.sqrt(rho * rho * (1.0 + norm_sq) * max(1.0, norm_sq * norm_sq))
-    return SmoothnessConstants(M=M, H=H)

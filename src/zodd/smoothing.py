@@ -1,17 +1,12 @@
-"""Randomized-smoothing calculus: direction moments, smoothed gradients,
-and bias bounds.
+"""Randomized-smoothing calculus: direction moments and smoothed gradients.
 
 Averaging F over a random probe direction replaces F with a smoothed
 surrogate: F_ball(x) = E[F(x + mu s)] for s uniform in the unit ball, or
 F_gauss(x) = E[F(x + mu u)] for standard Gaussian u.  Two-point random
-estimators are unbiased for the gradient of the surrogate, not of F itself,
-so everything rests on two kinds of facts:
-
-* exact moments of sphere and Gaussian directions (used by the estimator
-  variance analysis), exposed here in closed form so Monte-Carlo runs can
-  be checked against them entrywise, and
-* bounds on how far the surrogate gradient can drift from the true
-  gradient as a function of the smoothing radius.
+estimators are unbiased for the gradient of the surrogate, not of F itself.
+The exact moments of sphere and Gaussian directions (used by the estimator
+variance analysis) are exposed here in closed form so Monte-Carlo runs can
+be checked against them entrywise.
 
 :func:`smoothed_gradient` computes a Monte-Carlo reference value of the
 surrogate gradient using the exact objective of an analytic environment.
@@ -29,10 +24,6 @@ from .core import RngStream, Vector, as_point, gaussian_matrix, sphere_matrix
 from .environments import Environment, UnsupportedEnvironmentError
 
 KERNELS = ("ball", "gaussian")
-
-
-class DegenerateSampleError(ValueError):
-    """The sample has zero variance, so the requested ratio is undefined."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,53 +158,3 @@ def smoothed_gradient(
     value = terms.mean(axis=0)
     stderr = terms.std(axis=0, ddof=1) / np.sqrt(K)
     return SmoothedGradient(value=value, stderr=stderr, draws=K)
-
-
-def smoothing_bias_bound(
-    kernel: str,
-    mu: float,
-    d: int,
-    M: float | None = None,
-    H: float | None = None,
-) -> float:
-    """Worst-case distance between smoothed and true gradients.
-
-    With a Lipschitz gradient (constant M) the bound is mu M for the ball
-    kernel and sqrt(d) mu M for the Gaussian kernel.  When a Lipschitz
-    Hessian constant H is supplied the sharper second-order bounds mu^2 H
-    and d mu^2 H apply instead.
-    """
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    if mu <= 0:
-        raise ValueError("smoothing radius must be positive")
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if H is not None:
-        if H < 0:
-            raise ValueError("H must be nonnegative")
-        return mu * mu * H if kernel == "ball" else d * mu * mu * H
-    if M is None:
-        raise ValueError("need at least one of M, H")
-    if M < 0:
-        raise ValueError("M must be nonnegative")
-    return mu * M if kernel == "ball" else np.sqrt(d) * mu * M
-
-
-def minibatch_variance_ratio(values) -> float:
-    """Variance of the m-sample mean over (single-sample variance / m).
-
-    ``values`` is an (m, K) matrix of i.i.d. draws arranged as K batches of
-    size m.  For i.i.d. data the ratio concentrates at 1; it degrades
-    toward m under perfect within-batch correlation.  Raises
-    DegenerateSampleError when the draws carry no variance at all.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 2:
-        raise ValueError("values must be (m, K) with K >= 2")
-    single_var = values.ravel().var(ddof=1)
-    if single_var == 0.0:
-        raise DegenerateSampleError("all draws identical: variance ratio undefined")
-    mean_var = values.mean(axis=0).var(ddof=1)
-    m = values.shape[0]
-    return float(mean_var / (single_var / m))

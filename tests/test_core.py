@@ -1,5 +1,8 @@
 """Randomness streams, directions, and budget accounting."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +175,40 @@ class TestBudgetCounter:
         assert c.consumed == accepted
         assert accepted <= limit
 
+    def test_concurrent_charges_are_atomic(self):
+        # 8 threads charge random amounts against one limit; with a short
+        # switch interval a lost update or a check-then-add race shows up as
+        # consumed != the sum of successful charges, or consumed > limit
+        threads, per_thread, limit = 8, 3000, 30_000
+        c = BudgetCounter(limit)
+        accepted = [0] * threads
+        start = threading.Barrier(threads)
+
+        def work(i):
+            amounts = RngStream(i).generator().integers(0, 4, per_thread)
+            start.wait()
+            for k in amounts.tolist():
+                try:
+                    c.charge(k)
+                except BudgetExhaustedError:
+                    continue
+                accepted[i] += k
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert c.consumed == sum(accepted)
+        assert c.consumed <= limit
+        assert c.consumed > limit - 4  # the limit was reached, not just approached
+
 
 class _CountingOracle(SampleOracle):
     """Deterministic f(x) = sum(x); counts every draw request."""
@@ -185,17 +222,12 @@ class _CountingOracle(SampleOracle):
     def dimension(self):
         return self._d
 
-    def _draw_at(self, points, gen, replicates):
+    def _draw_at(self, points, streams, replicates):
         self.calls.append((points.shape[0], replicates))
         return np.tile(points.sum(axis=1), (replicates, 1))
 
 
 class TestSampleOracle:
-    def test_sample_charges_one(self):
-        o = _CountingOracle(3, budget=2)
-        assert o.sample([1.0, 2.0, 3.0], RngStream(0)) == 6.0
-        assert o.budget.consumed == 1
-
     def test_sample_at_charges_points_times_replicates(self):
         o = _CountingOracle(2, budget=100)
         out = o.sample_at(np.zeros((4, 2)), RngStream(0), replicates=5)
@@ -217,6 +249,23 @@ class TestSampleOracle:
             o.sample_at(np.array([[np.inf, 0.0]]), RngStream(0))
         with pytest.raises(ValueError):
             o.sample_at(np.zeros((1, 2)), RngStream(0), replicates=0)
+
+    @pytest.mark.parametrize("rng", [
+        np.random.default_rng(0),
+        RngStream(0).generator(),
+        7,
+        [np.random.default_rng(0)],
+        [RngStream(0), np.random.default_rng(0)],
+        [RngStream(0), 1],
+        "ab",
+    ], ids=["numpy-generator", "stream-generator", "int", "generator-list",
+            "mixed-generator", "mixed-int", "str"])
+    def test_sample_at_rejects_other_rng_forms_before_charging(self, rng):
+        o = _CountingOracle(2, budget=100)
+        with pytest.raises(TypeError):
+            o.sample_at(np.zeros((2, 2)), rng)
+        assert o.budget.consumed == 0
+        assert o.calls == []
 
     def test_one_dim_points_are_promoted(self):
         o = _CountingOracle(2)

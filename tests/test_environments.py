@@ -38,7 +38,7 @@ class TestEnvironmentBase:
             def dimension(self):
                 return 2
 
-            def _draw_at(self, points, gen, replicates):
+            def _draw_at(self, points, streams, replicates):
                 return np.zeros((replicates, points.shape[0]))
 
         env = Bare()
@@ -318,7 +318,7 @@ def _strategic_draws_per_point(env, points, gen, replicates):
 def test_vectorized_pricing_draws_match_per_point_loop(k, replicates):
     env = PricingEnv.synthetic(3, n=8, buyers=100)
     points = RngStream(k).generator().uniform(0.3, 1.5, (k, 8))
-    got = env._draw_at(points, RngStream(5).generator(), replicates)
+    got = env._draw_at(points, [RngStream(5)], replicates)
     expected = _pricing_draws_per_point(env, points, RngStream(5).generator(), replicates)
     assert got.flags.c_contiguous
     assert np.array_equal(got, expected)
@@ -329,7 +329,7 @@ def test_vectorized_pricing_draws_match_per_point_loop(k, replicates):
 def test_vectorized_strategic_draws_match_per_point_loop(k, replicates):
     env = StrategicEnv.synthetic(2, count=120)
     points = RngStream(k).generator().uniform(-1.0, 1.5, (k, 12))
-    got = env._draw_at(points, RngStream(9).generator(), replicates)
+    got = env._draw_at(points, [RngStream(9)], replicates)
     expected = _strategic_draws_per_point(env, points, RngStream(9).generator(), replicates)
     assert np.array_equal(got, expected)
 
@@ -341,9 +341,9 @@ def test_vectorized_strategic_draws_raise_on_a_degenerate_point():
     points[1, :-1] = 0.0
     points[1, -1] = -1.0  # zero weights, every score negative: no move helps
     with pytest.raises(DegenerateClassifierError):
-        env._draw_at(points, RngStream(9).generator(), 4)
+        env._draw_at(points, [RngStream(9)], 4)
     points[1, -1] = 1.0  # zero weights that accept everyone need no move
-    got = env._draw_at(points, RngStream(9).generator(), 4)
+    got = env._draw_at(points, [RngStream(9)], 4)
     expected = _strategic_draws_per_point(env, points, RngStream(9).generator(), 4)
     assert np.array_equal(got, expected)
 
@@ -356,7 +356,7 @@ def test_vectorized_strategic_draws_match_when_agents_move():
     chosen = gen.integers(0, env.population_size, size=(4, 16))
     presented = [_best_response_many(p, env.features[idx]) for p, idx in zip(points, chosen)]
     assert any(not np.array_equal(a, env.features[idx]) for a, idx in zip(presented, chosen))
-    got = env._draw_at(points, RngStream(1).generator(), 16)
+    got = env._draw_at(points, [RngStream(1)], 16)
     expected = _strategic_draws_per_point(env, points, RngStream(1).generator(), 16)
     assert np.array_equal(got, expected)
 
@@ -390,7 +390,8 @@ def test_grouped_draws_equal_separate_calls(kind, labels, replicates):
 @pytest.mark.parametrize("kind", sorted(_GROUPED_ENVS))
 def test_grouped_draws_equal_fresh_generators_per_block(kind):
     # the blocks of one call share one bit generator, reset to each block's
-    # stream: every block draws what a fresh stream.generator() draws
+    # stream: every block draws what a fresh stream.generator() draws, which
+    # is what a one-stream _draw_at call builds
     env = _GROUPED_ENVS[kind]()
     per_block, replicates = 4, 3
     top = 2**64 - 1
@@ -399,7 +400,7 @@ def test_grouped_draws_equal_fresh_generators_per_block(kind):
     points = RngStream(1).generator().uniform(0.2, 1.2, (per_block * len(streams), 12))
     got = env.sample_at(points, streams, replicates)
     expected = np.concatenate([
-        env._draw_at(points[g * per_block:(g + 1) * per_block], stream.generator(), replicates)
+        env._draw_at(points[g * per_block:(g + 1) * per_block], [stream], replicates)
         for g, stream in enumerate(streams)
     ], axis=1)
     assert np.array_equal(got, expected)
@@ -496,13 +497,6 @@ class TestSyntheticPrices:
         assert np.array_equal(theta, t2)
         assert np.array_equal(rho, r2)
 
-    def test_env_save_method(self, tmp_path):
-        env = PricingEnv.synthetic(3, n=4)
-        env.save_prices(tmp_path / "p.csv")
-        t2, r2 = load_prices(tmp_path / "p.csv")
-        assert np.array_equal(env.theta, t2)
-        assert np.array_equal(env.rho, r2)
-
 
 class TestBestResponse:
     def test_projection_example(self):
@@ -580,15 +574,11 @@ class TestStrategicEnv:
         # zero scores leave everyone accepted in place: loss is log 2 exactly
         assert env.exact_objective(np.zeros(12)) == pytest.approx(math.log(2.0), rel=1e-12)
 
-    def test_loss_for_single_agent(self):
-        env = StrategicEnv.synthetic(0, count=10)
-        x = np.zeros(12)
-        x[0] = 2.0
-        xi = np.zeros(11)
-        xi[0] = 1.0
+    def test_logistic_loss_of_one_score(self):
         # score 2: log-loss log(1 + e^-2) for a positive, log(1 + e^2) negative
-        assert env.loss_for(x, xi, 1.0) == pytest.approx(math.log1p(math.exp(-2.0)))
-        assert env.loss_for(x, xi, 0.0) == pytest.approx(math.log1p(math.exp(2.0)))
+        got = _logistic_loss(np.array([2.0, 2.0]), np.array([1.0, 0.0]))
+        assert got[0] == pytest.approx(math.log1p(math.exp(-2.0)))
+        assert got[1] == pytest.approx(math.log1p(math.exp(2.0)))
 
     def test_objective_jumps_at_the_manipulation_threshold(self):
         # a single individual sits just inside/outside the worthwhile-move
@@ -668,13 +658,6 @@ class TestSyntheticPopulation:
         f2, l2 = load_population(tmp_path / "pop.csv")
         assert np.array_equal(features, f2)
         assert np.array_equal(labels, l2)
-
-    def test_env_save_method(self, tmp_path):
-        env = StrategicEnv.synthetic(2, count=20, d_feat=4)
-        env.save_population(tmp_path / "pop.csv")
-        f2, l2 = load_population(tmp_path / "pop.csv")
-        assert np.array_equal(env.features, f2)
-        assert np.array_equal(env.labels, l2)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

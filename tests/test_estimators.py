@@ -35,7 +35,7 @@ class _RecordingOracle(SampleOracle):
     def dimension(self):
         return self._d
 
-    def _draw_at(self, points, gen, replicates):
+    def _draw_at(self, points, streams, replicates):
         self.batches.append((points.copy(), replicates))
         return np.tile(0.5 * (points**2).sum(axis=1), (replicates, 1))
 
@@ -153,8 +153,8 @@ class TestExactnessOnQuadratics:
         x = np.zeros(2)
 
         class Shifted(type(env)):
-            def _draw_at(self, points, gen, replicates):
-                return super()._draw_at(points, gen, replicates) + 4.0
+            def _draw_at(self, points, streams, replicates):
+                return super()._draw_at(points, streams, replicates) + 4.0
 
         shifted = Shifted(np.zeros((2, 2)), np.zeros(2), sigma=0.0)
         K = 5000

@@ -164,6 +164,41 @@ step = 0.001
         assert env.population_size == 4
         assert env.dimension == 4
 
+    @staticmethod
+    def _data_file_config(tmp_path, kind, size_line):
+        if kind == "pricing":
+            save_prices(tmp_path / "data.csv", np.array([1.0, 1.5]), np.array([0.3, 0.4]))
+            file_line = f"price_file = {tmp_path / 'data.csv'}"
+        else:
+            features = np.arange(12.0).reshape(4, 3)
+            save_population(tmp_path / "data.csv", features, np.array([0.0, 1.0, 0.0, 1.0]))
+            file_line = f"population_file = {tmp_path / 'data.csv'}"
+        return _write(tmp_path, f"""\
+[environment]
+kind = {kind}
+{size_line}
+{file_line}
+
+[estimator.e]
+kind = sphere
+mu = 0.1
+step = 0.001
+""")
+
+    @pytest.mark.parametrize("kind,size", [("pricing", 2), ("strategic", 4)])
+    def test_data_file_sets_the_dimension(self, tmp_path, kind, size):
+        cfg = parse_config(self._data_file_config(tmp_path, kind, ""))
+        assert cfg.environment.dimension == size
+        assert cfg.start_point().shape == (size,)
+        assert cfg.environment.build().dimension == size
+
+    @pytest.mark.parametrize("kind,size_line", [
+        ("pricing", "products = 3"), ("strategic", "dimension = 12"),
+    ])
+    def test_data_file_disagreeing_with_the_dimension_is_rejected(self, tmp_path, kind, size_line):
+        with pytest.raises(ConfigError, match=f"\\[environment\\] {size_line.split()[0]}"):
+            parse_config(self._data_file_config(tmp_path, kind, size_line))
+
     @pytest.mark.parametrize("mutation,needle", [
         ("[environment]\nkind = quadratic", "estimator"),           # no estimators
         ("[environment]\nkind = cubic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "kind"),
@@ -177,6 +212,12 @@ step = 0.001
         ("[environment]\nkind = quadratic\n[run]\nx0 = 1 2 3\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "x0"),
         ("[environment]\nkind = quadratic\n[run]\nseeds = 5..2\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "range"),
         ("[environment]\nkind = quadratic\n[run]\nbudget = pony\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "integer"),
+        ("[environment]\nkind = quadratic\n[run]\nx0 = nan\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[run] x0"),
+        ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = -0.001 0.001\nmu = 0.1", "[tuning] step"),
+        ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0.001\nmu = -0.1 0.1", "[tuning] mu"),
+        ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0.001\nmu = 0.1\ndirections = 0 4", "[tuning] directions"),
+        ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0.001\nmu = 0.1\nbatch = 2 0", "[tuning] batch"),
+        ("[environment]\nkind = pricing\nprice_file = /nonexistent/prices.csv\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment] price_file"),
     ])
     def test_rejected_configs(self, tmp_path, mutation, needle):
         with pytest.raises(ConfigError) as err:

@@ -1,7 +1,6 @@
-"""Parameter planner, descent loop, and smoothness helpers."""
+"""Parameter planner and descent loop."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -16,12 +15,10 @@ from zodd.optimizer import (
     ParameterPlan,
     PlannerConstants,
     descent_bound_sides,
-    operator_norm,
     plan_parameters,
     run_descent,
     sample_complexity_order,
     select_uniform_index,
-    smoothness_from_location_scale,
 )
 
 
@@ -290,55 +287,3 @@ class TestOutputSelection:
         threshold = stats.chi2.isf(p_five_sigma, count - 1)
         assert statistic < threshold
 
-
-class TestOperatorNorm:
-    def test_matches_svd_on_random_matrices(self):
-        gen = RngStream(4).generator()
-        for shape in [(3, 3), (5, 2), (2, 5), (6, 6)]:
-            A = gen.standard_normal(shape)
-            assert operator_norm(A) == pytest.approx(
-                np.linalg.norm(A, 2), rel=1e-8
-            )
-
-    def test_zero_matrix(self):
-        assert operator_norm(np.zeros((3, 3))) == 0.0
-
-    def test_rank_deficient(self):
-        u = np.array([[1.0], [2.0]])
-        A = u @ u.T  # rank one, largest singular value 5
-        assert operator_norm(A) == pytest.approx(5.0, rel=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            operator_norm(np.zeros(3))
-        with pytest.raises(ValueError):
-            operator_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-class TestSmoothnessFromLocationScale:
-    def test_identity_free_case(self):
-        got = smoothness_from_location_scale(np.zeros((3, 3)), beta=2.0)
-        assert got.M == pytest.approx(2.0)
-        assert got.H is None
-
-    def test_identity_map(self):
-        got = smoothness_from_location_scale(np.eye(3), beta=1.0)
-        assert got.M == pytest.approx(math.sqrt(2.0))
-
-    def test_doubled_map_with_curvature(self):
-        got = smoothness_from_location_scale(2.0 * np.eye(3), beta=1.0, rho=1.0)
-        assert got.M == pytest.approx(math.sqrt(20.0))
-        assert got.H == pytest.approx(math.sqrt(80.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            smoothness_from_location_scale(np.eye(2), beta=0.0)
-        with pytest.raises(ValueError):
-            smoothness_from_location_scale(np.eye(2), beta=1.0, rho=-1.0)
-
-    @given(scale=st.floats(min_value=0.0, max_value=5.0))
-    @settings(max_examples=40, deadline=None)
-    def test_monotone_in_operator_norm(self, scale):
-        base = smoothness_from_location_scale(np.eye(2) * scale, beta=1.0).M
-        bigger = smoothness_from_location_scale(np.eye(2) * (scale + 0.5), beta=1.0).M
-        assert bigger >= base

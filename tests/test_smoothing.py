@@ -2,20 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zodd.core import RngStream
 from zodd.environments import QuadraticEnv, UnsupportedEnvironmentError
 from zodd.smoothing import (
-    DegenerateSampleError,
     SmoothedFunctionOracle,
     analytic_moment,
     gaussian_projected_outer_moment,
     gaussian_weighted_outer_moment,
-    minibatch_variance_ratio,
     smoothed_gradient,
-    smoothing_bias_bound,
     sphere_projected_outer_moment,
     sphere_weighted_outer_moment,
 )
@@ -142,54 +137,3 @@ class TestSmoothedGradient:
         with pytest.raises(UnsupportedEnvironmentError):
             SmoothedFunctionOracle(NoExact(np.eye(2), np.zeros(2), 0.0), mu=0.1)
 
-
-class TestBiasBound:
-    def test_values(self):
-        assert smoothing_bias_bound("ball", 0.1, 4, M=2.0) == pytest.approx(0.2)
-        assert smoothing_bias_bound("gaussian", 0.1, 4, M=2.0) == pytest.approx(0.4)
-        assert smoothing_bias_bound("ball", 0.1, 4, H=3.0) == pytest.approx(0.03)
-        assert smoothing_bias_bound("gaussian", 0.1, 4, H=3.0) == pytest.approx(0.12)
-
-    def test_hessian_constant_wins_when_given(self):
-        # with both constants available the curvature-based bound is used
-        assert smoothing_bias_bound("ball", 0.1, 4, M=2.0, H=3.0) == pytest.approx(0.03)
-
-    def test_requires_a_constant(self):
-        with pytest.raises(ValueError):
-            smoothing_bias_bound("ball", 0.1, 4)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            smoothing_bias_bound("box", 0.1, 4, M=1.0)
-        with pytest.raises(ValueError):
-            smoothing_bias_bound("ball", -0.1, 4, M=1.0)
-
-    @given(
-        mu=st.floats(min_value=1e-6, max_value=10.0),
-        factor=st.floats(min_value=1.0, max_value=100.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_in_mu(self, mu, factor):
-        small = smoothing_bias_bound("ball", mu, 5, M=1.5)
-        large = smoothing_bias_bound("ball", mu * factor, 5, M=1.5)
-        assert small <= large * (1 + 1e-12)
-
-
-class TestMinibatchVarianceRatio:
-    def test_single_replicate_is_exactly_one(self):
-        values = RngStream(0).generator().standard_normal((1, 500))
-        assert minibatch_variance_ratio(values) == 1.0
-
-    def test_iid_batches_are_calibrated(self):
-        # for iid draws, batching by m divides the variance by m, so the
-        # ratio of batched to (per-sample / m) variance sits near 1
-        values = RngStream(1).generator().standard_normal((5, 4000))
-        assert minibatch_variance_ratio(values) == pytest.approx(1.0, abs=0.15)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(DegenerateSampleError):
-            minibatch_variance_ratio(np.ones((3, 10)))
-
-    def test_needs_enough_columns(self):
-        with pytest.raises(ValueError):
-            minibatch_variance_ratio(np.ones((3, 1)))
