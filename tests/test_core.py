@@ -15,6 +15,7 @@ from zodd.core import (
     SampleOracle,
     as_point,
     distinct_children,
+    draw_blocks,
     gaussian_matrix,
     row_norms,
     sphere_matrix,
@@ -228,6 +229,11 @@ class _CountingOracle(SampleOracle):
 
 
 class TestSampleOracle:
+    def test_sample_charges_one(self):
+        o = _CountingOracle(3, budget=2)
+        assert np.array_equal(o.sample_at([1.0, 2.0, 3.0], RngStream(0)), [[6.0]])
+        assert o.budget.consumed == 1
+
     def test_sample_at_charges_points_times_replicates(self):
         o = _CountingOracle(2, budget=100)
         out = o.sample_at(np.zeros((4, 2)), RngStream(0), replicates=5)
@@ -300,6 +306,30 @@ class TestStreamHelpers:
             fresh = stream.generator()
             assert np.array_equal(ints, fresh.integers(0, 1000, 5))
             assert np.array_equal(normals, fresh.standard_normal(7))
+
+    def test_draw_blocks_of_one_stream_draw_from_its_generator(self):
+        stream = RngStream(4).child("x")
+        got = draw_blocks([stream], 6, lambda gen, lo, hi: gen.standard_normal((2, hi - lo)),
+                          axis=1)
+        assert np.array_equal(got, stream.generator().standard_normal((2, 6)))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_draw_blocks_join_equal_blocks_along_axis(self, axis):
+        # block g covers points 2g..2g+1 and starts at streams[g]; a repeated
+        # stream starts over
+        streams = [RngStream(0), RngStream(1), RngStream(0)]
+        spans = []
+
+        def draw(gen, lo, hi):
+            spans.append((lo, hi))
+            return gen.standard_normal((hi - lo, 3) if axis == 0 else (3, hi - lo))
+
+        got = draw_blocks(streams, 6, draw, axis=axis)
+        assert spans == [(0, 2), (2, 4), (4, 6)]
+        expected = np.concatenate(
+            [draw(s.generator(), 2 * g, 2 * g + 2) for g, s in enumerate(streams)], axis=axis
+        )
+        assert np.array_equal(got, expected)
 
     @given(
         rows=st.integers(min_value=1, max_value=40),

@@ -192,6 +192,14 @@ step = 0.001
         assert cfg.start_point().shape == (size,)
         assert cfg.environment.build().dimension == size
 
+    @pytest.mark.parametrize("kind,size_line,size", [
+        ("pricing", "products = 2", 2), ("strategic", "dimension = 4", 4),
+    ])
+    def test_data_file_agreeing_with_the_dimension_is_accepted(self, tmp_path, kind,
+                                                                size_line, size):
+        cfg = parse_config(self._data_file_config(tmp_path, kind, size_line))
+        assert cfg.environment.dimension == size
+
     @pytest.mark.parametrize("kind,size_line", [
         ("pricing", "products = 3"), ("strategic", "dimension = 12"),
     ])
@@ -218,6 +226,9 @@ step = 0.001
         ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0.001\nmu = 0.1\ndirections = 0 4", "[tuning] directions"),
         ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0.001\nmu = 0.1\nbatch = 2 0", "[tuning] batch"),
         ("[environment]\nkind = pricing\nprice_file = /nonexistent/prices.csv\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment] price_file"),
+        ("[environment]\nkind = strategic\npopulation_file = /nonexistent/population.csv\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment] population_file"),
+        ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0 0.001\nmu = 0.1", "[tuning] step"),
+        ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0.001\nmu = 0.1 inf", "[tuning] mu"),
     ])
     def test_rejected_configs(self, tmp_path, mutation, needle):
         with pytest.raises(ConfigError) as err:
