@@ -324,11 +324,7 @@ class PricingEnv(Environment):
     def restock_cost(self, counts) -> Vector:
         """Total restocking cost for integer demand counts (..., n)."""
         counts = np.asarray(counts, dtype=np.float64)
-        low = np.minimum(counts, self.lower)
-        mid = np.clip(counts - self.lower, 0.0, self.upper - self.lower)
-        high = np.maximum(counts - self.upper, 0.0)
-        per_item = 2.0 * self.slope * low + self.slope * mid + 3.0 * self.slope * high
-        return per_item.sum(axis=-1)
+        return _item_restock_cost(counts, self.lower, self.upper, self.slope).sum(axis=-1)
 
     def _draw_at(self, points, streams, replicates):
         probs = self._probabilities_at(points)
@@ -359,15 +355,11 @@ class PricingEnv(Environment):
     def expected_restock_cost(self, item_probs) -> float:
         """Exact expected restocking cost given per-item purchase probabilities."""
         p = as_point(item_probs, self.dimension)
-        counts = np.arange(self.buyers + 1)
         pmf = self._binomial_pmf(p)
-        low = np.minimum(counts, self.lower[:, None])
-        mid = np.clip(counts - self.lower[:, None], 0.0, (self.upper - self.lower)[:, None])
-        high = np.maximum(counts - self.upper[:, None], 0.0)
-        cost = (
-            2.0 * self.slope[:, None] * low
-            + self.slope[:, None] * mid
-            + 3.0 * self.slope[:, None] * high
+        # item i's cost of every count 0..buyers, as an (n, buyers + 1) table
+        cost = _item_restock_cost(
+            np.arange(self.buyers + 1),
+            self.lower[:, None], self.upper[:, None], self.slope[:, None],
         )
         return float((pmf * cost).sum())
 
@@ -376,6 +368,14 @@ class PricingEnv(Environment):
         p = self.choice_probabilities(x)[:-1]
         expected_revenue = self.buyers * float(x @ p)
         return -expected_revenue + self.expected_restock_cost(p)
+
+
+def _item_restock_cost(counts, lower, upper, slope) -> Vector:
+    """Per-item restocking cost: slope 2 w up to l, w from l to u, 3 w above u."""
+    low = np.minimum(counts, lower)
+    mid = np.clip(counts - lower, 0.0, upper - lower)
+    high = np.maximum(counts - upper, 0.0)
+    return 2.0 * slope * low + slope * mid + 3.0 * slope * high
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +410,33 @@ def best_response(x, xi_true) -> Vector:
     return xi_true + gap * (w / norm)
 
 
-def _best_response_many(x, features) -> Vector:
-    """Vectorized best_response over rows of ``features``."""
-    w = x[:-1]
-    scores = features @ w + x[-1]
+def _respond(features, points) -> Vector:
+    """(k, m) scores of a (k, m, f) ``features`` stack after best responses.
+
+    Row j holds the m agents facing classifier ``points[j]``.  Each agent
+    that gains from moving is moved in ``features`` itself, as
+    :func:`best_response` would move it; the stacked matmuls round each
+    row's scores as its own (m, f) @ (f,) would.
+    """
+    weights = points[:, :-1]
+    intercepts = points[:, -1:]
+    scores = np.matmul(features, weights[:, :, None])[..., 0] + intercepts
     negative = scores < 0.0
-    if not np.any(negative):
-        return features
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise DegenerateClassifierError(
-            "zero feature weights: no move can change the score"
-        )
-    gaps = -scores / norm
-    move = negative & (gaps * gaps < 2.0)
-    out = features.copy()
-    out[move] += gaps[move, None] * (w / norm)
-    return out
+    if np.any(negative):
+        norms = row_norms(weights)
+        if np.any((norms == 0.0) & negative.any(axis=1)):
+            raise DegenerateClassifierError(
+                "zero feature weights: no move can change the score"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps = -scores / norms[:, None]
+            units = weights / norms[:, None]
+        move = negative & (gaps * gaps < 2.0)
+        if np.any(move):
+            point, agent = np.nonzero(move)
+            features[point, agent] += gaps[point, agent, None] * units[point]
+            scores = np.matmul(features, weights[:, :, None])[..., 0] + intercepts
+    return scores
 
 
 def _logistic_loss(scores, labels) -> Vector:
@@ -533,36 +543,14 @@ class StrategicEnv(Environment):
 
     def exact_objective(self, x) -> float:
         x = as_point(x, self.dimension)
-        presented = _best_response_many(x, self.features)
-        scores = presented @ x[:-1] + x[-1]
+        scores = _respond(self.features[None].copy(), x[None, :])[0]
         return float(_logistic_loss(scores, self.labels).mean())
 
     def _draw_at(self, points, streams, replicates):
-        k = points.shape[0]
         # point-major, as one call of size=replicates per point would draw
         chosen = draw_blocks(
-            streams, k,
+            streams, points.shape[0],
             lambda gen, lo, hi: gen.integers(0, self.population_size, size=(hi - lo, replicates)),
         )
-        weights = points[:, :-1]
-        intercepts = points[:, -1:]
-        features = self.features[chosen]
-        # stacked matmuls round each point exactly as its own (m, f) @ (f,) and
-        # norm(w) would, so the draws match best_response point by point
-        scores = np.matmul(features, weights[:, :, None])[..., 0] + intercepts
-        negative = scores < 0.0
-        if np.any(negative):
-            norms = row_norms(weights)
-            if np.any((norms == 0.0) & negative.any(axis=1)):
-                raise DegenerateClassifierError(
-                    "zero feature weights: no move can change the score"
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gaps = -scores / norms[:, None]
-                units = weights / norms[:, None]
-            move = negative & (gaps * gaps < 2.0)
-            if np.any(move):
-                point, agent = np.nonzero(move)
-                features[point, agent] += gaps[point, agent, None] * units[point]
-                scores = np.matmul(features, weights[:, :, None])[..., 0] + intercepts
+        scores = _respond(self.features[chosen], points)
         return np.ascontiguousarray(_logistic_loss(scores, self.labels[chosen]).T)

@@ -39,10 +39,11 @@ arrays.
 
 The descent loop, :func:`zodd.optimizer.lockstep_descent`, calls the kernel
 with one stream *per row* instead: R lockstep chains, each with its own
-stream and probe radius.  Row r then draws exactly what a single estimate on
-its own stream draws, so lockstep groups never change a draw; rows that
-share a stream (tuning candidates of one trial) share its one direction
-draw, and the oracle restarts the stream for each of their probe blocks.
+stream and probe radius, of which it keeps only the gradients and the probe
+means.  Row r draws exactly what a single estimate on its own stream draws,
+so lockstep groups never change a draw; rows that share a stream (tuning
+candidates of one trial) share its one direction draw, and the oracle
+restarts the stream for each of their probe blocks.
 """
 
 from __future__ import annotations
@@ -122,9 +123,18 @@ class GradientEstimate:
         point; the experiment harness logs it as the per-iteration objective
         estimate.
         """
-        if self._backward is None:
-            return float(self._forward.mean())
-        return float((self._forward.mean() + self._backward.mean()) / 2.0)
+        return _probe_mean(self._forward, self._backward)
+
+
+def _probe_mean(forward: Vector, backward: Vector | None) -> float:
+    """Mean of one estimate's (batch, N) sample values.
+
+    The descent loop passes each row's own view, so a chain's mean does not
+    depend on the rows it shares a step with.
+    """
+    if backward is None:
+        return float(forward.mean())
+    return float((forward.mean() + backward.mean()) / 2.0)
 
 
 def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams) -> Vector:
@@ -235,19 +245,6 @@ def estimate_gradients(
     return _kernel(X, cfg, oracle, rng)[0]
 
 
-def _as_estimate(cfg: EstimatorConfig, gradients, dirs, forward, backward) -> GradientEstimate:
-    """The first row of a :func:`_kernel` result as a :class:`GradientEstimate`."""
-    return GradientEstimate(
-        gradient=gradients[0],
-        samples_used=cfg.samples_per_estimate(gradients.shape[1]),
-        kind=cfg.kind,
-        mu=cfg.mu,
-        _directions=dirs[0],
-        _forward=forward[:, 0],
-        _backward=None if backward is None else backward[:, 0],
-    )
-
-
 def mse_upper_bound(
     kind: str,
     regime: str,
@@ -316,4 +313,13 @@ def estimate_gradient(
     call; every probe point gets its own independent draws.
     """
     x = as_point(x, oracle.dimension)
-    return _as_estimate(cfg, *_kernel(x[None, :], cfg, oracle, rng))
+    gradients, dirs, forward, backward = _kernel(x[None, :], cfg, oracle, rng)
+    return GradientEstimate(
+        gradient=gradients[0],
+        samples_used=cfg.samples_per_estimate(oracle.dimension),
+        kind=cfg.kind,
+        mu=cfg.mu,
+        _directions=dirs[0],
+        _forward=forward[:, 0],
+        _backward=None if backward is None else backward[:, 0],
+    )

@@ -246,19 +246,23 @@ class _Section:
             )
 
 
+# per kind: the key that sets the dimension and its default, the data file
+# key, and every other key the kind reads, with its default
+_ENVIRONMENT_KEYS = {
+    "quadratic": ("dimension", 5, None, {"sigma": 1.0, "curvature": 1.0}),
+    "pricing": ("products", 30, "price_file", {"buyers": 120, "seed": 0}),
+    "strategic": ("dimension", 12, "population_file",
+                  {"agents": 400, "separation": 1.0, "seed": 0}),
+}
+
+
 def _parse_environment(section: _Section) -> EnvironmentSpec:
-    kind = section.get_str(
-        "kind", required=True, choices={"quadratic", "pricing", "strategic"}
-    )
-    defaults = {"quadratic": 5, "pricing": 30, "strategic": 12}
-    key = "products" if kind == "pricing" else "dimension"
+    """The environment spec; a key its kind does not read is an unknown field."""
+    kind = section.get_str("kind", required=True, choices=set(_ENVIRONMENT_KEYS))
+    key, default, data_key, knobs = _ENVIRONMENT_KEYS[kind]
     dimension = section.get_int(key)
-    price_file = section.get_str("price_file")
-    population_file = section.get_str("population_file")
-    data_key, data_file = (
-        ("price_file", price_file) if kind == "pricing" else ("population_file", population_file)
-    )
-    if kind != "quadratic" and data_file is not None:
+    data_file = None if data_key is None else section.get_str(data_key)
+    if data_file is not None:
         size = _data_file_dimension(section.name, data_key, kind, data_file)
         if dimension is not None and dimension != size:
             raise ConfigError(
@@ -267,19 +271,14 @@ def _parse_environment(section: _Section) -> EnvironmentSpec:
             )
         dimension = size
     elif dimension is None:
-        dimension = defaults[kind]
-    spec = EnvironmentSpec(
-        kind=kind,
-        dimension=dimension,
-        sigma=section.get_float("sigma", 1.0),
-        curvature=section.get_float("curvature", 1.0),
-        seed=section.get_int("seed", 0),
-        buyers=section.get_int("buyers", 120),
-        agents=section.get_int("agents", 400),
-        separation=section.get_float("separation", 1.0),
-        price_file=price_file,
-        population_file=population_file,
-    )
+        dimension = default
+    values = {
+        name: (section.get_float if isinstance(value, float) else section.get_int)(name, value)
+        for name, value in knobs.items()
+    }
+    if data_key is not None:
+        values[data_key] = data_file
+    spec = EnvironmentSpec(kind=kind, dimension=dimension, **values)
     section.reject_unknown()
     if spec.dimension < 1:
         raise ConfigError(f"[{section.name}] dimension must be >= 1")
@@ -340,6 +339,9 @@ def _parse_estimator(section: _Section, name: str) -> EstimatorSpec:
             raise ConfigError(
                 f"[{section.name}] plan and explicit mu/step are mutually exclusive"
             )
+        for key in ("directions", "batch"):
+            if key in section.items:
+                raise ConfigError(f"[{section.name}] {key}: plan sets it; remove one of the two")
     return spec
 
 
@@ -421,6 +423,9 @@ def parse_config(path) -> ExperimentConfig:
         )
 
     tuning = _parse_tuning(sections.get("tuning", _Section("tuning", {})))
+    for spec in estimators:
+        if tuning.enabled and spec.plan_regime is not None:
+            raise ConfigError(f"[estimator.{spec.name}] plan: a planned estimator cannot be tuned")
 
     config = ExperimentConfig(
         environment=env_spec,

@@ -10,9 +10,10 @@ each step makes one estimator call and one oracle call for the whole group.
 Grouping never changes a draw: every chain draws from its own stream exactly
 what it would draw alone, so results do not depend on which chains share a
 group, and the CSVs are byte-identical to one-chain-at-a-time runs.  A group
-holds at most ``max(1, GROUP_DRAWS // cost)`` chains, so its probe array is
-never larger than one chain's or 2^14 draws, whichever is larger.  A
-diverged chain leaves its group; the others go on.
+holds at most ``max(1, GROUP_DRAWS // cost)`` chains, so the probe array of
+one of its steps is never larger than one chain's or 2^14 draws, whichever is
+larger; a chain's trace row for the step is the probe mean the descent step
+reports.  A diverged chain leaves its group; the others go on.
 
 Timing is off by default because it would break byte-identity; ``[run]
 timing = true`` fills the wall-time column with the wall time of the row's
@@ -148,13 +149,8 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
     mus = [c.cfg.mu for c in chains]
     for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations):
         spent = (step.t + 1) * cost
-        for r, i in enumerate(step.live):
-            # the reduction of GradientEstimate.probe_mean, chain by chain
-            if step.backward is None:
-                probe_mean = step.forward[:, r].mean()
-            else:
-                probe_mean = (step.forward[:, r].mean() + step.backward[:, r].mean()) / 2.0
-            traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, float(probe_mean)))
+        for i, probe_mean in zip(step.live, step.probe_means):
+            traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, probe_mean))
         for i in due.get(step.t + 1, ()):
             r = int(np.searchsorted(step.live, i))
             if r < step.live.size and step.live[r] == i:  # a diverged chain's output is never read

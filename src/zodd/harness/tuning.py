@@ -9,6 +9,8 @@ candidate is scored by the mean objective of a few short runs on
 tuning-only seeds, and the winning knobs replace the configured ones
 before the real experiment executes.  All candidates and trials of one
 estimator run as one lockstep :func:`~zodd.harness.runner.run_chains` call.
+A planned estimator takes its knobs from the planner, so a config that
+enables tuning may not hold one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class TuningOutcome:
 
 
 def candidate_specs(spec: EstimatorSpec, tuning: TuningSpec) -> list[EstimatorSpec]:
-    """Cross product of knob candidates for one estimator."""
+    """Cross product of knob candidates for one unplanned estimator."""
+    if spec.plan_regime is not None:
+        raise ValueError(f"estimator {spec.name!r} is planned; its knobs come from the plan")
     steps = tuning.steps or ((spec.step,) if spec.step is not None else ())
     mus = tuning.mus or ((spec.mu,) if spec.mu is not None else ())
     if not steps or not mus:
@@ -48,15 +52,10 @@ def candidate_specs(spec: EstimatorSpec, tuning: TuningSpec) -> list[EstimatorSp
     else:
         widths = tuning.directions or (spec.directions,)
         knob = "directions"
-    out = []
-    for step, mu, width in product(steps, mus, widths):
-        out.append(
-            replace(
-                spec, step=step, mu=mu, plan_regime=None, plan_epsilon=None,
-                **{knob: width},
-            )
-        )
-    return out
+    return [
+        replace(spec, step=step, mu=mu, **{knob: width})
+        for step, mu, width in product(steps, mus, widths)
+    ]
 
 
 def _trial_seeds(config: ExperimentConfig) -> list[int]:

@@ -8,8 +8,10 @@ the uniformly drawn one inherits the average-gradient-norm bound.
 
 :func:`lockstep_descent` is the one descent loop.  It advances R independent
 chains as one (R, d) state, with one estimator call per step, each chain on
-its own stream, step and probe radius, and drops a chain that diverges.
-:func:`run_descent` is its one-chain case and keeps the full trace;
+its own stream, step and probe radius, and drops a chain that diverges.  Each
+step yields only the chains' gradients and probe means, and frees the
+directions and probe values behind them before the next step draws its own.
+:func:`run_descent` is its one-chain case and keeps the gradients in its trace;
 :func:`zodd.harness.runner.run_chains` drives it for every row of a run.
 
 When the environment is analytic, every finished run can be audited: for a
@@ -37,7 +39,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import RngStream, SampleOracle, Vector, as_point, distinct_children, row_norms
-from .estimators import EstimatorConfig, GradientEstimate, _as_estimate, _kernel
+from .estimators import EstimatorConfig, _kernel, _probe_mean
 
 DIVERGENCE_NORM = 1e9
 
@@ -242,15 +244,16 @@ class RunTrace:
     """Everything a finished (or aborted) run leaves behind.
 
     With the default ``thin=1`` the trace holds every iterate x_0..x_T,
-    every gradient estimate, and cumulative sample counts; with a thinning
-    factor k only every k-th iterate (plus the last) is kept and estimates
-    are dropped.  ``grad_norm_sq`` holds the analytic squared gradient
-    norms at stored iterates when the oracle exposes a gradient.
+    every estimated gradient g_0..g_{T-1} as a (d,) array, and cumulative
+    sample counts; with a thinning factor k only every k-th iterate (plus
+    the last) is kept and the gradients are dropped.  ``grad_norm_sq`` holds
+    the analytic squared gradient norms at stored iterates when the oracle
+    exposes a gradient.
     """
 
     iterates: list[Vector]
     samples_cumulative: list[int]
-    estimates: list[GradientEstimate]
+    gradients: list[Vector]
     grad_norm_sq: list[float] | None
     output_index: int | None = None
 
@@ -267,9 +270,9 @@ class Step(NamedTuple):
 
     ``live`` holds the chain numbers of the rows; ``X`` their iterates
     x_{t+1} after the update; ``bad`` the rows that diverged at this step,
-    which leave the live set before the next one.  ``gradients``,
-    ``directions``, ``forward`` and ``backward`` are the estimator kernel's
-    outputs for the step's estimates at x_t.
+    which leave the live set before the next one.  ``gradients`` holds the
+    rows' estimates g_t at x_t, and ``probe_means`` the mean of every sample
+    value each row's estimate drew (see ``GradientEstimate.probe_mean``).
     """
 
     t: int
@@ -277,9 +280,7 @@ class Step(NamedTuple):
     X: Vector
     bad: np.ndarray
     gradients: Vector
-    directions: Vector
-    forward: Vector
-    backward: Vector | None
+    probe_means: list[float]
 
 
 def lockstep_descent(
@@ -302,10 +303,15 @@ def lockstep_descent(
     for t in range(iterations):
         rngs = distinct_children([streams[i] for i in live], "iteration", t)
         gradients, dirs, forward, backward = _kernel(X, cfg, oracle, rngs, mu=mus)
+        means = [
+            _probe_mean(forward[:, r], None if backward is None else backward[:, r])
+            for r in range(live.size)
+        ]
+        del dirs, forward, backward  # freed before the next step draws its own
         X = X - steps * gradients
         with np.errstate(over="ignore", invalid="ignore"):
             bad = ~np.isfinite(X).all(axis=1) | (row_norms(X) > DIVERGENCE_NORM)
-        yield Step(t, live, X, bad, gradients, dirs, forward, backward)
+        yield Step(t, live, X, bad, gradients, means)
         if bad.any():
             keep = ~bad
             live, X, steps, mus = live[keep], X[keep], steps[keep], mus[keep]
@@ -335,7 +341,7 @@ def run_descent(
         raise ValueError("thin must be >= 1")
     cfg = plan.estimator_config()
     cost = cfg.samples_per_estimate(oracle.dimension)
-    keep_estimates = thin == 1
+    keep_gradients = thin == 1
     track_gradient = getattr(oracle, "supports_gradient", False)
 
     output_index = select_uniform_index(plan.iterations + 1, rng)
@@ -344,7 +350,7 @@ def run_descent(
     trace = RunTrace(
         iterates=[x.copy()],
         samples_cumulative=[0],
-        estimates=[],
+        gradients=[],
         grad_norm_sq=[] if track_gradient else None,
         output_index=output_index,
     )
@@ -369,10 +375,8 @@ def run_descent(
             if track_gradient:
                 g = oracle.gradient(x)
                 trace.grad_norm_sq.append(float(g @ g))
-        if keep_estimates:
-            trace.estimates.append(_as_estimate(
-                cfg, step.gradients, step.directions, step.forward, step.backward
-            ))
+        if keep_gradients:
+            trace.gradients.append(step.gradients[0])
 
     return x_bar, trace
 
@@ -389,7 +393,7 @@ def descent_bound_sides(trace: RunTrace, env, step: float) -> tuple[float, float
     over the n executed updates; lhs <= rhs holds pathwise whenever the
     step is at most 1 / (4 M) for the environment's smoothness M.
     """
-    n = len(trace.estimates)
+    n = len(trace.gradients)
     if n == 0 or len(trace.iterates) != n + 1:
         raise ValueError("need a full, unthinned trace with at least one update")
     f_star = env.minimum_value
@@ -398,7 +402,7 @@ def descent_bound_sides(trace: RunTrace, env, step: float) -> tuple[float, float
     if step <= 0:
         raise ValueError("step must be positive")
     grads = np.array([env.gradient(x) for x in trace.iterates[:n]])
-    used = np.array([est.gradient for est in trace.estimates])
+    used = np.array(trace.gradients)
     lhs = float((grads**2).sum(axis=1).mean())
     gap = env.exact_objective(trace.iterates[0]) - f_star
     mse = float(((grads - used) ** 2).sum(axis=1).mean())

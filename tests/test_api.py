@@ -1,11 +1,13 @@
-"""The public API: ``zodd.__all__`` is the README's list, and every
-``from zodd import`` in the README and the demos resolves."""
+"""The public API: ``zodd.__all__`` is the README's list, every
+``from zodd import`` in the README and the demos resolves, and the README's
+config block parses."""
 
 import ast
 import re
 from pathlib import Path
 
 import zodd
+from zodd.harness.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -42,3 +44,12 @@ def test_documented_imports_resolve():
     assert "run_descent" in names and "analytic_moment" in names
     assert [name for name in sorted(names) if not hasattr(zodd, name)] == []
     assert names <= set(zodd.__all__)
+
+
+def test_readme_config_block_parses(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    config = parse_config(path)
+    assert [spec.name for spec in config.estimators] == ["sphere", "planned"]

@@ -25,9 +25,9 @@ from zodd.environments import (
 )
 from zodd.environments import (
     QUADRATIC_BLOCK_ROWS,
-    _best_response_many,
     _diagonal_form,
     _logistic_loss,
+    _respond,
 )
 
 
@@ -302,12 +302,35 @@ def _pricing_draws_per_point(env, points, gen, replicates):
     return out
 
 
+def _presented_per_point(x, features):
+    """Best responses of the rows of ``features`` to one classifier x.
+
+    The bit reference of ``_respond``: one (m, f) @ (f,) and one
+    ``np.linalg.norm`` per classifier, as ``best_response`` decides each
+    agent.  (A loop of ``best_response`` itself rounds each score as an
+    (f,) @ (f,) product instead, which can differ in the last bit.)
+    """
+    w = x[:-1]
+    scores = features @ w + x[-1]
+    negative = scores < 0.0
+    if not np.any(negative):
+        return features
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0:
+        raise DegenerateClassifierError("zero feature weights")
+    gaps = -scores / norm
+    move = negative & (gaps * gaps < 2.0)
+    out = features.copy()
+    out[move] += gaps[move, None] * (w / norm)
+    return out
+
+
 def _strategic_draws_per_point(env, points, gen, replicates):
     """The one-point-at-a-time form of StrategicEnv._draw_at."""
     out = np.empty((replicates, points.shape[0]))
     for j in range(points.shape[0]):
         idx = gen.integers(0, env.population_size, size=replicates)
-        presented = _best_response_many(points[j], env.features[idx])
+        presented = _presented_per_point(points[j], env.features[idx])
         scores = presented @ points[j][:-1] + points[j][-1]
         out[:, j] = _logistic_loss(scores, env.labels[idx])
     return out
@@ -354,7 +377,7 @@ def test_vectorized_strategic_draws_match_when_agents_move():
     points = np.array([np.append(w, c) for c in (-0.8, -0.2, 0.4, -1.5)])
     gen = RngStream(1).generator()
     chosen = gen.integers(0, env.population_size, size=(4, 16))
-    presented = [_best_response_many(p, env.features[idx]) for p, idx in zip(points, chosen)]
+    presented = [_presented_per_point(p, env.features[idx]) for p, idx in zip(points, chosen)]
     assert any(not np.array_equal(a, env.features[idx]) for a, idx in zip(presented, chosen))
     got = env._draw_at(points, [RngStream(1)], 16)
     expected = _strategic_draws_per_point(env, points, RngStream(1).generator(), 16)
@@ -563,9 +586,10 @@ class TestBestResponse:
         gen = RngStream(9).generator()
         x = gen.standard_normal(12)
         features = gen.standard_normal((40, 11))
-        batch = _best_response_many(x, features)
+        batch = features[None].copy()
+        _respond(batch, x[None])  # moves the agents in place
         for i in range(40):
-            assert np.allclose(batch[i], best_response(x, features[i]), atol=1e-12)
+            assert np.allclose(batch[0, i], best_response(x, features[i]), atol=1e-12)
 
 
 class TestStrategicEnv:
@@ -598,6 +622,35 @@ class TestStrategicEnv:
         assert inside == pytest.approx(math.log(2.0), abs=1e-5)
         assert outside == pytest.approx(math.log1p(math.exp(math.sqrt(2.0))), abs=1e-5)
         assert outside - inside > 0.5
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.sampled_from([0.0, 0.3, 1.0, 4.0]),
+        zero_weights=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_objective_is_the_per_agent_best_response_loss(self, seed, scale, zero_weights):
+        env = StrategicEnv.synthetic(seed % 97, count=60)
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal(12) * scale
+        x[-1] = gen.standard_normal()
+        if zero_weights:
+            x[:-1] = 0.0
+        try:
+            presented = np.array([best_response(x, xi) for xi in env.features])
+        except DegenerateClassifierError:
+            # raised exactly where some agent needs a move and no move helps
+            with pytest.raises(DegenerateClassifierError):
+                env.exact_objective(x)
+            return
+        got = env.exact_objective(x)
+        # a loop of (f,) @ (f,) scores rounds differently from the matvec
+        loop = float(_logistic_loss(presented @ x[:-1] + x[-1], env.labels).mean())
+        assert got == pytest.approx(loop, rel=1e-12, abs=0.0)
+        reference = _presented_per_point(x, env.features)
+        scores = reference @ x[:-1] + x[-1]
+        expected = float(_logistic_loss(scores, env.labels).mean())
+        assert np.array([got]).view(np.int64) == np.array([expected]).view(np.int64)
 
     def test_sampling_mean_matches_population_objective(self):
         env = StrategicEnv.synthetic(1, count=50)

@@ -62,6 +62,72 @@ step = 0.2
 """
 
 
+TUNED_PRICING = """\
+[environment]
+kind = pricing
+products = 4
+buyers = 30
+seed = 3
+
+[run]
+seeds = 0 1
+budget = 240
+eval_draws = 50
+
+[estimator.sphere]
+kind = sphere
+mu = 0.1
+directions = 2
+step = 0.01
+
+[estimator.one_point]
+kind = one_point
+mu = 0.1
+step = 0.001
+
+[tuning]
+enabled = true
+step = 0.001 0.01
+mu = 0.05 0.2
+directions = 1 4
+batch = 1 2
+trials = 2
+"""
+
+TUNED_STRATEGIC = """\
+[environment]
+kind = strategic
+dimension = 4
+agents = 60
+separation = 1.5
+seed = 2
+
+[run]
+seeds = 0 1
+budget = 240
+eval_draws = 50
+
+[estimator.sphere]
+kind = sphere
+mu = 0.2
+directions = 2
+step = 0.05
+
+[estimator.one_point]
+kind = one_point
+mu = 0.2
+step = 0.01
+
+[tuning]
+enabled = true
+step = 0.01 0.1
+mu = 0.1 0.4
+directions = 1 4
+batch = 1 2
+trials = 2
+"""
+
+
 @pytest.fixture()
 def good_config(tmp_path):
     path = tmp_path / "exp.ini"
@@ -229,6 +295,13 @@ step = 0.001
         ("[environment]\nkind = strategic\npopulation_file = /nonexistent/population.csv\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment] population_file"),
         ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0 0.001\nmu = 0.1", "[tuning] step"),
         ("[environment]\nkind = quadratic\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1\n[tuning]\nenabled = true\nstep = 0.001\nmu = 0.1 inf", "[tuning] mu"),
+        ("[environment]\nkind = quadratic\nprice_file = /nonexistent.csv\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment] unknown field(s): price_file"),
+        ("[environment]\nkind = quadratic\nbuyers = 50\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment] unknown field(s): buyers"),
+        ("[environment]\nkind = pricing\npopulation_file = nothing.csv\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment] unknown field(s): population_file"),
+        ("[environment]\nkind = pricing\ncurvature = 2\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment] unknown field(s): curvature"),
+        ("[environment]\nkind = quadratic\n[estimator.p]\nkind = sphere\nplan = grad\nepsilon = 0.3\n[tuning]\nenabled = true\nstep = 0.1\nmu = 0.1", "[estimator.p] plan"),
+        ("[environment]\nkind = quadratic\n[estimator.p]\nkind = sphere\nplan = grad\nepsilon = 0.3\ndirections = 4", "[estimator.p] directions"),
+        ("[environment]\nkind = quadratic\n[estimator.p]\nkind = coordinate\nplan = grad\nepsilon = 0.3\nbatch = 4", "[estimator.p] batch"),
     ])
     def test_rejected_configs(self, tmp_path, mutation, needle):
         with pytest.raises(ConfigError) as err:
@@ -468,6 +541,12 @@ trials = 2
         assert len(candidates) == 8
         assert all(c.plan_regime is None for c in candidates)
 
+    def test_planned_spec_has_no_candidates(self, tmp_path):
+        cfg = self._config(tmp_path, "[tuning]\nenabled = true\nstep = 0.1\nmu = 0.1\n")
+        spec = EstimatorSpec(name="p", kind="sphere", plan_regime="grad", plan_epsilon=0.3)
+        with pytest.raises(ValueError, match="'p' is planned"):
+            candidate_specs(spec, cfg.tuning)
+
     @pytest.mark.parametrize("kind", ["coordinate", "one_point"])
     def test_batch_knob_methods(self, tmp_path, kind):
         cfg = self._config(tmp_path, """\
@@ -622,6 +701,23 @@ epsilon = 0.25
         # digests of the single-estimate stream layout; any drift in a
         # random draw or a float of zodd run shows up here
         assert main(["run", "--config", str(DEMO_CONFIGS / name), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == results_sha
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
+
+    @pytest.mark.parametrize("text, results_sha, trace_sha", [
+        (TUNED_PRICING,
+         "28f25d17a6f8d2a36d286974597be7487289845a75cbb2ae2ed1e100adddf87d",
+         "fa8184a1f5a94e08ea413ff5144c08bda87b0744eb66b59e7101b30bcee315f0"),
+        (TUNED_STRATEGIC,
+         "58da9071e885f2445f499d263016e0691a987278d8d811ad4c5eb03f6a4d9e09",
+         "0574c88d0d1e5eb63e9c59e470ff2fc074438b9a36e1e4e82d9911c3b0cfb6f4"),
+    ], ids=["pricing", "strategic"])
+    def test_tuned_outputs_are_pinned(self, text, results_sha, trace_sha, tmp_path):
+        # tuning scores candidates by the exact objective, so these digests
+        # hold the closed forms to the samplers' arithmetic as well
+        path = tmp_path / "tuned.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == results_sha
         assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
 

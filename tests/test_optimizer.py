@@ -1,6 +1,7 @@
 """Parameter planner and descent loop."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestRunDescent:
         plan = self._plan(iterations=12)
         _, trace = run_descent(np.ones(3), plan, env, RngStream(1))
         assert len(trace.iterates) == 13
-        assert len(trace.estimates) == 12
+        assert len(trace.gradients) == 12
         assert len(trace.samples_cumulative) == 13
         assert trace.samples_cumulative[0] == 0
         assert trace.samples_cumulative[-1] == 12 * plan.samples_per_iteration(3)
@@ -203,8 +204,26 @@ class TestRunDescent:
         # every iterate, estimate gradient and x_bar, bit for bit: any drift
         # in a draw, the update or the output pick changes the digest
         x_bar, trace = run_descent(x0, plan, make_env(), RngStream(seed))
-        blob = np.concatenate(trace.iterates + [e.gradient for e in trace.estimates] + [x_bar])
+        blob = np.concatenate(trace.iterates + trace.gradients + [x_bar])
         assert hashlib.sha256(blob.tobytes()).hexdigest() == digest
+
+    def test_full_trace_keeps_gradients_not_probe_arrays(self):
+        # 40 steps of N = 2000 directions at d = 10 draw 7.7 MB of directions
+        # and probe values; a thin=1 trace keeps only the (d,) gradients
+        env = QuadraticEnv.isotropic(10, sigma=1.0)
+        plan = ParameterPlan("sphere", "grad", mu=0.1, directions=2000, batch=1,
+                             step=0.25, iterations=40)
+        run_descent(np.ones(10), self._plan(kind="sphere", iterations=1), env, RngStream(2))
+        tracemalloc.start()  # after a warm-up, so modules numpy imports lazily do not count
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, trace = run_descent(np.ones(10), plan, env, RngStream(3))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.gradients) == 40
+        assert all(g.shape == (10,) for g in trace.gradients)
+        assert kept < 1 << 20
 
     def test_thinning(self):
         env = QuadraticEnv.isotropic(3, sigma=0.5)
@@ -212,7 +231,7 @@ class TestRunDescent:
         _, trace = run_descent(np.ones(3), plan, env, RngStream(1), thin=5)
         # stored: x_0 plus iterates 5, 10, and the final 12
         assert len(trace.iterates) == 4
-        assert trace.estimates == []
+        assert trace.gradients == []
         assert len(trace.grad_norm_sq) == 4
 
     def test_divergence_raises_with_partial_trace(self):
