@@ -19,10 +19,18 @@ draw is counted by a :class:`BudgetCounter`; when a hard budget is set, a
 draw that would exceed it raises :class:`BudgetExhaustedError` before any
 state is consumed.  One ``sample_at`` call may serve many independent
 streams at once, one per block of points, each block drawn as if alone.
+
+Points are read in chunks of at most :data:`CHUNK_VALUES` coordinates
+through :func:`point_chunks`: views of a plain (k, d) array, or the blocks
+of a :class:`ProbePoints`, which builds an estimator call's probe points
+chunk by chunk instead of holding them all.  Every row's arithmetic is
+independent of the rows around it, so the chunk size is not part of the
+stream layout and changes no number; random draws never go by chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from abc import ABC, abstractmethod
@@ -35,6 +43,11 @@ from numpy.typing import NDArray
 Vector = NDArray[np.float64]
 
 _MASK64 = (1 << 64) - 1
+
+# the most float64 coordinates of points built or read at once (1 MiB), so
+# that a chunk's (rows, d) temporaries stay in cache; not part of the stream
+# layout
+CHUNK_VALUES = 1 << 17
 
 
 def as_point(x, dimension: int | None = None) -> Vector:
@@ -70,8 +83,7 @@ class RngStream:
         object.__setattr__(self, "stream", int(self.stream) & _MASK64)
 
     def generator(self) -> np.random.Generator:
-        key = (self.stream << 64) | self.seed
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_stream_key_type()(self)))
 
     def child(self, *labels: int | str) -> "RngStream":
         h = hashlib.blake2b(digest_size=8)
@@ -99,6 +111,30 @@ def distinct_children(streams, *labels: int | str) -> list[RngStream]:
             child = made[stream] = stream.child(*labels)
         out.append(child)
     return out
+
+
+@functools.cache
+def _stream_key_type() -> type:
+    """The seed sequence that gives Philox a stream's key, made on first use.
+
+    Its instances seed a Philox with the key ``[seed, stream]`` and a zero
+    counter, the state ``Philox(key=(stream << 64) | seed)`` starts in; but
+    numpy reads OS entropy for a seed whenever none is given, even one that
+    ``key`` then overwrites, and this skips that read.  The type is made
+    lazily because its base class would import ``numpy.random`` with zodd.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamKey(ISeedSequence):
+        def __init__(self, stream: RngStream):
+            self._key = np.array([stream.seed, stream.stream], np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a stream key is exactly two 64-bit words")
+            return self._key
+
+    return StreamKey
 
 
 def _start_state(stream: RngStream) -> dict:
@@ -144,6 +180,92 @@ def draw_blocks(streams: list[RngStream], k: int, draw, axis: int = 0) -> Vector
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
+class ProbePoints:
+    """The probe points of one estimator call, built a chunk at a time.
+
+    Row r of the (R, d) ``base`` owns P consecutive points: x_r + mu_r v
+    for each of its N directions, then, when ``two_sided``, x_r - mu_r v,
+    so P is 2N or N.  ``radius`` is (R, 1) and ``dirs`` is (R, N, d), or
+    (1, N, d) when every row shares its directions.  Only :func:`point_chunks`
+    reads the points.  A chunk holds at most :func:`chunk_rows` points:
+    several whole rows when one row's P points fit, and otherwise a
+    consecutive piece of one row's forward half or of its backward half.
+    Each point is the same elementwise ``base + radius * dir`` (or ``-``) it
+    would be in the whole (R, P, d) array.  A call that fits in one chunk
+    builds it once and keeps it.
+    """
+
+    def __init__(self, base: Vector, radius: Vector, dirs: Vector, two_sided: bool):
+        self._base = base
+        self._radius = radius
+        self._dirs = dirs
+        ops = (np.add, np.subtract) if two_sided else (np.add,)
+        rows, d = base.shape
+        n = dirs.shape[1]
+        per_row = len(ops) * n
+        self.shape = (rows * per_row, d)
+        size = chunk_rows(d)
+        if per_row <= size:
+            step = size // per_row
+            self._spans = [(r, min(r + step, rows), 0, n, ops) for r in range(0, rows, step)]
+        else:
+            self._spans = [(r, r + 1, a, min(a + size, n), (op,))
+                           for r in range(rows) for op in ops for a in range(0, n, size)]
+        self._whole = None
+
+    def _build(self, r0, r1, a, b, ops) -> Vector:
+        """Points of rows r0..r1-1 and directions a..b-1, one block per op.
+
+        A single op writes its points over the offsets, so a piece of one
+        half needs no second array.
+        """
+        dirs = self._dirs[:, a:b] if self._dirs.shape[0] == 1 else self._dirs[r0:r1, a:b]
+        base = self._base[r0:r1, None, :]
+        offsets = self._radius[r0:r1, :, None] * dirs
+        if len(ops) == 1:
+            return ops[0](base, offsets, out=offsets).reshape(-1, self.shape[1])
+        m = b - a
+        out = np.empty((r1 - r0, 2 * m, self.shape[1]))
+        for i, op in enumerate(ops):
+            op(base, offsets, out=out[:, i * m:(i + 1) * m])
+        return out.reshape(-1, self.shape[1])
+
+    def chunks(self):
+        """Yield ``(lo, hi, block)``: points lo..hi-1 as a (hi - lo, d) array."""
+        if self._whole is not None:
+            yield 0, self.shape[0], self._whole
+            return
+        lo = 0
+        for span in self._spans:
+            block = self._build(*span)
+            if len(self._spans) == 1:
+                self._whole = block
+            yield lo, lo + block.shape[0], block
+            lo += block.shape[0]
+
+
+def point_chunks(points):
+    """Yield ``(lo, hi, block)`` over the rows of ``points``, in order.
+
+    ``block`` holds rows lo..hi-1, at most :func:`chunk_rows` of them: a
+    view of a (k, d) array, or a built block of a :class:`ProbePoints`.  An
+    array with no rows yields one empty block.
+    """
+    if isinstance(points, ProbePoints):
+        yield from points.chunks()
+        return
+    points = np.asarray(points, dtype=np.float64)
+    size = chunk_rows(points.shape[1])
+    for lo in range(0, max(points.shape[0], 1), size):
+        block = points[lo:lo + size]
+        yield lo, lo + block.shape[0], block
+
+
+def chunk_rows(d: int) -> int:
+    """Points of dimension d in one chunk: :data:`CHUNK_VALUES` // d, at least 1."""
+    return max(1, CHUNK_VALUES // max(d, 1))
+
+
 def row_norms(X) -> Vector:
     """Euclidean norm of every row of X, each bit-equal to ``np.linalg.norm(row)``.
 
@@ -159,14 +281,19 @@ def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
     u = gen.standard_normal((n, d))
-    norms = np.linalg.norm(u, axis=1)
+    norms = _chunked_norms(u)
     # a zero draw has probability zero; redraw defensively rather than divide by it
     while np.any(norms == 0.0):
         bad = norms == 0.0
         u[bad] = gen.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(u, axis=1)
+        norms = _chunked_norms(u)
     u /= norms[:, None]
     return u
+
+
+def _chunked_norms(u) -> Vector:
+    """``np.linalg.norm(u, axis=1)``, whose per-row sums round alike in any chunk."""
+    return np.concatenate([np.linalg.norm(block, axis=1) for _, _, block in point_chunks(u)])
 
 
 def gaussian_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
@@ -238,14 +365,16 @@ class SampleOracle(ABC):
         """Dimension of the decision vector."""
 
     @abstractmethod
-    def _draw_at(self, points: Vector, streams: list[RngStream], replicates: int) -> Vector:
+    def _draw_at(self, points, streams: list[RngStream], replicates: int) -> Vector:
         """Return a (replicates, k) array of draws for the (k, d) points.
 
-        ``streams`` holds G RngStreams for G equal contiguous blocks of the
-        points; block g must be drawn from a generator at the start of
-        ``streams[g]`` exactly as a call with that block alone would draw it.
-        :func:`draw_blocks` does the splitting, so the deterministic work can
-        run once over all k points.
+        ``points`` is a (k, d) array or a :class:`ProbePoints`; read its
+        rows through :func:`point_chunks`.  ``streams`` holds G RngStreams
+        for G equal contiguous blocks of the points; block g must be drawn
+        from a generator at the start of ``streams[g]`` exactly as a call
+        with that block alone would draw it.  :func:`draw_blocks` does the
+        splitting, so the random part is drawn per stream block while the
+        deterministic work runs over the chunks of all k points.
         """
 
     def sample_at(self, points, rng, replicates: int = 1) -> Vector:
@@ -255,7 +384,8 @@ class SampleOracle(ABC):
         of G RngStreams: the points then split into G equal contiguous
         blocks, and block g is drawn exactly as ``sample_at(block_g, rng[g],
         replicates)`` would draw it.  A stream may repeat; each of its blocks
-        starts from the beginning of the stream.
+        starts from the beginning of the stream.  ``points`` may also be a
+        :class:`ProbePoints`, which the estimator kernel passes.
 
         All draws are independent across points and replicates; the budget
         is charged atomically, so either the whole batch is counted or an
@@ -267,14 +397,17 @@ class SampleOracle(ABC):
             streams = list(rng)
         else:
             raise TypeError("rng must be an RngStream or a sequence of RngStreams")
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
+        if isinstance(points, ProbePoints):
+            pts = points
+        else:
+            pts = np.asarray(points, dtype=np.float64)
+            if pts.ndim == 1:
+                pts = pts[None, :]
+        if len(pts.shape) != 2 or pts.shape[1] != self.dimension:
             raise ValueError(f"points must be (k, {self.dimension}), got {pts.shape}")
         if replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not np.all(np.isfinite(pts)):
+        if not all(np.isfinite(block).all() for _, _, block in point_chunks(pts)):
             raise ValueError("points have non-finite entries")
         if not streams or pts.shape[0] % len(streams):
             raise ValueError(

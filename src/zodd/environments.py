@@ -30,11 +30,15 @@ import math
 
 import numpy as np
 
-from .core import RngStream, SampleOracle, Vector, as_point, draw_blocks, row_norms
-
-# rows per block of the diagonal quadratic form; blocks keep the (rows, d)
-# temporary in cache, and any size gives the same bits
-QUADRATIC_BLOCK_ROWS = 8192
+from .core import (
+    RngStream,
+    SampleOracle,
+    Vector,
+    as_point,
+    draw_blocks,
+    point_chunks,
+    row_norms,
+)
 
 
 class UnsupportedEnvironmentError(RuntimeError):
@@ -100,10 +104,11 @@ class QuadraticEnv(Environment):
     constant is zero), and the sampling noise is exactly sigma.
 
     When A is exactly diagonal (every built environment's A = cI is), the
-    quadratic form x'Ax takes an O(k d) path over blocks of
-    ``QUADRATIC_BLOCK_ROWS`` points instead of the O(k d^2) einsum; on
-    finite points it is bit-equal to the einsum, so the block size is not
-    part of the stream layout.
+    quadratic form x'Ax takes an O(k d) path instead of the O(k d^2)
+    einsum; on finite points it is bit-equal to the einsum.  Each point's
+    value is computed alone (the linear term as a stacked (1, d) @ (d, 1)
+    product, the same dot as ``b @ x``), so it does not depend on which
+    points share the call, and the points go by :func:`point_chunks`.
     """
 
     supports_exact_objective = True
@@ -172,12 +177,15 @@ class QuadraticEnv(Environment):
         return float(0.5 * x @ self.A @ x + self.b @ x)
 
     def exact_objective_at(self, points) -> Vector:
-        pts = np.asarray(points, dtype=np.float64)
+        return np.concatenate([self._objective_block(block)
+                               for _, _, block in point_chunks(points)])
+
+    def _objective_block(self, pts) -> Vector:
         if self._diag is None:
             quad = np.einsum("ki,ij,kj->k", pts, self.A, pts)
         else:
             quad = _diagonal_form(pts, self._diag)
-        return 0.5 * quad + pts @ self.b
+        return 0.5 * quad + np.matmul(pts[:, None, :], self.b[:, None])[:, 0, 0]
 
     def gradient(self, x) -> Vector:
         x = as_point(x, self.dimension)
@@ -201,15 +209,11 @@ def _diagonal_form(pts, diag) -> Vector:
     ``einsum("ki,ij,kj->k")`` adds up once its zero off-diagonal terms drop
     out; ``sum(axis=1)`` and a two-operand einsum round differently.
     """
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], QUADRATIC_BLOCK_ROWS):
-        block = pts[lo:lo + QUADRATIC_BLOCK_ROWS]
-        sq = block * diag
-        sq *= block
-        acc = out[lo:lo + QUADRATIC_BLOCK_ROWS]
-        acc[:] = sq[:, 0]
-        for i in range(1, sq.shape[1]):
-            acc += sq[:, i]
+    sq = pts * diag
+    sq *= pts
+    out = sq[:, 0].copy()
+    for i in range(1, sq.shape[1]):
+        out += sq[:, i]
     return out
 
 
@@ -327,7 +331,8 @@ class PricingEnv(Environment):
         return _item_restock_cost(counts, self.lower, self.upper, self.slope).sum(axis=-1)
 
     def _draw_at(self, points, streams, replicates):
-        probs = self._probabilities_at(points)
+        probs = np.concatenate([self._probabilities_at(block)
+                                for _, _, block in point_chunks(points)])
         # point-major, as one call of size=replicates per point would draw
         counts = draw_blocks(
             streams, points.shape[0],
@@ -336,7 +341,8 @@ class PricingEnv(Environment):
             ),
         )
         demand = counts[..., :-1]
-        revenue = np.matmul(demand, points[:, :, None])[..., 0]
+        revenue = np.concatenate([np.matmul(demand[lo:hi], block[:, :, None])[..., 0]
+                                  for lo, hi, block in point_chunks(points)])
         return np.ascontiguousarray((self.restock_cost(demand) - revenue).T)
 
     def _binomial_pmf(self, item_probs) -> Vector:
@@ -552,5 +558,9 @@ class StrategicEnv(Environment):
             streams, points.shape[0],
             lambda gen, lo, hi: gen.integers(0, self.population_size, size=(hi - lo, replicates)),
         )
-        scores = _respond(self.features[chosen], points)
-        return np.ascontiguousarray(_logistic_loss(scores, self.labels[chosen]).T)
+        losses = []
+        for lo, hi, block in point_chunks(points):
+            picked = chosen[lo:hi]
+            scores = _respond(self.features[picked], block)
+            losses.append(_logistic_loss(scores, self.labels[picked]))
+        return np.ascontiguousarray(np.concatenate(losses).T)

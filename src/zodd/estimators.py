@@ -33,9 +33,13 @@ One kernel computes every estimate.  :func:`estimate_gradients` runs it on
 R base points at once, the rows of an (R, d) array: the R * N directions
 come from one draw on the call's ``directions`` child stream, and all probe
 points go to the oracle in one ``sample_at`` call on its ``draws`` child
-stream.  :func:`estimate_gradient` is its R = 1 case and selects the
-estimator by ``cfg.kind``; directions exist only as rows of these (N, d)
-arrays.
+stream.  The probe points are built in chunks of at most
+:data:`~zodd.core.CHUNK_VALUES` coordinates (see
+:class:`~zodd.core.ProbePoints`), so an estimate holds its (N, d)
+directions, its O(2N * batch) sample values and one chunk of points; the
+chunking changes no number.
+:func:`estimate_gradient` is its R = 1 case and selects the estimator by
+``cfg.kind``; directions exist only as rows of these (N, d) arrays.
 
 The descent loop, :func:`zodd.optimizer.lockstep_descent`, calls the kernel
 with one stream *per row* instead: R lockstep chains, each with its own
@@ -53,6 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ProbePoints,
     RngStream,
     SampleOracle,
     Vector,
@@ -186,10 +191,12 @@ def _kernel(
     each row its own probe radius, an (R,) array; the default is ``cfg.mu``.
 
     All R * (2N or N) probe points go to the oracle in one ``sample_at``
-    call, so the budget is charged once for the whole call.  Returns the
-    gradients, the directions (R or 1, N, d), and the forward and backward
-    sample values as (batch, R, N) arrays (backward is None for
-    ``one_point``).
+    call, so the budget is charged once for the whole call.  They go as a
+    :class:`~zodd.core.ProbePoints`, built a chunk at a time, so the call
+    holds the directions, the sample values and one chunk of points, never
+    the whole (R, 2N, d) probe array.  Returns the gradients, the
+    directions (R or 1, N, d), and the forward and backward sample values
+    as (batch, R, N) arrays (backward is None for ``one_point``).
     """
     rows, d = X.shape
     if isinstance(rng, RngStream):
@@ -199,17 +206,8 @@ def _kernel(
         dirs, draws = _streams_per_row(cfg, d, rng)
     n = dirs.shape[1]
     radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
-    base = X[:, None, :]
-    offsets = radius[:, :, None] * dirs
-    if cfg.kind == "one_point":
-        probes = base + offsets
-    else:
-        probes = np.empty((rows, 2 * n, d))
-        np.add(base, offsets, out=probes[:, :n])
-        np.subtract(base, offsets, out=probes[:, n:])
-    values = oracle.sample_at(
-        probes.reshape(-1, d), draws, replicates=cfg.batch
-    ).reshape(cfg.batch, rows, -1)
+    probes = ProbePoints(X, radius, dirs, two_sided=cfg.kind != "one_point")
+    values = oracle.sample_at(probes, draws, replicates=cfg.batch).reshape(cfg.batch, rows, -1)
     if cfg.kind == "one_point":
         forward, backward = values, None
         coeffs = values.mean(axis=0) / (2.0 * radius)

@@ -6,8 +6,9 @@ Three subcommands:
             ``results.csv`` plus ``trace.csv`` into the output directory.
 ``verify``  replay one statistical check suite (or all of them) and write
             ``verify_report.txt``; exits nonzero when a check fails.
-``plan``    print the parameter schedule and sample-complexity order for a
-            target accuracy.
+``plan``    print the parameter schedule, the sample-complexity order and
+            the bytes of one estimate's direction matrix for a target
+            accuracy.
 
 Exit codes: 0 success, 1 verification failure or diverged-only results,
 2 invalid configuration or arguments.  Divergence of individual rows is
@@ -138,6 +139,7 @@ def _cmd_plan(args) -> int:
         ("dimension", str(d)),
         ("probe radius mu", repr(plan.mu)),
         ("directions N", str(plan.directions)),
+        ("direction matrix bytes", str(plan.directions * d * 8)),
         ("batch m", str(plan.batch)),
         ("step eta", repr(plan.step)),
         ("iterations T", str(plan.iterations)),

@@ -10,10 +10,10 @@ each step makes one estimator call and one oracle call for the whole group.
 Grouping never changes a draw: every chain draws from its own stream exactly
 what it would draw alone, so results do not depend on which chains share a
 group, and the CSVs are byte-identical to one-chain-at-a-time runs.  A group
-holds at most ``max(1, GROUP_DRAWS // cost)`` chains, so the probe array of
-one of its steps is never larger than one chain's or 2^14 draws, whichever is
-larger; a chain's trace row for the step is the probe mean the descent step
-reports.  A diverged chain leaves its group; the others go on.
+holds at most ``max(1, GROUP_DRAWS // cost)`` chains, so the sample values
+of one of its steps are never more than one chain's or 2^14 draws, whichever
+is larger; a chain's trace row for the step is the probe mean the descent
+step reports.  A diverged chain leaves its group; the others go on.
 
 Timing is off by default because it would break byte-identity; ``[run]
 timing = true`` fills the wall-time column with the wall time of the row's

@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zodd.core import (
+    CHUNK_VALUES,
     BudgetCounter,
     BudgetExhaustedError,
     RngStream,
     SampleOracle,
     as_point,
+    chunk_rows,
     distinct_children,
     draw_blocks,
     gaussian_matrix,
+    point_chunks,
     row_norms,
     sphere_matrix,
     stream_generators,
@@ -69,6 +72,21 @@ class TestRngStream:
         a = RngStream(seed).child("p").generator().integers(0, 1000, 4)
         b = RngStream(seed).child("p").generator().integers(0, 1000, 4)
         assert np.array_equal(a, b)
+
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+           stream=st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_generator_is_philox_keyed_by_the_stream(self, seed, stream):
+        # built without reading OS entropy, it starts where Philox(key=...) does
+        ours = RngStream(seed, stream).generator()
+        theirs = np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
+        a, b = ours.bit_generator.state, theirs.bit_generator.state
+        assert np.array_equal(a["state"]["key"], b["state"]["key"])
+        assert np.array_equal(a["state"]["counter"], b["state"]["counter"])
+        assert np.array_equal(ours.standard_normal(7), theirs.standard_normal(7))
+        assert np.array_equal(ours.integers(0, 2**62, 5), theirs.integers(0, 2**62, 5))
+        assert np.array_equal(ours.multinomial(20, [0.2, 0.5, 0.3], size=3),
+                              theirs.multinomial(20, [0.2, 0.5, 0.3], size=3))
 
 
 class TestDirections:
@@ -341,3 +359,36 @@ class TestStreamHelpers:
     def test_row_norms_equal_norm_of_each_row(self, rows, d, scale, seed):
         X = scale * RngStream(seed).generator().standard_normal((rows, d))
         assert np.array_equal(row_norms(X), [np.linalg.norm(x) for x in X])
+
+
+class TestPointChunks:
+    def test_a_chunk_holds_at_most_chunk_values_coordinates(self):
+        assert [chunk_rows(d) for d in (1, 5, 16, 3 * CHUNK_VALUES)] == [
+            CHUNK_VALUES, CHUNK_VALUES // 5, CHUNK_VALUES // 16, 1]
+
+    def test_array_chunks_are_consecutive_views(self):
+        size = chunk_rows(2)
+        X = np.arange((2 * size + 5) * 2, dtype=np.float64).reshape(-1, 2)
+        chunks = list(point_chunks(X))
+        assert [(lo, hi) for lo, hi, _ in chunks] == [
+            (0, size), (size, 2 * size), (2 * size, 2 * size + 5)]
+        for lo, hi, block in chunks:
+            assert np.shares_memory(block, X) and np.array_equal(block, X[lo:hi])
+
+    def test_no_rows_is_one_empty_chunk(self):
+        (lo, hi, block), = point_chunks(np.zeros((0, 3)))
+        assert (lo, hi) == (0, 0) and block.shape == (0, 3)
+
+    @given(
+        d=st.integers(min_value=1, max_value=64),
+        chunks=st.floats(min_value=0.0, max_value=2.5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_sphere_matrix_normalizes_as_one_array(self, d, chunks, seed):
+        # the norms are taken chunk by chunk; each row's norm rounds alike
+        n = int(chunks * chunk_rows(d))
+        u = RngStream(seed).generator().standard_normal((n, d))
+        expected = u / np.linalg.norm(u, axis=1)[:, None]
+        got = sphere_matrix(RngStream(seed).generator(), d, n)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))

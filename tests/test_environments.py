@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zodd.core import BudgetExhaustedError, RngStream
+from zodd.core import BudgetExhaustedError, RngStream, chunk_rows
 from zodd.environments import (
     DegenerateClassifierError,
     Environment,
@@ -24,7 +24,6 @@ from zodd.environments import (
     save_prices,
 )
 from zodd.environments import (
-    QUADRATIC_BLOCK_ROWS,
     _diagonal_form,
     _logistic_loss,
     _respond,
@@ -135,8 +134,13 @@ class TestQuadraticEnv:
 
 
 def _einsum_objective(env, pts):
-    """The general form of QuadraticEnv.exact_objective_at, for any A."""
-    return 0.5 * np.einsum("ki,ij,kj->k", pts, env.A, pts) + pts @ env.b
+    """The general form of QuadraticEnv.exact_objective_at, for any A.
+
+    The linear term is one (1, d) @ (d, 1) product per point, the dot of
+    ``b @ x``; a (k, d) @ (d,) matvec rounds a row by its position.
+    """
+    linear = np.array([env.b @ p for p in pts]).reshape(-1)
+    return 0.5 * np.einsum("ki,ij,kj->k", pts, env.A, pts) + linear
 
 
 def _quadratic_points(seed, k, d):
@@ -158,12 +162,13 @@ _DIAGONAL_ENTRY = st.one_of(
 class TestQuadraticFastPath:
     @given(
         diag=st.lists(_DIAGONAL_ENTRY, min_size=1, max_size=64),
-        k=st.integers(min_value=0, max_value=3 * QUADRATIC_BLOCK_ROWS),
+        chunks=st.floats(min_value=0.0, max_value=2.5),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_diagonal_form_is_bit_equal_to_the_einsum(self, diag, k, seed):
+    def test_diagonal_form_is_bit_equal_to_the_einsum(self, diag, chunks, seed):
         d = len(diag)
+        k = int(chunks * chunk_rows(d))
         pts = _quadratic_points(seed, k, d)
         b = RngStream(seed).child("b").generator().uniform(-2, 2, d)
         env = QuadraticEnv(np.diag(diag), b, sigma=0.0)
@@ -190,6 +195,35 @@ class TestQuadraticFastPath:
         pts = _quadratic_points(seed, k, d)
         assert np.array_equal(env.exact_objective_at(pts).view(np.int64),
                               _einsum_objective(env, pts).view(np.int64))
+
+    @given(
+        d=st.integers(min_value=1, max_value=64),
+        diagonal=st.booleans(),
+        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_calls_concatenate_to_the_whole_call(self, d, diagonal, cuts, seed):
+        # every point's value is computed alone, so any consecutive split,
+        # 1-row pieces included, gives the whole call's bits
+        gen = RngStream(seed).child("split").generator()
+        if diagonal:
+            A = np.diag(gen.uniform(0.1, 3.0, d))
+        else:
+            M = gen.standard_normal((d, d))
+            A = (M @ M.T) / d + np.eye(d)
+            A = (A + A.T) / 2
+        env = QuadraticEnv(A, gen.uniform(-1, 1, d) + 0.37, sigma=0.0)
+        assert (env._diag is not None) == (diagonal or d == 1)
+        pts = _quadratic_points(seed, 60, d)
+        bounds = [0, *sorted(cuts), 60]
+        pieces = [env.exact_objective_at(pts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        pieces += [env.exact_objective_at(pts[i:i + 1]) for i in range(3)]
+        whole = env.exact_objective_at(pts)
+        split = np.concatenate(pieces[:-3])
+        assert np.array_equal(split.view(np.int64), whole.view(np.int64))
+        assert np.array_equal(np.concatenate(pieces[-3:]).view(np.int64),
+                              whole[:3].view(np.int64))
 
     def test_negative_zero_entries_give_the_einsum_bits(self):
         # -0.0 off the diagonal still counts as diagonal; a -0.0 diagonal

@@ -1,22 +1,30 @@
 """Gradient estimators: cost accounting, exactness, and error bounds."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zodd.core
 from zodd.core import (
     BudgetExhaustedError,
     RngStream,
     SampleOracle,
+    chunk_rows,
     gaussian_matrix,
+    point_chunks,
     sphere_matrix,
 )
-from zodd.environments import QuadraticEnv
+from zodd.environments import PricingEnv, QuadraticEnv, StrategicEnv
 from zodd.estimators import (
     ESTIMATOR_KINDS,
     EstimatorConfig,
+    _draw_directions,
     _kernel,
+    _streams_per_row,
     estimate_gradient,
     estimate_gradients,
     mse_upper_bound,
@@ -36,7 +44,8 @@ class _RecordingOracle(SampleOracle):
         return self._d
 
     def _draw_at(self, points, streams, replicates):
-        self.batches.append((points.copy(), replicates))
+        points = np.concatenate([block for _, _, block in point_chunks(points)])
+        self.batches.append((points, replicates))
         return np.tile(0.5 * (points**2).sum(axis=1), (replicates, 1))
 
 
@@ -362,3 +371,149 @@ class TestBatchedKernel:
             estimate_gradients(np.zeros((2, 4)), cfg, env, RngStream(0))
         with pytest.raises(ValueError):
             estimate_gradients(np.full((2, 3), np.nan), cfg, env, RngStream(0))
+
+
+def _whole_array_kernel(X, cfg, oracle, rng, mu=None):
+    """The kernel as it stood before probe chunking: every probe point in
+    one (R, 2N or N, d) array and one plain-array ``sample_at`` call, with
+    chunks too large to split anything, the oracle's arithmetic included."""
+    with mock.patch.object(zodd.core, "CHUNK_VALUES", 1 << 62):
+        return _unchunked_kernel(X, cfg, oracle, rng, mu)
+
+
+def _unchunked_kernel(X, cfg, oracle, rng, mu):
+    rows, d = X.shape
+    if isinstance(rng, RngStream):
+        dirs = _draw_directions(cfg, d, rows, [rng])
+        draws = rng.child("draws")
+    else:
+        dirs, draws = _streams_per_row(cfg, d, rng)
+    n = dirs.shape[1]
+    radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
+    base = X[:, None, :]
+    offsets = radius[:, :, None] * dirs
+    if cfg.kind == "one_point":
+        probes = base + offsets
+    else:
+        probes = np.empty((rows, 2 * n, d))
+        np.add(base, offsets, out=probes[:, :n])
+        np.subtract(base, offsets, out=probes[:, n:])
+    values = oracle.sample_at(
+        probes.reshape(-1, d), draws, replicates=cfg.batch
+    ).reshape(cfg.batch, rows, -1)
+    if cfg.kind == "one_point":
+        forward, backward = values, None
+        coeffs = values.mean(axis=0) / (2.0 * radius)
+    else:
+        forward, backward = values[:, :, :n], values[:, :, n:]
+        coeffs = (forward - backward).mean(axis=0) / (2.0 * radius)
+    if cfg.kind == "gaussian":
+        scale = 1.0 / cfg.directions
+    elif cfg.kind == "coordinate":
+        scale = 1.0
+    else:
+        scale = d / cfg.directions
+    gradients = scale * np.matmul(coeffs[:, None, :], dirs)[:, 0, :]
+    return gradients, dirs, forward, backward
+
+
+_CHUNKED_ENVS = {
+    "quadratic": lambda: QuadraticEnv(np.diag([1.0, 2.5, 0.5]), [0.3, -1.0, 0.7], 0.6),
+    "pricing": lambda: PricingEnv.synthetic(5, n=3, buyers=6),
+    "strategic": lambda: StrategicEnv.synthetic(6, count=40),
+}
+
+
+def _same_bits(a, b):
+    return a is None and b is None or np.array_equal(
+        np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestChunkedProbes:
+    @given(
+        kind=st.sampled_from(ESTIMATOR_KINDS),
+        env_name=st.sampled_from(sorted(_CHUNKED_ENVS)),
+        rows=st.integers(min_value=1, max_value=8),
+        chunks=st.integers(min_value=1, max_value=3),
+        fill=st.floats(min_value=0.05, max_value=1.0),
+        batch=st.sampled_from([1, 3]),
+        per_row=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # one row's probes split into pieces of each half, for every environment
+    @example("sphere", "pricing", 1, 3, 1.0, 3, False, 11)
+    @example("gaussian", "strategic", 2, 3, 0.9, 1, True, 12)
+    @example("one_point", "quadratic", 1, 2, 0.7, 3, True, 13)
+    @example("sphere", "quadratic", 3, 3, 1.0, 1, True, 14)
+    @settings(max_examples=40, deadline=None)
+    def test_streamed_kernel_is_the_whole_array_kernel(
+        self, kind, env_name, rows, chunks, fill, batch, per_row, seed
+    ):
+        # the probes reach the oracle in chunks of at most chunk_rows(d)
+        # points, never as one array; every draw, value and charge is unchanged
+        streamed_env, whole_env = _CHUNKED_ENVS[env_name](), _CHUNKED_ENVS[env_name]()
+        d = streamed_env.dimension
+        sides = 1 if kind == "one_point" else 2
+        target = (chunks - 1 + fill) * chunk_rows(d)
+        n = max(1, int(target // (rows * sides)))
+        cfg = EstimatorConfig(kind, mu=0.05, directions=n, batch=batch)
+        gen = RngStream(seed).child("points").generator()
+        X = gen.uniform(0.2, 1.2, (rows, d))
+        if per_row:
+            # one stream per row, with repeats, and a radius per row
+            rng = [RngStream(seed).child("row", r % 3) for r in range(rows)]
+            mu = gen.uniform(0.01, 0.2, rows)
+        else:
+            rng, mu = RngStream(seed), None
+        streamed = _kernel(X, cfg, streamed_env, rng, mu)
+        whole = _whole_array_kernel(X, cfg, whole_env, rng, mu)
+        for got, expected in zip(streamed, whole):
+            assert _same_bits(got, expected)
+        assert streamed_env.budget.consumed == whole_env.budget.consumed
+
+    def test_a_planned_estimate_is_built_in_pieces_of_each_half(self):
+        # N = 65,536 two-sided probes are 2^17 points: at d = 16 a chunk is
+        # 8,192 points, so each half goes in 8 pieces
+        env = QuadraticEnv.isotropic(16, sigma=0.5)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=65_536)
+        X = np.linspace(-1.0, 1.0, 16)[None, :]
+        seen = []
+
+        class Spy(QuadraticEnv):
+            def _draw_at(self, points, streams, replicates):
+                seen.extend((lo, hi) for lo, hi, _ in point_chunks(points))
+                return super()._draw_at(points, streams, replicates)
+
+        spy = Spy(env.A, env.b, env.sigma)
+        streamed = _kernel(X, cfg, spy, RngStream(4))
+        whole = _whole_array_kernel(X, cfg, env, RngStream(4))
+        size = chunk_rows(16)
+        assert size == 8192
+        assert seen == [(lo, lo + size) for lo in range(0, 2**17, size)]
+        assert _same_bits(streamed[0], whole[0])
+
+    def test_a_planned_estimate_keeps_its_directions_not_its_probes(self):
+        # the (2N, d) probe array and its offsets copy are never built: the
+        # directions (8 MiB) plus sample values and one chunk stay under
+        # 20 MiB, where the whole-array kernel peaks near 37 MiB
+        env = QuadraticEnv.isotropic(16, sigma=0.75)
+        cfg = EstimatorConfig("sphere", mu=0.05, directions=65_536)
+        x = np.linspace(-1.0, 1.0, 16)
+        estimate_gradient(x, cfg, env, RngStream(0))
+        tracemalloc.start()
+        try:
+            estimate_gradient(x, cfg, env, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_an_overflowing_probe_raises_before_any_charge(self, kind):
+        env = QuadraticEnv.isotropic(3, sigma=0.5, budget=10**6)
+        cfg = EstimatorConfig(kind, mu=1e308, directions=4)
+        x = np.array([1e308, -1e308, 1.0])
+        # the overflow is the point of the test; its RuntimeWarning is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            estimate_gradient(x, cfg, env, RngStream(0))
+        assert env.budget.consumed == 0

@@ -127,6 +127,26 @@ batch = 1 2
 trials = 2
 """
 
+# the planner sizes this sphere estimator at N = 16^2 / 0.25^4 = 65,536, so
+# every estimate's 131,072 probe points reach the oracle in 16 chunks
+PLANNED_WIDE = """\
+[environment]
+kind = quadratic
+dimension = 16
+sigma = 0.75
+
+[run]
+seeds = 3 4
+budget = 400000
+eval_draws = 200
+x0 = 1.0
+
+[estimator.planned]
+kind = sphere
+plan = grad
+epsilon = 0.25
+"""
+
 
 @pytest.fixture()
 def good_config(tmp_path):
@@ -721,6 +741,17 @@ epsilon = 0.25
         assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == results_sha
         assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
 
+    def test_planned_wide_outputs_are_pinned(self, tmp_path):
+        # digests from before the probe points were chunked: streaming them
+        # through the oracle moves no draw and no float
+        path = tmp_path / "wide.ini"
+        path.write_text(PLANNED_WIDE)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == (
+            "b60dde5cb5c92e7f1ec4f4afd6a95d853a9c48713811bbfc0a2990e5919c8b20")
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == (
+            "9dad9a8b19e95b196d3aebe0c478562c5e172f7fd3360355f46fa61cbc1e5ec2")
+
     def test_descent_lemma_report_is_pinned(self, tmp_path):
         # the suite's runs go through run_descent; any drift in a draw, an
         # update or a printed float changes the report's bytes
@@ -756,6 +787,8 @@ epsilon = 0.25
         assert "90000" in out
         assert "O(d^2 eps^-6)" in out
         assert "0.25" in out
+        # one estimate's (N, d) float64 direction matrix: 90000 * 3 * 8 bytes
+        assert "direction matrix bytes  2160000" in out
 
     def test_plan_rejects_epsilon_above_cap(self, capsys):
         assert main(["plan", "--kind", "sphere", "--regime", "grad",
