@@ -52,12 +52,11 @@ class DegenerateClassifierError(ValueError):
 class Environment(SampleOracle):
     """Sampling oracle with optional analytic ground truth.
 
-    ``supports_exact_objective`` / ``supports_gradient`` advertise which of
-    the analytic hooks are implemented; the metadata properties return None
-    when the corresponding constant is unknown for the environment.
+    ``supports_gradient`` advertises whether :meth:`gradient` is
+    implemented; the metadata properties return None when the corresponding
+    constant is unknown for the environment.
     """
 
-    supports_exact_objective: bool = False
     supports_gradient: bool = False
 
     @property
@@ -85,10 +84,6 @@ class Environment(SampleOracle):
             f"{type(self).__name__} has no exact objective"
         )
 
-    def exact_objective_at(self, points) -> Vector:
-        pts = np.asarray(points, dtype=np.float64)
-        return np.array([self.exact_objective(p) for p in pts])
-
     def gradient(self, x) -> Vector:
         raise UnsupportedEnvironmentError(
             f"{type(self).__name__} has no analytic gradient"
@@ -104,14 +99,18 @@ class QuadraticEnv(Environment):
     constant is zero), and the sampling noise is exactly sigma.
 
     When A is exactly diagonal (every built environment's A = cI is), the
-    quadratic form x'Ax takes an O(k d) path instead of the O(k d^2)
-    einsum; on finite points it is bit-equal to the einsum.  Each point's
+    quadratic form x'Ax takes an O(k d) path, bit-equal on finite points to
+    ``einsum("ki,ij,kj->k")``; otherwise it is a stacked (1, d) @ (d, d) @
+    (d, 1) product, the bits of ``x @ A @ x``.  (The einsum itself is not
+    used: its bits depend on how many rows share the call.)  Each point's
     value is computed alone (the linear term as a stacked (1, d) @ (d, 1)
-    product, the same dot as ``b @ x``), so it does not depend on which
-    points share the call, and the points go by :func:`point_chunks`.
+    product), so it does not depend on which points share the call, and the
+    points go by :func:`point_chunks`.  F(x) has this one form:
+    :meth:`exact_objective` and :attr:`minimum_value` evaluate it as a
+    one-row call, so they carry the same bits as the mean a sample at x is
+    drawn around.
     """
 
-    supports_exact_objective = True
     supports_gradient = True
 
     def __init__(self, A, b, sigma: float, budget: int | None = None):
@@ -137,7 +136,7 @@ class QuadraticEnv(Environment):
         self._eig_min = float(eigvals[0])
         if self._eig_min > 1e-12:
             self._x_star = np.linalg.solve(A, -b)
-            self._f_star = float(0.5 * self._x_star @ A @ self._x_star + b @ self._x_star)
+            self._f_star = self.exact_objective(self._x_star)
         else:
             self._x_star = None
             self._f_star = None
@@ -173,8 +172,7 @@ class QuadraticEnv(Environment):
         return None if self._x_star is None else self._x_star.copy()
 
     def exact_objective(self, x) -> float:
-        x = as_point(x, self.dimension)
-        return float(0.5 * x @ self.A @ x + self.b @ x)
+        return float(self.exact_objective_at(as_point(x, self.dimension)[None, :])[0])
 
     def exact_objective_at(self, points) -> Vector:
         return np.concatenate([self._objective_block(block)
@@ -182,7 +180,7 @@ class QuadraticEnv(Environment):
 
     def _objective_block(self, pts) -> Vector:
         if self._diag is None:
-            quad = np.einsum("ki,ij,kj->k", pts, self.A, pts)
+            quad = np.matmul(np.matmul(pts[:, None, :], self.A), pts[:, :, None])[:, 0, 0]
         else:
             quad = _diagonal_form(pts, self._diag)
         return 0.5 * quad + np.matmul(pts[:, None, :], self.b[:, None])[:, 0, 0]
@@ -274,8 +272,6 @@ class PricingEnv(Environment):
     The exact expected objective sums the binomial marginals of the demand
     counts, giving an independent closed form to hold samplers against.
     """
-
-    supports_exact_objective = True
 
     def __init__(self, theta, rho, buyers: int = 120, budget: int | None = None):
         super().__init__(budget)
@@ -511,8 +507,6 @@ class StrategicEnv(Environment):
     as individuals cross the manipulation threshold, the objective is
     discontinuous in x and no gradient or smoothness constant exists.
     """
-
-    supports_exact_objective = True
 
     def __init__(self, features, labels, budget: int | None = None):
         super().__init__(budget)

@@ -134,33 +134,28 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
 
     env = config.environment.build(budget=len(chains) * config.budget)
     streams = [RngStream(c.seed).child("method", c.method) for c in chains]
-    start = config.start_point()
-    outputs = [None] * len(chains)
-    due: dict[int, list[int]] = {}
-    for i, rng in enumerate(streams):
-        due.setdefault(select_uniform_index(iterations + 1, rng), []).append(i)
-    for i in due.pop(0, ()):
-        outputs[i] = start.copy()
+    picks = np.array([select_uniform_index(iterations + 1, rng) for rng in streams])
+    due = set(picks.tolist())  # most steps pick no output; skip their vector work
+    X = np.tile(config.start_point(), (len(chains), 1))
+    outputs = X.copy()  # row i becomes iterate picks[i]; a diverged chain's is never read
     traces: list[list[TraceRow]] = [[] for _ in chains]
     diverged = set()
 
-    X = np.tile(start, (len(chains), 1))
     steps = [c.step for c in chains]
     mus = [c.cfg.mu for c in chains]
     for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations):
         spent = (step.t + 1) * cost
         for i, probe_mean in zip(step.live, step.probe_means):
             traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, probe_mean))
-        for i in due.get(step.t + 1, ()):
-            r = int(np.searchsorted(step.live, i))
-            if r < step.live.size and step.live[r] == i:  # a diverged chain's output is never read
-                outputs[i] = step.X[r].copy()
+        if step.t + 1 in due:
+            hit = picks[step.live] == step.t + 1
+            outputs[step.live[hit]] = step.X[hit]
         diverged.update(step.live[step.bad].tolist())
 
     done = [i for i in range(len(chains)) if i not in diverged]
     if done:
         values = eval_env.sample_at(
-            np.stack([outputs[i] for i in done]),
+            outputs[done],
             [streams[i].child("eval") for i in done],
             replicates=config.eval_draws,
         )
@@ -188,7 +183,7 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
             samples_used=len(trace) * cost, wall_time_s=elapsed,
             grad_norm_sq=grad_norm_sq, status=STATUS_OK,
         )
-        rows.append(RowOutcome(row, trace, outputs[i]))
+        rows.append(RowOutcome(row, trace, outputs[i].copy()))
     return rows
 
 

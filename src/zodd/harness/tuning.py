@@ -5,7 +5,7 @@ estimator in the config is re-fit over the grid: step size and probe
 radius always vary; the third knob is the direction count for the
 two-point randomized methods and the batch size for the coordinate and
 one-point methods (those keep their configured direction count).  Each
-candidate is scored by the mean objective of a few short runs on
+candidate is scored by the mean exact objective of a few short runs on
 tuning-only seeds, and the winning knobs replace the configured ones
 before the real experiment executes.  All candidates and trials of one
 estimator run as one lockstep :func:`~zodd.harness.runner.run_chains` call.
@@ -63,23 +63,19 @@ def _trial_seeds(config: ExperimentConfig) -> list[int]:
 
 
 def _mean_objective(env, outcomes) -> float:
-    """Mean objective at the selected outputs; +inf if any run failed."""
+    """Mean exact objective at the selected outputs; +inf if any run failed."""
     scores = []
     for outcome in outcomes:
         if outcome.row.status != STATUS_OK:
             return math.inf
-        if env.supports_exact_objective:
-            scores.append(env.exact_objective(outcome.output_point))
-        else:
-            scores.append(outcome.row.obj_mean)
+        scores.append(env.exact_objective(outcome.output_point))
     return float(sum(scores) / len(scores))
 
 
 def score_candidate(config: ExperimentConfig, candidate: EstimatorSpec) -> float:
-    """Mean objective at the selected output over the tuning trials.
+    """Mean exact objective at the selected output over the tuning trials.
 
-    Uses the exact objective where the environment provides one,
-    otherwise the Monte Carlo evaluation mean.  Failed runs score +inf.
+    Failed runs score +inf.
     """
     seeds = _trial_seeds(config)
     outcomes = run_chains(config, [candidate] * len(seeds), seeds)

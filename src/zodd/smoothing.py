@@ -1,4 +1,4 @@
-"""Randomized-smoothing calculus: direction moments and smoothed gradients.
+"""Randomized-smoothing calculus: the exact moments of probe directions.
 
 Averaging F over a random probe direction replaces F with a smoothed
 surrogate: F_ball(x) = E[F(x + mu s)] for s uniform in the unit ball, or
@@ -7,28 +7,13 @@ estimators are unbiased for the gradient of the surrogate, not of F itself.
 The exact moments of sphere and Gaussian directions (used by the estimator
 variance analysis) are exposed here in closed form so Monte-Carlo runs can
 be checked against them entrywise.
-
-:func:`smoothed_gradient` computes a Monte-Carlo reference value of the
-surrogate gradient using the exact objective of an analytic environment.
-It is deliberately independent of the sample-based estimators so the two
-can be held against each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import RngStream, Vector, as_point, gaussian_matrix, sphere_matrix
-from .environments import Environment, UnsupportedEnvironmentError
-
-KERNELS = ("ball", "gaussian")
-
-
-# ---------------------------------------------------------------------------
-# Exact direction moments
-# ---------------------------------------------------------------------------
+from .core import Vector, as_point
 
 
 def sphere_weighted_outer_moment(d: int, k: int) -> Vector:
@@ -92,69 +77,3 @@ def analytic_moment(kind: str, d: int, k: int | None = None, a=None) -> Vector:
         return _MOMENTS_PROJECTED[kind](d, a)
     known = sorted(_MOMENTS_WEIGHTED | _MOMENTS_PROJECTED)
     raise ValueError(f"unknown moment kind {kind!r}; known: {known}")
-
-
-# ---------------------------------------------------------------------------
-# Smoothed gradient reference values
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmoothedFunctionOracle:
-    """An analytic environment paired with a smoothing kernel and radius."""
-
-    base: Environment
-    mu: float
-    kernel: str = "ball"
-    mc_draws: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.mu <= 0:
-            raise ValueError("smoothing radius must be positive")
-        if self.mc_draws < 2:
-            raise ValueError("need at least two Monte-Carlo draws")
-        if not self.base.supports_exact_objective:
-            raise UnsupportedEnvironmentError(
-                f"{type(self.base).__name__} has no exact objective; "
-                "smoothed gradients need one"
-            )
-
-
-@dataclass(frozen=True)
-class SmoothedGradient:
-    """Monte-Carlo estimate of a smoothed gradient with per-coordinate stderr."""
-
-    value: Vector
-    stderr: Vector
-    draws: int
-
-
-def smoothed_gradient(
-    oracle: SmoothedFunctionOracle, x, rng: RngStream
-) -> SmoothedGradient:
-    """Monte-Carlo value of the smoothed-surrogate gradient at x.
-
-    For the ball kernel the estimate averages d (F(x+mu s) - F(x-mu s)) /
-    (2 mu) s over unit-sphere directions s; for the Gaussian kernel it
-    averages (F(x+mu u) - F(x-mu u)) / (2 mu) u over standard normal u.
-    Both use the environment's exact objective, so the only error is
-    Monte-Carlo, reported as per-coordinate standard error.
-    """
-    env = oracle.base
-    x = as_point(x, env.dimension)
-    gen = rng.child("smoothed-gradient").generator()
-    K = oracle.mc_draws
-    if oracle.kernel == "ball":
-        dirs = sphere_matrix(gen, env.dimension, K)
-        scale = env.dimension
-    else:
-        dirs = gaussian_matrix(gen, env.dimension, K)
-        scale = 1.0
-    f_plus = env.exact_objective_at(x + oracle.mu * dirs)
-    f_minus = env.exact_objective_at(x - oracle.mu * dirs)
-    terms = (scale * (f_plus - f_minus) / (2.0 * oracle.mu))[:, None] * dirs
-    value = terms.mean(axis=0)
-    stderr = terms.std(axis=0, ddof=1) / np.sqrt(K)
-    return SmoothedGradient(value=value, stderr=stderr, draws=K)

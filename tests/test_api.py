@@ -1,9 +1,14 @@
 """The public API: ``zodd.__all__`` is the README's list, every
-``from zodd import`` in the README and the demos resolves, and the README's
-config block parses."""
+``from zodd import`` in the README and the demos and every dotted name in
+the README resolves, the README's config block parses, and the benchmark
+tracer still finds every function it wraps."""
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import zodd
@@ -44,6 +49,40 @@ def test_documented_imports_resolve():
     assert "run_descent" in names and "analytic_moment" in names
     assert [name for name in sorted(names) if not hasattr(zodd, name)] == []
     assert names <= set(zodd.__all__)
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_readme_dotted_names_resolve():
+    names = re.findall(r"`(zodd(?:\.\w+)+)", README)
+    names += ["zodd.core." + name for name in re.findall(r"`core\.(\w+)", README)]
+    assert "zodd.harness.runner.run_chains" in names and "zodd.core.draw_blocks" in names
+    assert [name for name in names if not _resolves(name)] == []
+
+
+def test_perfbench_tracer_installs():
+    # the tracer wraps zodd functions by name; a subprocess keeps the
+    # wrapping out of the other tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    code = ("import sys; sys.path.insert(0, 'perfbench'); "
+            "from tracer import Tracer, install; install(Tracer())")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_config_block_parses(tmp_path):

@@ -83,7 +83,7 @@ class TestQuadraticEnv:
         env = self._env()
         pts = RngStream(1).generator().uniform(-2, 2, (5, 3))
         batch = env.exact_objective_at(pts)
-        loop = [env.exact_objective(p) for p in pts]
+        loop = [0.5 * p @ env.A @ p + env.b @ p for p in pts]
         assert np.allclose(batch, loop, rtol=1e-14)
 
     def test_minimizer_is_stationary_and_minimal(self):
@@ -110,7 +110,6 @@ class TestQuadraticEnv:
             )).max()
         )
         assert env.hess_smoothness == 0.0
-        assert env.supports_exact_objective
         assert env.supports_gradient
 
     def test_isotropic(self):
@@ -154,6 +153,15 @@ def _quadratic_points(seed, k, d):
     return pts
 
 
+def _definite_matrix(gen, d, diagonal):
+    """A positive definite (d, d) matrix, diagonal or with off-diagonal terms."""
+    if diagonal:
+        return np.diag(gen.uniform(0.1, 3.0, d))
+    M = gen.standard_normal((d, d))
+    A = (M @ M.T) / d + np.eye(d)
+    return (A + A.T) / 2
+
+
 _DIAGONAL_ENTRY = st.one_of(
     st.sampled_from([0.0, -0.0]), st.floats(min_value=1e-3, max_value=1e3)
 )
@@ -185,7 +193,8 @@ class TestQuadraticFastPath:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=30, deadline=None)
-    def test_non_diagonal_matrix_takes_the_einsum(self, d, k, seed):
+    def test_non_diagonal_matrix_takes_the_per_row_form(self, d, k, seed):
+        # the batched einsum is no reference here: its bits depend on k
         gen = RngStream(seed).generator()
         M = gen.standard_normal((d, d))
         A = M @ M.T / d
@@ -193,8 +202,9 @@ class TestQuadraticFastPath:
         env = QuadraticEnv(A, gen.uniform(-1, 1, d), sigma=0.0)
         assert env._diag is None
         pts = _quadratic_points(seed, k, d)
+        rows = np.array([0.5 * (p @ A @ p) + env.b @ p for p in pts]).reshape(-1)
         assert np.array_equal(env.exact_objective_at(pts).view(np.int64),
-                              _einsum_objective(env, pts).view(np.int64))
+                              rows.view(np.int64))
 
     @given(
         d=st.integers(min_value=1, max_value=64),
@@ -207,13 +217,8 @@ class TestQuadraticFastPath:
         # every point's value is computed alone, so any consecutive split,
         # 1-row pieces included, gives the whole call's bits
         gen = RngStream(seed).child("split").generator()
-        if diagonal:
-            A = np.diag(gen.uniform(0.1, 3.0, d))
-        else:
-            M = gen.standard_normal((d, d))
-            A = (M @ M.T) / d + np.eye(d)
-            A = (A + A.T) / 2
-        env = QuadraticEnv(A, gen.uniform(-1, 1, d) + 0.37, sigma=0.0)
+        env = QuadraticEnv(_definite_matrix(gen, d, diagonal), gen.uniform(-1, 1, d) + 0.37,
+                           sigma=0.0)
         assert (env._diag is not None) == (diagonal or d == 1)
         pts = _quadratic_points(seed, 60, d)
         bounds = [0, *sorted(cuts), 60]
@@ -224,6 +229,25 @@ class TestQuadraticFastPath:
         assert np.array_equal(split.view(np.int64), whole.view(np.int64))
         assert np.array_equal(np.concatenate(pieces[-3:]).view(np.int64),
                               whole[:3].view(np.int64))
+
+    @given(
+        d=st.integers(min_value=1, max_value=64),
+        diagonal=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_point_objective_is_its_row_of_the_batch(self, d, diagonal, seed):
+        # F(x) has one form: the single-point value and the minimum are the
+        # bits of the sampler's mean, not of a separate x'Ax/2 + b'x
+        gen = RngStream(seed).child("single").generator()
+        env = QuadraticEnv(_definite_matrix(gen, d, diagonal), gen.uniform(-1, 1, d) + 0.37,
+                           sigma=0.0)
+        pts = _quadratic_points(seed, 20, d)
+        whole = env.exact_objective_at(pts)
+        single = np.array([env.exact_objective(p) for p in pts])
+        assert np.array_equal(single.view(np.int64), whole.view(np.int64))
+        f_star = np.array([env.minimum_value, env.exact_objective(env.minimizer)])
+        assert f_star[0].view(np.int64) == f_star[1].view(np.int64)
 
     def test_negative_zero_entries_give_the_einsum_bits(self):
         # -0.0 off the diagonal still counts as diagonal; a -0.0 diagonal

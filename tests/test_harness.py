@@ -21,9 +21,10 @@ from zodd.harness.runner import (
     STATUS_DIVERGED,
     STATUS_OK,
     run_cell,
+    run_chains,
     run_experiment,
 )
-from zodd.harness.tuning import candidate_specs, score_candidate, tune_method
+from zodd.harness.tuning import TUNING_SEED_BASE, candidate_specs, score_candidate, tune_method
 from zodd.harness.verify import (
     CheckResult,
     format_report,
@@ -607,6 +608,15 @@ trials = 2
         candidates = candidate_specs(cfg.estimators[0], cfg.tuning)
         assert [c for c, _ in outcome.scores] == candidates
         assert [s for _, s in outcome.scores] == [score_candidate(cfg, c) for c in candidates]
+
+    def test_score_is_mean_exact_objective_at_outputs(self, tmp_path):
+        cfg = self._config(tmp_path, "")
+        spec = cfg.estimators[0]
+        seeds = [TUNING_SEED_BASE + trial for trial in range(cfg.tuning.trials)]
+        env = cfg.environment.build()
+        values = [env.exact_objective(o.output_point)
+                  for o in run_chains(cfg, [spec] * len(seeds), seeds)]
+        assert score_candidate(cfg, spec) == sum(values) / len(values)
 
     def test_infeasible_candidate_scores_inf(self, tmp_path):
         cfg = self._config(tmp_path, "")

@@ -103,3 +103,21 @@ def test_group_probe_array_is_capped(monkeypatch):
     sizes = _record_group_sizes(monkeypatch)
     run_chains(config, [wide] * 2 + [narrow] * 3, [0, 1, 0, 1, 2])
     assert sizes == [1, 1, 2, 1]
+
+
+def test_group_outputs_are_separate_arrays():
+    # a group keeps its outputs as rows of one array; each outcome owns a
+    # copy of its row, not a view that keeps the whole array alive
+    config = _config("quadratic")
+    spec = EstimatorSpec(name="s", kind="sphere", mu=0.1, step=0.05)
+    points = [o.output_point for o in run_chains(config, [spec] * 4, [0, 1, 2, 3])]
+    assert all(point.flags.owndata for point in points)
+
+
+def test_output_picked_at_zero_is_the_start_point(monkeypatch):
+    monkeypatch.setattr(runner, "select_uniform_index", lambda count, rng: 0)
+    config = _config("pricing")
+    spec = EstimatorSpec(name="s", kind="sphere", mu=0.1, step=0.01)
+    outcomes = run_chains(config, [spec] * 3, [0, 1, 2])
+    for outcome in outcomes:
+        assert np.array_equal(outcome.output_point, config.start_point())

@@ -1,16 +1,13 @@
-"""Direction-moment identities and the smoothed-gradient reference oracle."""
+"""Direction-moment identities."""
 
 import numpy as np
 import pytest
 
 from zodd.core import RngStream
-from zodd.environments import QuadraticEnv, UnsupportedEnvironmentError
 from zodd.smoothing import (
-    SmoothedFunctionOracle,
     analytic_moment,
     gaussian_projected_outer_moment,
     gaussian_weighted_outer_moment,
-    smoothed_gradient,
     sphere_projected_outer_moment,
     sphere_weighted_outer_moment,
 )
@@ -98,42 +95,4 @@ class TestAnalyticMomentDispatcher:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             analytic_moment("cubical_outer", 3, k=2)
-
-
-class TestSmoothedGradient:
-    @pytest.mark.parametrize("kernel", ["ball", "gaussian"])
-    def test_matches_true_gradient_on_quadratic(self, kernel):
-        # smoothing a quadratic leaves its gradient untouched, so the Monte
-        # Carlo mean must agree with A x + b within its own reported error
-        env = QuadraticEnv(np.diag([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 1.0]), sigma=0.0)
-        oracle = SmoothedFunctionOracle(env, mu=0.2, kernel=kernel, mc_draws=40_000)
-        x = np.array([1.0, -1.0, 0.5])
-        got = smoothed_gradient(oracle, x, RngStream(3))
-        truth = env.gradient(x)
-        assert np.all(np.abs(got.value - truth) <= 5.0 * got.stderr)
-        assert got.draws == 40_000
-        assert np.all(got.stderr > 0)
-
-    def test_deterministic_given_stream(self):
-        env = QuadraticEnv.isotropic(3, sigma=0.0)
-        oracle = SmoothedFunctionOracle(env, mu=0.1, mc_draws=1000)
-        a = smoothed_gradient(oracle, np.ones(3), RngStream(5))
-        b = smoothed_gradient(oracle, np.ones(3), RngStream(5))
-        assert np.array_equal(a.value, b.value)
-
-    def test_oracle_validation(self):
-        env = QuadraticEnv.isotropic(3, sigma=0.0)
-        with pytest.raises(ValueError):
-            SmoothedFunctionOracle(env, mu=0.0)
-        with pytest.raises(ValueError):
-            SmoothedFunctionOracle(env, mu=0.1, kernel="box")
-        with pytest.raises(ValueError):
-            SmoothedFunctionOracle(env, mu=0.1, mc_draws=1)
-
-    def test_needs_exact_objective(self):
-        class NoExact(QuadraticEnv):
-            supports_exact_objective = False
-
-        with pytest.raises(UnsupportedEnvironmentError):
-            SmoothedFunctionOracle(NoExact(np.eye(2), np.zeros(2), 0.0), mu=0.1)
 
