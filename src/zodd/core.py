@@ -12,7 +12,11 @@ identity and a label, so any draw in the library is a pure function of the
 root seed and the chain of labels that leads to it.  Distinct stream ids give
 statistically independent generators, which is what lets independent pieces
 of work (directions of one estimate, seeds of one experiment) run in any
-order, or batched together, without changing results.
+order, or batched together, without changing results.  Code that draws
+from many streams in turn takes its generators from :func:`stream_generators`:
+each thread keeps one Philox generator and resets it to the start of every
+stream it is lent for, which draws exactly what ``stream.generator()``
+draws without building a generator per stream.
 
 A :class:`SampleOracle` is the only way samples enter the library.  Every
 draw is counted by a :class:`BudgetCounter`; when a hard budget is set, a
@@ -36,6 +40,7 @@ import threading
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -78,16 +83,26 @@ class RngStream:
     seed: int
     stream: int = 0
 
+    # the hash of this stream's id, made by the first ``child`` call and
+    # copied by every one; not a field, so it takes no part in eq or hash
+    _prefix = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
         object.__setattr__(self, "stream", int(self.stream) & _MASK64)
+
+    def __reduce__(self):
+        # a hash object cannot be pickled or deep-copied; the two ids suffice
+        return RngStream, (self.seed, self.stream)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(_stream_key_type()(self)))
 
     def child(self, *labels: int | str) -> "RngStream":
-        h = hashlib.blake2b(digest_size=8)
-        h.update(self.stream.to_bytes(8, "little"))
+        if self._prefix is None:
+            prefix = hashlib.blake2b(self.stream.to_bytes(8, "little"), digest_size=8)
+            object.__setattr__(self, "_prefix", prefix)
+        h = self._prefix.copy()
         for label in labels:
             if isinstance(label, int):
                 h.update(b"i" + (label & _MASK64).to_bytes(8, "little"))
@@ -137,34 +152,70 @@ def _stream_key_type() -> type:
     return StreamKey
 
 
-def _start_state(stream: RngStream) -> dict:
-    """The Philox state at which ``stream.generator()`` begins."""
+_ZERO_WORDS = np.zeros(4, np.uint64)
+_ZERO_WORDS.flags.writeable = False
+
+
+def _start_state(key: NDArray[np.uint64]) -> dict:
+    """The Philox state at which a stream with key ``[seed, stream]`` begins.
+
+    Setting a state copies its words, so every state shares one constant
+    zero counter and buffer, and one state may be set again after ``key``
+    is rewritten.
+    """
     return {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64),
-                  "key": np.array([stream.seed, stream.stream], np.uint64)},
-        "buffer": np.zeros(4, np.uint64),
+        "state": {"counter": _ZERO_WORDS, "key": key},
+        "buffer": _ZERO_WORDS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
 
 
+class _Lenders(threading.local):
+    """Per thread, the generator :func:`stream_generators` lends, and whether it is lent."""
+
+    def __init__(self):
+        self.lender = SimpleNamespace(gen=None, busy=False)
+
+
+_lenders = _Lenders()
+
+
 def stream_generators(streams):
     """Yield a generator at the start of each stream in turn, all one object.
 
-    The first stream builds the generator; every later one resets its bit
-    generator to that stream's start, which draws exactly what
-    ``stream.generator()`` draws at a fraction of the cost of building one.
-    Draw everything from a generator before taking the next.
+    The object is the calling thread's one shared generator, reset to each
+    stream's start, which draws exactly what ``stream.generator()`` draws at
+    a fraction of the cost of building one; the thread's first call builds
+    it.  While an iterator is live the shared generator is busy, and an
+    iterator started meanwhile (nested, or interleaved with it) builds its
+    own.  Draw everything from a generator before taking the next, and
+    nothing once the iterator ends.
     """
-    gen = None
-    for stream in streams:
-        if gen is None:
-            gen = stream.generator()
-        else:
-            gen.bit_generator.state = _start_state(stream)
-        yield gen
+    # the lender of the thread that starts the iterator, whichever thread
+    # later finalizes it
+    lender = _lenders.lender
+    shared = not lender.busy
+    gen = lender.gen if shared else None
+    lender.busy = True
+    key = np.empty(2, np.uint64)
+    start = _start_state(key)
+    try:
+        for stream in streams:
+            if gen is None:
+                gen = stream.generator()
+                if shared:
+                    lender.gen = gen
+            else:
+                key[0] = stream.seed
+                key[1] = stream.stream
+                gen.bit_generator.state = start
+            yield gen
+    finally:
+        if shared:
+            lender.busy = False
 
 
 def draw_blocks(streams: list[RngStream], k: int, draw, axis: int = 0) -> Vector:
@@ -230,6 +281,19 @@ class ProbePoints:
             op(base, offsets, out=out[:, i * m:(i + 1) * m])
         return out.reshape(-1, self.shape[1])
 
+    def all_finite(self) -> bool:
+        """Whether every point is finite, building none when a bound tells.
+
+        Rounding is monotone, so no point exceeds max|x| + max|mu| * max|v|
+        rounded the same way; when that bound is finite, so is every point.
+        A call of one chunk is checked on the chunk it builds and keeps.
+        """
+        if len(self._spans) > 1:
+            bound = _max_abs(self._base) + _max_abs(self._radius) * _max_abs(self._dirs)
+            if np.isfinite(bound):
+                return True
+        return all(np.isfinite(block).all() for _, _, block in self.chunks())
+
     def chunks(self):
         """Yield ``(lo, hi, block)``: points lo..hi-1 as a (hi - lo, d) array."""
         if self._whole is not None:
@@ -242,6 +306,11 @@ class ProbePoints:
                 self._whole = block
             yield lo, lo + block.shape[0], block
             lo += block.shape[0]
+
+
+def _max_abs(a) -> float:
+    """max|a|, NaN if any entry is; no |a| copy of a large direction matrix."""
+    return np.maximum(a.max(), -a.min())
 
 
 def point_chunks(points):
@@ -283,7 +352,7 @@ def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
     u = gen.standard_normal((n, d))
     norms = _chunked_norms(u)
     # a zero draw has probability zero; redraw defensively rather than divide by it
-    while np.any(norms == 0.0):
+    while (norms == 0.0).any():
         bad = norms == 0.0
         u[bad] = gen.standard_normal((int(bad.sum()), d))
         norms = _chunked_norms(u)
@@ -293,6 +362,8 @@ def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
 
 def _chunked_norms(u) -> Vector:
     """``np.linalg.norm(u, axis=1)``, whose per-row sums round alike in any chunk."""
+    if u.size <= CHUNK_VALUES:
+        return np.linalg.norm(u, axis=1)
     return np.concatenate([np.linalg.norm(block, axis=1) for _, _, block in point_chunks(u)])
 
 
@@ -407,7 +478,11 @@ class SampleOracle(ABC):
             raise ValueError(f"points must be (k, {self.dimension}), got {pts.shape}")
         if replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not all(np.isfinite(block).all() for _, _, block in point_chunks(pts)):
+        if isinstance(pts, ProbePoints):
+            finite = pts.all_finite()
+        else:
+            finite = all(np.isfinite(block).all() for _, _, block in point_chunks(pts))
+        if not finite:
             raise ValueError("points have non-finite entries")
         if not streams or pts.shape[0] % len(streams):
             raise ValueError(

@@ -105,7 +105,10 @@ class QuadraticEnv(Environment):
     used: its bits depend on how many rows share the call.)  Each point's
     value is computed alone (the linear term as a stacked (1, d) @ (d, 1)
     product), so it does not depend on which points share the call, and the
-    points go by :func:`point_chunks`.  F(x) has this one form:
+    points go by :func:`point_chunks`.  When b = 0 (every built environment's
+    b is) the linear term of a finite point is a sum of signed zeros from a
+    +0.0 start, so it is +0.0 and no product is formed; a block with a
+    non-finite x'Ax keeps the product and its NaNs.  F(x) has this one form:
     :meth:`exact_objective` and :attr:`minimum_value` evaluate it as a
     one-row call, so they carry the same bits as the mean a sample at x is
     drawn around.
@@ -129,6 +132,7 @@ class QuadraticEnv(Environment):
         self.A = A
         self.b = b
         self.sigma = float(sigma)
+        self._zero_b = not b.any()
         # + 0.0 turns a -0.0 entry into +0.0: the einsum's sum never gives -0.0
         diag = np.diag(A) + 0.0
         self._diag = diag if np.array_equal(A, np.diag(diag)) else None
@@ -183,7 +187,11 @@ class QuadraticEnv(Environment):
             quad = np.matmul(np.matmul(pts[:, None, :], self.A), pts[:, :, None])[:, 0, 0]
         else:
             quad = _diagonal_form(pts, self._diag)
-        return 0.5 * quad + np.matmul(pts[:, None, :], self.b[:, None])[:, 0, 0]
+        half = 0.5 * quad
+        # x'Ax is finite only at finite points, where b'x = +0.0 when b = 0
+        if self._zero_b and np.isfinite(half).all():
+            return half + 0.0
+        return half + np.matmul(pts[:, None, :], self.b[:, None])[:, 0, 0]
 
     def gradient(self, x) -> Vector:
         x = as_point(x, self.dimension)
@@ -314,7 +322,7 @@ class PricingEnv(Environment):
     def _probabilities_at(self, points) -> Vector:
         # max-shifted exponentials so extreme prices saturate instead of overflowing
         z = self.gamma * (self.theta - points)
-        shift = np.maximum(np.max(z, axis=1), 0.0)
+        shift = np.maximum(z.max(axis=1), 0.0)
         expz = np.exp(z - shift[:, None])
         opt_out = self.opt_out_mass * np.exp(-shift)
         denom = opt_out + expz.sum(axis=1)
@@ -375,7 +383,7 @@ class PricingEnv(Environment):
 def _item_restock_cost(counts, lower, upper, slope) -> Vector:
     """Per-item restocking cost: slope 2 w up to l, w from l to u, 3 w above u."""
     low = np.minimum(counts, lower)
-    mid = np.clip(counts - lower, 0.0, upper - lower)
+    mid = np.minimum(np.maximum(counts - lower, 0.0), upper - lower)
     high = np.maximum(counts - upper, 0.0)
     return 2.0 * slope * low + slope * mid + 3.0 * slope * high
 

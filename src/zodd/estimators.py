@@ -132,14 +132,33 @@ class GradientEstimate:
 
 
 def _probe_mean(forward: Vector, backward: Vector | None) -> float:
-    """Mean of one estimate's (batch, N) sample values.
-
-    The descent loop passes each row's own view, so a chain's mean does not
-    depend on the rows it shares a step with.
-    """
+    """Mean of one estimate's (batch, N) sample values."""
     if backward is None:
         return float(forward.mean())
     return float((forward.mean() + backward.mean()) / 2.0)
+
+
+def _probe_means(forward: Vector, backward: Vector | None) -> list[float]:
+    """``GradientEstimate.probe_mean`` of every row of (batch, R, N) values.
+
+    Each half is reduced in one call, summing a row's values in the order a
+    single estimate sums them.  Its one-sided values are a contiguous
+    (batch, N) array and its two-sided halves strided views; numpy sums
+    both pairwise as a whole when batch = 1 or while they fit its reduction
+    buffer, and so does a contiguous copy of each row.  A larger strided
+    half numpy sums buffer by buffer, so those rows go one at a time.
+    """
+    batch, rows, n = forward.shape
+    if backward is not None and batch > 1 and batch * n > np.getbufsize():
+        return [_probe_mean(forward[:, r], backward[:, r]) for r in range(rows)]
+    halves = [forward] if backward is None else [forward, backward]
+    sums = [half[0].sum(axis=1) if batch == 1
+            else half.transpose(1, 0, 2).reshape(rows, batch * n).sum(axis=1)
+            for half in halves]
+    means = sums[0] / (batch * n)
+    if backward is not None:
+        means = (means + sums[1] / (batch * n)) / 2.0
+    return means.tolist()
 
 
 def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams) -> Vector:

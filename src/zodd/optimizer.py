@@ -11,6 +11,9 @@ chains as one (R, d) state, with one estimator call per step, each chain on
 its own stream, step and probe radius, and drops a chain that diverges.  Each
 step yields only the chains' gradients and probe means, and frees the
 directions and probe values behind them before the next step draws its own.
+The probe means of all chains come from one reduction per half of the
+step's (batch, R, N) sample values, and each carries the bits of the
+chain's own ``GradientEstimate.probe_mean``.
 :func:`run_descent` is its one-chain case and keeps the gradients in its trace;
 :func:`zodd.harness.runner.run_chains` drives it for every row of a run.
 
@@ -39,7 +42,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import RngStream, SampleOracle, Vector, as_point, distinct_children, row_norms
-from .estimators import EstimatorConfig, _kernel, _probe_mean
+from .estimators import EstimatorConfig, _kernel, _probe_means
 
 DIVERGENCE_NORM = 1e9
 
@@ -303,10 +306,7 @@ def lockstep_descent(
     for t in range(iterations):
         rngs = distinct_children([streams[i] for i in live], "iteration", t)
         gradients, dirs, forward, backward = _kernel(X, cfg, oracle, rngs, mu=mus)
-        means = [
-            _probe_mean(forward[:, r], None if backward is None else backward[:, r])
-            for r in range(live.size)
-        ]
+        means = _probe_means(forward, backward)
         del dirs, forward, backward  # freed before the next step draws its own
         X = X - steps * gradients
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,7 @@
 """Randomness streams, directions, and budget accounting."""
 
+import copy
+import pickle
 import sys
 import threading
 
@@ -12,6 +14,7 @@ from zodd.core import (
     CHUNK_VALUES,
     BudgetCounter,
     BudgetExhaustedError,
+    ProbePoints,
     RngStream,
     SampleOracle,
     as_point,
@@ -25,7 +28,7 @@ from zodd.core import (
     stream_generators,
 )
 from zodd.environments import QuadraticEnv
-from zodd.estimators import EstimatorConfig, estimate_gradient
+from zodd.estimators import EstimatorConfig, estimate_gradient, estimate_gradients
 
 
 class TestRngStream:
@@ -60,6 +63,17 @@ class TestRngStream:
     def test_seed_is_preserved_across_children(self):
         s = RngStream(42).child("anything", 5)
         assert s.seed == 42
+
+    def test_a_parent_hashes_alike_for_every_child_and_still_copies(self):
+        # the parent's hashed prefix is reused by every child call; it is
+        # not part of the stream, which pickles and copies as its two ids
+        base = RngStream(3, 2**63 + 5)
+        first = base.child("x", 1)
+        assert base.child("x", 1) == first == RngStream(3, 2**63 + 5).child("x", 1)
+        assert base.child("y").stream == RngStream(3, 2**63 + 5).child("y").stream
+        for clone in (pickle.loads(pickle.dumps(base)), copy.deepcopy(base)):
+            assert clone == base and hash(clone) == hash(base)
+            assert clone.child("x", 1) == first
 
     def test_negative_and_huge_labels(self):
         base = RngStream(3)
@@ -243,7 +257,8 @@ class _CountingOracle(SampleOracle):
 
     def _draw_at(self, points, streams, replicates):
         self.calls.append((points.shape[0], replicates))
-        return np.tile(points.sum(axis=1), (replicates, 1))
+        sums = np.concatenate([block.sum(axis=1) for _, _, block in point_chunks(points)])
+        return np.tile(sums, (replicates, 1))
 
 
 class TestSampleOracle:
@@ -297,6 +312,50 @@ class TestSampleOracle:
         assert out.shape == (1, 1)
 
 
+    def _wide_probes(self, base, radius):
+        # two rows of 40,000 two-sided probes at d = 2: pieces of 65,536 points
+        dirs = RngStream(9).generator().uniform(-1.0, 1.0, (1, 40_000, 2))
+        probes = ProbePoints(np.array(base), np.array(radius)[:, None], dirs, two_sided=True)
+        assert len(probes._spans) > 1
+        return probes
+
+    def test_overflowing_probe_points_raise_before_any_charge(self):
+        # base, radii and directions are finite; some points are not
+        o = _CountingOracle(2, budget=10**6)
+        probes = self._wide_probes([[1.0, 2.0], [1e308, -1e308]], [1.0, 1e308])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            o.sample_at(probes, RngStream(0))
+        # one NaN direction makes the bound NaN, and its points are checked
+        probes = self._wide_probes([[1.0, 2.0], [3.0, 4.0]], [0.1, 0.2])
+        probes._dirs[0, 30_000, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            o.sample_at(probes, RngStream(0))
+        assert o.budget.consumed == 0
+        assert o.calls == []
+
+    def test_probe_points_are_built_once(self, monkeypatch):
+        # a finite bound decides without building; an overflowing bound
+        # builds each piece for the check and again for the draws
+        built = []
+        build = ProbePoints._build
+
+        def counting(self, *span):
+            built.append(span[:3])
+            return build(self, *span)
+
+        monkeypatch.setattr(ProbePoints, "_build", counting)
+        o = _CountingOracle(2)
+        probes = self._wide_probes([[1.0, 2.0], [-3.0, 0.5]], [0.1, 0.2])
+        o.sample_at(probes, RngStream(0))
+        assert built == [span[:3] for span in probes._spans]
+        built.clear()
+        # 1e308 + 1e308 overflows, but each row's points stay finite
+        probes = self._wide_probes([[1e308, 0.0], [0.0, 1.0]], [1.0, 1e308])
+        with np.errstate(over="ignore"):
+            o.sample_at(probes, RngStream(0))
+        assert o.budget.consumed == 2 * probes.shape[0]
+        assert built == 2 * [span[:3] for span in probes._spans]
+
     def test_grouped_draws_rewind_repeated_streams(self):
         o = _CountingOracle(2)
         o.sample_at(np.zeros((6, 2)), [RngStream(0), RngStream(1), RngStream(0)], replicates=2)
@@ -324,6 +383,68 @@ class TestStreamHelpers:
             fresh = stream.generator()
             assert np.array_equal(ints, fresh.integers(0, 1000, 5))
             assert np.array_equal(normals, fresh.standard_normal(7))
+
+    def test_nested_and_interleaved_generators_draw_what_fresh_ones_draw(self):
+        # the thread's shared generator is lent to one live iterator; one
+        # started inside it, or beside it, draws from its own generator
+        outer = [RngStream(1), RngStream(2).child("a"), RngStream(1)]
+        inner = [RngStream(3), RngStream(4, 5)]
+        got, ids = [], set()
+        for gen in stream_generators(outer):
+            head = gen.standard_normal(3)
+            nested = [(g.standard_normal(5), id(g)) for g in stream_generators(inner)]
+            got.append((head, [v for v, _ in nested], gen.integers(0, 100, 4)))
+            assert all(i != id(gen) for _, i in nested)
+            ids.add(id(gen))
+        for stream, (head, nested, tail) in zip(outer, got):
+            fresh = stream.generator()
+            assert np.array_equal(head, fresh.standard_normal(3))
+            assert np.array_equal(tail, fresh.integers(0, 100, 4))
+            for s, values in zip(inner, nested):
+                assert np.array_equal(values, s.generator().standard_normal(5))
+        a, b = stream_generators(inner), stream_generators(outer[:2])
+        drawn = []
+        for ga, gb in zip(a, b):
+            assert ga is not gb
+            drawn.append((ga.standard_normal(2), gb.standard_normal(2), ga.standard_normal(2)))
+        for sa, sb, (a1, b1, a2) in zip(inner, outer, drawn):
+            fa = sa.generator()
+            assert np.array_equal(np.concatenate([a1, a2]), fa.standard_normal(4))
+            assert np.array_equal(b1, sb.generator().standard_normal(2))
+        # once no iterator is live, the shared generator is lent again
+        assert {id(g) for g in stream_generators(inner)} == ids
+
+    def test_estimates_in_two_threads_equal_serial_ones(self):
+        # each thread resets its own shared generator; a short switch
+        # interval interleaves the threads' draws finely
+        env = QuadraticEnv.isotropic(4, sigma=0.5)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=3, batch=2)
+        X = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
+
+        def run(i):
+            return [estimate_gradients(X, cfg, env, RngStream(i).child(j)) for j in range(300)]
+
+        serial = [run(i) for i in range(2)]
+        threaded = [None, None]
+        start = threading.Barrier(2)
+
+        def work(i):
+            start.wait()
+            threaded[i] = run(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        for got, expected in zip(threaded, serial):
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_draw_blocks_of_one_stream_draw_from_its_generator(self):
         stream = RngStream(4).child("x")

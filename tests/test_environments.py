@@ -262,6 +262,41 @@ class TestQuadraticFastPath:
             assert np.array_equal(_diagonal_form(pts, env._diag).view(np.int64),
                                   quad.view(np.int64))
 
+    @given(
+        d=st.integers(min_value=1, max_value=16),
+        diagonal=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_zero_linear_term_gives_the_product_bits(self, d, diagonal, seed):
+        # with b = 0 (signed zeros) no b'x product is formed; huge points
+        # overflow x'Ax and non-finite ones give the NaN of inf * 0
+        gen = RngStream(seed).child("zero-b").generator()
+        b = np.where(gen.random(d) < 0.5, -0.0, 0.0)
+        env = QuadraticEnv(_definite_matrix(gen, d, diagonal), b, sigma=0.0)
+        pts = _quadratic_points(seed, 30, d)
+        pts[gen.random(30) < 0.2] *= 1e300
+        for value, row in zip((np.inf, -np.inf, np.nan), gen.integers(0, 30, 3)):
+            pts[row, gen.integers(0, d)] = value
+
+        def product_form(block):
+            if env._diag is None:
+                quad = np.matmul(np.matmul(block[:, None, :], env.A), block[:, :, None])[:, 0, 0]
+            else:
+                quad = _diagonal_form(block, env._diag)
+            return 0.5 * quad + np.matmul(block[:, None, :], env.b[:, None])[:, 0, 0]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = product_form(pts)
+            batched = env.exact_objective_at(pts)
+            alone = np.concatenate([env.exact_objective_at(p[None, :]) for p in pts])
+        assert np.array_equal(batched.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(alone.view(np.int64), expected.view(np.int64))
+        finite = np.isfinite(pts).all(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            single = np.array([env.exact_objective(p) for p in pts[finite]])
+        assert np.array_equal(single.view(np.int64), expected[finite].view(np.int64))
+
     def test_only_an_exactly_diagonal_matrix_takes_the_fast_path(self):
         assert QuadraticEnv.isotropic(3, sigma=0.0, curvature=2.0)._diag is not None
         tiny = np.array([[1.0, 1e-300], [1e-300, 1.0]])

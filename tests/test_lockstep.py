@@ -1,12 +1,18 @@
 """Lockstep chains: a grouped descent run equals the same chains run alone."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zodd.core import RngStream
+from zodd.environments import QuadraticEnv
+from zodd.estimators import EstimatorConfig, estimate_gradient
 from zodd.harness import runner
 from zodd.harness.config import EnvironmentSpec, EstimatorSpec, ExperimentConfig
 from zodd.harness.runner import STATUS_DIVERGED, run_cell, run_chains
+from zodd.optimizer import lockstep_descent
 
 ENVIRONMENTS = {
     "quadratic": EnvironmentSpec(kind="quadratic", dimension=3, sigma=0.5),
@@ -78,6 +84,40 @@ def test_lockstep_chains_equal_single_runs(env, chains, wild):
     alone = [run_cell(config, spec, seed) for spec, seed in zip(specs, seeds)]
     _assert_same(together, alone)
     assert together[wild].row.status == STATUS_DIVERGED
+
+
+@given(
+    kind=st.sampled_from(["sphere", "gaussian", "coordinate", "one_point"]),
+    batch=st.sampled_from([1, 2, 3]),
+    # directions at, just past and well past 8192 / batch, where numpy's
+    # reduction of one row's strided (batch, N) values changes its order
+    size=st.sampled_from(["few", "at", "past", "twice"]),
+    rows=st.integers(min_value=1, max_value=6),
+    distinct=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_probe_means_are_single_estimates_probe_means(kind, batch, size, rows, distinct, seed):
+    # the lockstep means come from one reduction per half of the step's
+    # values; each must carry the bits of the chain's own estimate
+    env = QuadraticEnv.isotropic(2, sigma=0.5)
+    cap = 8192 // batch
+    n = {"few": 1 + seed % 50, "at": cap, "past": cap + 1, "twice": 2 * cap + 3}[size]
+    cfg = EstimatorConfig(kind, mu=0.1, directions=n, batch=batch)
+    gen = RngStream(seed).child("start").generator()
+    X = gen.uniform(-1.0, 1.0, (rows, 2))
+    mus = gen.uniform(0.05, 0.2, rows)
+    # rows r and r + distinct share a stream, as the candidates of a trial do
+    streams = [RngStream(seed).child("row", r % distinct) for r in range(rows)]
+    steps = np.full(rows, 0.01)
+    for step in lockstep_descent(X, cfg, env, streams, steps, mus, 2):
+        for r, mean in zip(step.live, step.probe_means):
+            single = estimate_gradient(
+                X[r], dataclasses.replace(cfg, mu=mus[r]), env,
+                streams[r].child("iteration", step.t),
+            )
+            assert np.float64(mean).view(np.int64) == np.float64(single.probe_mean).view(np.int64)
+        X = step.X
 
 
 def test_group_cap_splits_chains_without_changing_rows(monkeypatch):
