@@ -112,22 +112,6 @@ class RngStream:
         return RngStream(self.seed, int.from_bytes(h.digest(), "little"))
 
 
-def distinct_children(streams, *labels: int | str) -> list[RngStream]:
-    """``[s.child(*labels) for s in streams]``, deriving each distinct child once.
-
-    Equal streams get the very same child object, so the result can be
-    deduplicated again cheaply.
-    """
-    made: dict[RngStream, RngStream] = {}
-    out = []
-    for stream in streams:
-        child = made.get(stream)
-        if child is None:
-            child = made[stream] = stream.child(*labels)
-        out.append(child)
-    return out
-
-
 @functools.cache
 def _stream_key_type() -> type:
     """The seed sequence that gives Philox a stream's key, made on first use.
@@ -361,10 +345,15 @@ def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
 
 
 def _chunked_norms(u) -> Vector:
-    """``np.linalg.norm(u, axis=1)``, whose per-row sums round alike in any chunk."""
+    """``np.linalg.norm(u, axis=1)``, whose per-row sums round alike in any chunk.
+
+    Each chunk takes the norm's own formula for real rows, the square root
+    of ``add.reduce(u * u, axis=1)``, without its Python wrapper.
+    """
     if u.size <= CHUNK_VALUES:
-        return np.linalg.norm(u, axis=1)
-    return np.concatenate([np.linalg.norm(block, axis=1) for _, _, block in point_chunks(u)])
+        return np.sqrt(np.add.reduce(u * u, axis=1))
+    return np.concatenate([np.sqrt(np.add.reduce(block * block, axis=1))
+                           for _, _, block in point_chunks(u)])
 
 
 def gaussian_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:

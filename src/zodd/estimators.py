@@ -42,17 +42,19 @@ chunking changes no number.
 ``cfg.kind``; directions exist only as rows of these (N, d) arrays.
 
 The descent loop, :func:`zodd.optimizer.lockstep_descent`, calls the kernel
-with one stream *per row* instead: R lockstep chains, each with its own
-stream and probe radius, of which it keeps only the gradients and the probe
-means.  Row r draws exactly what a single estimate on its own stream draws,
-so lockstep groups never change a draw; rows that share a stream (tuning
-candidates of one trial) share its one direction draw, and the oracle
-restarts the stream for each of their probe blocks.
+with one stream *per row* instead, as a :class:`RowStreams`: R lockstep
+chains, each with its own stream and probe radius, of which it keeps only
+the gradients and the probe means.  Row r draws exactly what a single
+estimate on its own stream draws, so lockstep groups never change a draw;
+rows that share a stream (tuning candidates of one trial) share its one
+direction draw, and the oracle restarts the stream for each of their probe
+blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +64,6 @@ from .core import (
     SampleOracle,
     Vector,
     as_point,
-    distinct_children,
     gaussian_matrix,
     sphere_matrix,
     stream_generators,
@@ -178,21 +179,49 @@ def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams) -> Vector
     return table.reshape(-1, cfg.directions, d)
 
 
-def _streams_per_row(cfg: EstimatorConfig, d: int, streams) -> tuple[Vector, list]:
+class RowStreams(NamedTuple):
+    """One stream per row, held as the distinct streams and each row's index.
+
+    :meth:`of` finds which rows share a stream, the one step that compares
+    streams; :meth:`child` and :meth:`take` keep that sharing, so a caller
+    that resolves it once can derive and drop rows without hashing a stream.
+    ``distinct`` lists the streams in order of first use, and ``index`` is
+    an int array of one entry per row, so when no two rows share a stream
+    it is 0, 1, ..., R - 1.
+    """
+
+    distinct: list[RngStream]
+    index: np.ndarray
+
+    @classmethod
+    def of(cls, streams) -> "RowStreams":
+        slot: dict[RngStream, int] = {}
+        index = [slot.setdefault(stream, len(slot)) for stream in streams]
+        return cls(list(slot), np.array(index, dtype=np.intp))
+
+    def child(self, *labels: int | str) -> "RowStreams":
+        """Every row's ``child(*labels)``, derived once per distinct stream."""
+        return RowStreams([stream.child(*labels) for stream in self.distinct], self.index)
+
+    def take(self, keep) -> "RowStreams":
+        """The rows selected by the boolean mask ``keep``, without unused streams."""
+        slot: dict[int, int] = {}
+        index = [slot.setdefault(i, len(slot)) for i in self.index[keep].tolist()]
+        return RowStreams([self.distinct[i] for i in slot], np.array(index, dtype=np.intp))
+
+
+def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> tuple[Vector, list]:
     """Directions and ``draws`` streams when every row brings its own stream.
 
     Each distinct stream draws its N directions and derives its children
     once; rows that share a stream share that draw, exactly as separate
     single-row calls on the stream would draw it.
     """
-    slot: dict[RngStream, int] = {}
-    index = [slot.setdefault(stream, len(slot)) for stream in streams]
-    distinct = list(slot)
-    dirs = _draw_directions(cfg, d, 1, distinct)
-    if cfg.kind != "coordinate" and len(distinct) < len(index):
-        dirs = dirs[index]
-    draws = distinct_children(distinct, "draws")
-    return dirs, [draws[i] for i in index]
+    dirs = _draw_directions(cfg, d, 1, rows.distinct)
+    if cfg.kind != "coordinate" and len(rows.distinct) < len(rows.index):
+        dirs = dirs[rows.index]
+    draws = rows.child("draws").distinct
+    return dirs, [draws[i] for i in rows.index.tolist()]
 
 
 def _kernel(
@@ -205,8 +234,8 @@ def _kernel(
     """The one estimator computation: (R, d) base points in, (R, d) gradients out.
 
     ``rng`` is one stream for every row, whose directions are laid out by
-    row, or a sequence of R streams, one per row: row r then draws exactly
-    what a single-row call on its stream draws.  ``mu`` optionally gives
+    row, or a :class:`RowStreams` of R rows: row r then draws exactly what
+    a single-row call on its stream draws.  ``mu`` optionally gives
     each row its own probe radius, an (R,) array; the default is ``cfg.mu``.
 
     All R * (2N or N) probe points go to the oracle in one ``sample_at``

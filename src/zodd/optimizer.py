@@ -8,8 +8,10 @@ the uniformly drawn one inherits the average-gradient-norm bound.
 
 :func:`lockstep_descent` is the one descent loop.  It advances R independent
 chains as one (R, d) state, with one estimator call per step, each chain on
-its own stream, step and probe radius, and drops a chain that diverges.  Each
-step yields only the chains' gradients and probe means, and frees the
+its own stream, step and probe radius, and drops a chain that diverges.
+Which chains share a stream is worked out once, and again only when a chain
+leaves, so a step derives one child per distinct stream and compares none.
+Each step yields only the chains' gradients and probe means, and frees the
 directions and probe values behind them before the next step draws its own.
 The probe means of all chains come from one reduction per half of the
 step's (batch, R, N) sample values, and each carries the bits of the
@@ -41,8 +43,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import RngStream, SampleOracle, Vector, as_point, distinct_children, row_norms
-from .estimators import EstimatorConfig, _kernel, _probe_means
+from .core import RngStream, SampleOracle, Vector, as_point, row_norms
+from .estimators import EstimatorConfig, RowStreams, _kernel, _probe_means
 
 DIVERGENCE_NORM = 1e9
 
@@ -294,17 +296,20 @@ def lockstep_descent(
     Row r starts at ``X[r]`` and descends with step ``steps[r]`` and probe
     radius ``mus[r]`` on its own stream ``streams[r]``: at step t it draws
     from ``streams[r].child("iteration", t)`` exactly what a single estimate
-    on that stream draws, whichever rows share the call.  Each step makes
+    on that stream draws, whichever rows share the call; rows with equal
+    streams derive that child once.  Each step makes
     one estimator call for all live rows, updates x_{t+1} = x_t - step * g_t
     and yields a :class:`Step`; a row whose iterate has norm above 1e9 or a
     non-finite entry is marked ``bad`` and leaves the live set.  The loop
     ends after ``iterations`` steps or when no row is live.
     """
     live = np.arange(len(streams))
+    # which rows share a stream, resolved here and again only when rows leave
+    roots = RowStreams.of(streams)
     steps = np.asarray(steps, dtype=np.float64)[:, None]
     mus = np.asarray(mus, dtype=np.float64)
     for t in range(iterations):
-        rngs = distinct_children([streams[i] for i in live], "iteration", t)
+        rngs = roots.child("iteration", t)
         gradients, dirs, forward, backward = _kernel(X, cfg, oracle, rngs, mu=mus)
         means = _probe_means(forward, backward)
         del dirs, forward, backward  # freed before the next step draws its own
@@ -317,6 +322,7 @@ def lockstep_descent(
             live, X, steps, mus = live[keep], X[keep], steps[keep], mus[keep]
             if live.size == 0:
                 return
+            roots = roots.take(keep)
 
 
 def run_descent(

@@ -1,0 +1,103 @@
+"""tools/bench_pairs.py: pair statistics, the claim rule, and run order."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_summary_is_numpy_linear_quartiles():
+    runs = [3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0]
+    out = bench_pairs.summary(runs)
+    q1, median, q3 = np.percentile(runs, [25, 50, 75])
+    assert (out["q1"], out["median"], out["q3"]) == (q1, median, q3)
+    assert out["iqr"] == q3 - q1 and out["runs"] == runs
+
+
+def test_pairs_count_wins_and_losses_but_not_ties():
+    out = bench_pairs.compare([1.0, 1.0, 1.0], [0.9, 1.0, 1.1], "lower", 0.25)
+    assert (out["pairs_change_better"], out["pairs_change_worse"]) == (1, 1)
+    out = bench_pairs.compare([1.0, 1.0, 1.0], [0.9, 1.0, 1.1], "higher", 0.25)
+    assert (out["pairs_change_better"], out["pairs_change_worse"]) == (1, 1)
+
+
+@pytest.mark.parametrize("better, change, worse", [
+    ("lower", 1.3, True), ("lower", 1.2, False), ("lower", 0.5, False),
+    ("higher", 0.7, True), ("higher", 0.8, False), ("higher", 2.0, False),
+])
+def test_worse_than_bound_reads_the_metric_direction(better, change, worse):
+    out = bench_pairs.compare([1.0] * 4, [change] * 4, better, 0.25)
+    assert out["worse_than_bound"] is worse
+
+
+def _claim(parent, change, share=0.0, correct=True, failed=(0, 0)):
+    runs = {
+        "seeds": list(range(len(parent))),
+        "correct": correct,
+        "failed": dict(zip(("parent", "change"), failed)),
+        "metrics": {"wall_s": {"better": "lower",
+                               **bench_pairs.compare(parent, change, "lower", 0.25)}},
+    }
+    return bench_pairs.claim_result(runs, "w", "wall_s", share)
+
+
+def test_claim_needs_nine_of_ten_pairs_a_gap_above_the_iqr_and_the_share():
+    parent = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01, 0.99]
+    faster = [p * 0.8 for p in parent]
+    assert _claim(parent, faster, 0.10)["met"]
+    assert not _claim(parent, faster, 0.25)["met"]  # the share is not reached
+    two_lost = faster[:8] + [1.2, 1.2]
+    assert not _claim(parent, two_lost)["met"]  # 8 of 10 pairs
+    one_lost = faster[:9] + [1.2]
+    assert _claim(parent, one_lost)["met"]  # 9 of 10 pairs
+    # every pair won, but by less than the parent's quartile spread
+    close = [p - 0.01 for p in parent]
+    claim = _claim(parent, close)
+    assert claim["pairs_change_better"] == 10 and claim["median_gap"] < claim["parent_iqr"]
+    assert not claim["met"]
+    # faster, but with more failed operations than the parent, or a wrong run
+    assert not _claim(parent, faster, 0.10, failed=(0, 2))["met"]
+    assert _claim(parent, faster, 0.10, failed=(2, 2))["met"]
+    assert not _claim(parent, faster, 0.10, correct=False)["met"]
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("12201-12203,7") == [12201, 12202, 12203, 7]
+
+
+def test_runs_alternate_which_side_goes_first(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 18,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+    }))
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        calls.append((root, seed))
+        value = 1.0 if root == "p" else 0.8
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"wall_s": {"value": value + seed * 1e-3, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.setattr(bench_pairs, "git_ids", lambda root: {"sha": root})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", "p", "--change", str(tmp_path), "--seeds", "1-4",
+                      "--claim", "w:wall_s:0.1", "--out", str(out)])
+    change = str(tmp_path)
+    assert calls == [("p", 1), (change, 1), (change, 2), ("p", 2),
+                     ("p", 3), (change, 3), (change, 4), ("p", 4)]
+    result = json.loads(out.read_text())
+    wall = result["workloads"]["w"]["metrics"]["wall_s"]
+    assert wall["parent"]["runs"] == [1.001, 1.002, 1.003, 1.004]
+    assert wall["pairs_change_better"] == 4
+    assert result["workloads"]["w"]["attempted"] == {"parent": 12, "change": 12}
+    # 4 of 4 pairs, a 0.2 s gap against a 0.0015 s IQR, and 20% against 10%
+    assert result["claim"]["met"] is True

@@ -19,7 +19,6 @@ from zodd.core import (
     SampleOracle,
     as_point,
     chunk_rows,
-    distinct_children,
     draw_blocks,
     gaussian_matrix,
     point_chunks,
@@ -364,12 +363,6 @@ class TestSampleOracle:
 
 
 class TestStreamHelpers:
-    def test_distinct_children_derive_once_per_stream(self):
-        a, b = RngStream(1), RngStream(2)
-        out = distinct_children([a, b, RngStream(1), a], "iteration", 3)
-        assert out == [s.child("iteration", 3) for s in (a, b, a, a)]
-        assert out[0] is out[2] is out[3]
-
     def test_stream_generators_start_every_stream_afresh(self):
         # one bit generator, reset per stream, draws what a fresh generator
         # draws, whatever the previous stream left buffered

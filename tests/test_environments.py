@@ -24,6 +24,7 @@ from zodd.environments import (
     save_prices,
 )
 from zodd.environments import (
+    PER_POINT_MULTINOMIAL_MAX,
     _diagonal_form,
     _logistic_loss,
     _respond,
@@ -438,6 +439,79 @@ def test_vectorized_pricing_draws_match_per_point_loop(k, replicates):
     expected = _pricing_draws_per_point(env, points, RngStream(5).generator(), replicates)
     assert got.flags.c_contiguous
     assert np.array_equal(got, expected)
+
+
+def _reference_probabilities(env, points):
+    """The pricing softmax as one concatenate and one division."""
+    z = env.gamma * (env.theta - points)
+    shift = np.maximum(z.max(axis=1), 0.0)
+    expz = np.exp(z - shift[:, None])
+    opt_out = env.opt_out_mass * np.exp(-shift)
+    denom = opt_out + expz.sum(axis=1)
+    return np.concatenate([expz, opt_out[:, None]], axis=1) / denom[:, None]
+
+
+def _reference_restock_cost(env, counts):
+    """The restocking cost on a float copy of the counts, without in-place steps."""
+    counts = np.asarray(counts, dtype=np.float64)
+    lower, upper, slope = env.lower, env.upper, env.slope
+    low = np.minimum(counts, lower)
+    mid = np.minimum(np.maximum(counts - lower, 0.0), upper - lower)
+    high = np.maximum(counts - upper, 0.0)
+    return (2.0 * slope * low + slope * mid + 3.0 * slope * high).sum(axis=-1)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@given(
+    per_block=st.integers(min_value=1, max_value=3 * PER_POINT_MULTINOMIAL_MAX),
+    replicates=st.sampled_from([1, 2, 50]),
+    labels=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4),
+    n=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pricing_draws_are_the_per_point_reference(per_block, replicates, labels, n, seed):
+    # blocks below and above the per-point switch draw, bit for bit, what one
+    # multinomial call of size=replicates per point draws; a repeated stream
+    # starts over for each of its blocks
+    env = PricingEnv.synthetic(seed % 7, n=n, buyers=1 + seed % 150)
+    gen = RngStream(seed).child("points").generator()
+    points = gen.uniform(-1.0, 3.0, (per_block * len(labels), n))
+    streams = [RngStream(seed).child("block", label) for label in labels]
+    got = env._draw_at(points, streams, replicates)
+    expected = np.concatenate([
+        _pricing_draws_per_point(env, points[g * per_block:(g + 1) * per_block],
+                                 stream.generator(), replicates)
+        for g, stream in enumerate(streams)
+    ], axis=1)
+    assert np.array_equal(_bits(got), _bits(expected))
+
+
+@given(
+    k=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=12),
+    scale=st.sampled_from([1.0, 30.0, 1e4]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pricing_softmax_and_restock_keep_their_bits(k, n, scale, seed):
+    # the in-place softmax and restocking cost against their whole-array
+    # forms, for one point and for a batch
+    env = PricingEnv.synthetic(seed % 5, n=n, buyers=1 + seed % 200)
+    gen = RngStream(seed).child("pricing").generator()
+    points = gen.uniform(-scale, scale, (k, n))
+    assert np.array_equal(_bits(env._probabilities_at(points)),
+                          _bits(_reference_probabilities(env, points)))
+    assert np.array_equal(_bits(env.choice_probabilities(points[0])),
+                          _bits(_reference_probabilities(env, points[:1])[0]))
+    # the item columns of drawn counts, a strided view as the draws pass it
+    demand = gen.integers(0, 2 * env.buyers, size=(k, 3, n + 1))[..., :-1]
+    for counts in (demand, demand.copy(), demand[0, 0]):
+        assert np.array_equal(_bits(env.restock_cost(counts)),
+                              _bits(_reference_restock_cost(env, counts)))
 
 
 @pytest.mark.parametrize("k", [2, 5, 8, 16, 200])

@@ -22,6 +22,7 @@ from zodd.environments import PricingEnv, QuadraticEnv, StrategicEnv
 from zodd.estimators import (
     ESTIMATOR_KINDS,
     EstimatorConfig,
+    RowStreams,
     _draw_directions,
     _kernel,
     _streams_per_row,
@@ -309,7 +310,7 @@ class TestBatchedKernel:
         cfg = EstimatorConfig(kind, mu=0.3, directions=4)
         if per_row:
             # one stream per row, some shared, and a radius per row
-            rng = [RngStream(seed).child("row", r % 3) for r in range(rows)]
+            rng = RowStreams.of([RngStream(seed).child("row", r % 3) for r in range(rows)])
             mu = gen.uniform(0.01, 1.0, rows)
             radius = mu[:, None]
         else:
@@ -371,6 +372,16 @@ class TestBatchedKernel:
             estimate_gradients(np.zeros((2, 4)), cfg, env, RngStream(0))
         with pytest.raises(ValueError):
             estimate_gradients(np.full((2, 3), np.nan), cfg, env, RngStream(0))
+
+
+def test_row_streams_keep_the_order_of_first_use():
+    a, b, c = RngStream(0), RngStream(1), RngStream(2)
+    rows = RowStreams.of([a, b, RngStream(0), c])
+    assert rows.distinct == [a, b, c] and rows.index.tolist() == [0, 1, 0, 2]
+    assert rows.child("iteration", 3).distinct == [s.child("iteration", 3) for s in (a, b, c)]
+    # once row 0 leaves, b is used first: no two rows share, so index is 0..R-1
+    kept = rows.take(np.array([False, True, True, False]))
+    assert kept.distinct == [b, a] and kept.index.tolist() == [0, 1]
 
 
 def _whole_array_kernel(X, cfg, oracle, rng, mu=None):
@@ -461,7 +472,7 @@ class TestChunkedProbes:
         X = gen.uniform(0.2, 1.2, (rows, d))
         if per_row:
             # one stream per row, with repeats, and a radius per row
-            rng = [RngStream(seed).child("row", r % 3) for r in range(rows)]
+            rng = RowStreams.of([RngStream(seed).child("row", r % 3) for r in range(rows)])
             mu = gen.uniform(0.01, 0.2, rows)
         else:
             rng, mu = RngStream(seed), None

@@ -3,7 +3,7 @@
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zodd.core import RngStream
@@ -84,6 +84,54 @@ def test_lockstep_chains_equal_single_runs(env, chains, wild):
     alone = [run_cell(config, spec, seed) for spec, seed in zip(specs, seeds)]
     _assert_same(together, alone)
     assert together[wild].row.status == STATUS_DIVERGED
+
+
+@given(
+    chains=st.lists(chain, min_size=1, max_size=6),
+    # copies of chains with a wild step, each (where it goes, the chain it
+    # copies, its step, whether it keeps that chain's stream or shares one
+    # with the other such copies of that seed); every step here leaves the
+    # trust region after 2 to 10 steps on this quadratic
+    wild=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=8),
+            st.integers(min_value=0, max_value=5),
+            st.sampled_from([10.0, 30.0, 300.0, 3000.0]),
+            st.booleans(),
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+# the first stream loses its one row, so the later streams move up
+@example(chains=[("sphere", "m0", 0, 0.05, 0.01, 1, 1), ("sphere", "m1", 1, 0.05, 0.01, 1, 1)],
+         wild=[(0, 0, 300.0, False)])
+# the first row leaves, and the streams left are first used in the other order
+@example(chains=[("sphere", "m0", 0, 0.05, 0.01, 1, 1), ("sphere", "m0", 1, 0.05, 0.01, 1, 1)],
+         wild=[(0, 1, 10.0, True)])
+@settings(max_examples=30, deadline=None)
+def test_chains_sharing_a_stream_diverge_mid_run(chains, wild):
+    # wild chains that share a stream with others diverge after some steps,
+    # so which rows share a stream is worked out again on a shrinking live
+    # set, and a stream whose rows all left drops out; every row is its solo run
+    config = _config("quadratic")
+    rows = [
+        (EstimatorSpec(name=name, kind=kind, mu=mu, step=step, directions=min(n, 2), batch=m),
+         seed, False)
+        for kind, name, seed, mu, step, n, m in chains
+    ]
+    for where, j, step, keep_stream in wild:
+        spec, seed, _ = rows[j % len(chains)]
+        name = spec.name if keep_stream else "wild"
+        rows.insert(where % (len(rows) + 1),
+                    (dataclasses.replace(spec, name=name, step=step), seed, True))
+    specs, seeds, wild_rows = zip(*rows)
+    together = run_chains(config, specs, seeds)
+    alone = [run_cell(config, spec, seed) for spec, seed in zip(specs, seeds)]
+    _assert_same(together, alone)
+    for outcome, is_wild in zip(together, wild_rows):
+        if is_wild:
+            assert outcome.row.status == STATUS_DIVERGED
+            assert len(outcome.trace) >= 2
 
 
 @given(
