@@ -34,7 +34,6 @@ stream layout and changes no number; random draws never go by chunk.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import threading
 from abc import ABC, abstractmethod
@@ -96,7 +95,10 @@ class RngStream:
         return RngStream, (self.seed, self.stream)
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(_stream_key_type()(self)))
+        # a fixed seed reads no OS entropy; the state set next replaces its key
+        gen = np.random.Generator(np.random.Philox(0))
+        gen.bit_generator.state = _start_state(np.array([self.seed, self.stream], np.uint64))
+        return gen
 
     def child(self, *labels: int | str) -> "RngStream":
         if self._prefix is None:
@@ -112,30 +114,6 @@ class RngStream:
         return RngStream(self.seed, int.from_bytes(h.digest(), "little"))
 
 
-@functools.cache
-def _stream_key_type() -> type:
-    """The seed sequence that gives Philox a stream's key, made on first use.
-
-    Its instances seed a Philox with the key ``[seed, stream]`` and a zero
-    counter, the state ``Philox(key=(stream << 64) | seed)`` starts in; but
-    numpy reads OS entropy for a seed whenever none is given, even one that
-    ``key`` then overwrites, and this skips that read.  The type is made
-    lazily because its base class would import ``numpy.random`` with zodd.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StreamKey(ISeedSequence):
-        def __init__(self, stream: RngStream):
-            self._key = np.array([stream.seed, stream.stream], np.uint64)
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a stream key is exactly two 64-bit words")
-            return self._key
-
-    return StreamKey
-
-
 _ZERO_WORDS = np.zeros(4, np.uint64)
 _ZERO_WORDS.flags.writeable = False
 
@@ -143,6 +121,7 @@ _ZERO_WORDS.flags.writeable = False
 def _start_state(key: NDArray[np.uint64]) -> dict:
     """The Philox state at which a stream with key ``[seed, stream]`` begins.
 
+    It is the state ``Philox(key=(stream << 64) | seed)`` starts in.
     Setting a state copies its words, so every state shares one constant
     zero counter and buffer, and one state may be set again after ``key``
     is rewritten.

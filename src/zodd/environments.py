@@ -462,33 +462,23 @@ def best_response(x, xi_true) -> Vector:
     Acceptance (nonnegative score) pays reward 2; changing features costs
     the squared distance moved.  The optimal move is either to stay put, or
     to project onto the acceptance boundary when that costs less than the
-    reward; exact ties stay put.
+    reward; exact ties stay put.  This is the one-agent case of the
+    population's best response, so its one score rounds as a dot product;
+    the scores of m agents round as an (m, f) @ (f,) matvec.
     """
     x = as_point(x)
-    w = x[:-1]
-    intercept = x[-1]
-    xi_true = as_point(xi_true, w.shape[0])
-    score = float(w @ xi_true + intercept)
-    if score >= 0.0:
-        return xi_true.copy()
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise DegenerateClassifierError(
-            "zero feature weights: no move can change the score"
-        )
-    gap = -score / norm
-    if gap * gap >= 2.0:
-        return xi_true.copy()
-    return xi_true + gap * (w / norm)
+    features = as_point(xi_true, x.shape[0] - 1)[None, None, :].copy()
+    _respond(features, x[None, :])
+    return features[0, 0]
 
 
 def _respond(features, points) -> Vector:
     """(k, m) scores of a (k, m, f) ``features`` stack after best responses.
 
     Row j holds the m agents facing classifier ``points[j]``.  Each agent
-    that gains from moving is moved in ``features`` itself, as
-    :func:`best_response` would move it; the stacked matmuls round each
-    row's scores as its own (m, f) @ (f,) would.
+    that gains from moving is moved in ``features`` itself, by the move
+    :func:`best_response` describes; the stacked matmuls round each row's
+    scores as its own (m, f) @ (f,) would.
     """
     weights = points[:, :-1]
     intercepts = points[:, -1:]

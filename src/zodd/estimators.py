@@ -129,29 +129,25 @@ class GradientEstimate:
         point; the experiment harness logs it as the per-iteration objective
         estimate.
         """
-        return _probe_mean(self._forward, self._backward)
-
-
-def _probe_mean(forward: Vector, backward: Vector | None) -> float:
-    """Mean of one estimate's (batch, N) sample values."""
-    if backward is None:
-        return float(forward.mean())
-    return float((forward.mean() + backward.mean()) / 2.0)
+        backward = None if self._backward is None else self._backward[:, None]
+        return _probe_means(self._forward[:, None], backward)[0]
 
 
 def _probe_means(forward: Vector, backward: Vector | None) -> list[float]:
-    """``GradientEstimate.probe_mean`` of every row of (batch, R, N) values.
+    """The mean of every sample value of each row of (batch, R, N) values.
 
-    Each half is reduced in one call, summing a row's values in the order a
-    single estimate sums them.  Its one-sided values are a contiguous
-    (batch, N) array and its two-sided halves strided views; numpy sums
-    both pairwise as a whole when batch = 1 or while they fit its reduction
-    buffer, and so does a contiguous copy of each row.  A larger strided
-    half numpy sums buffer by buffer, so those rows go one at a time.
+    ``GradientEstimate.probe_mean`` is the R = 1 case; a row's mean does not
+    depend on the rows beside it.  Each half is reduced in one call that
+    sums each row pairwise as one contiguous run: its (N,) values when
+    batch = 1, else a (batch * N,) copy.  When batch > 1 and a row's
+    two-sided half exceeds numpy's reduction buffer, each row instead takes
+    the mean of its strided (batch, N) halves, which numpy sums buffer by
+    buffer, so such estimates keep the numbers they have always had.
     """
     batch, rows, n = forward.shape
     if backward is not None and batch > 1 and batch * n > np.getbufsize():
-        return [_probe_mean(forward[:, r], backward[:, r]) for r in range(rows)]
+        return [float((forward[:, r].mean() + backward[:, r].mean()) / 2.0)
+                for r in range(rows)]
     halves = [forward] if backward is None else [forward, backward]
     sums = [half[0].sum(axis=1) if batch == 1
             else half.transpose(1, 0, 2).reshape(rows, batch * n).sum(axis=1)

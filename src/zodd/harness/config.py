@@ -254,10 +254,15 @@ _ENVIRONMENT_KEYS = {
     "strategic": ("dimension", 12, "population_file",
                   {"agents": 400, "separation": 1.0, "seed": 0}),
 }
+# the keys that shape a synthetic instance, which a data file replaces
+_SYNTHETIC_KEYS = {"seed", "agents", "separation"}
 
 
 def _parse_environment(section: _Section) -> EnvironmentSpec:
-    """The environment spec; a key its kind does not read is an unknown field."""
+    """The environment spec; a key its kind does not read is an unknown field.
+
+    With a data file, the keys of the synthetic instance are not read.
+    """
     kind = section.get_str("kind", required=True, choices=set(_ENVIRONMENT_KEYS))
     key, default, data_key, knobs = _ENVIRONMENT_KEYS[kind]
     dimension = section.get_int(key)
@@ -274,7 +279,7 @@ def _parse_environment(section: _Section) -> EnvironmentSpec:
         dimension = default
     values = {
         name: (section.get_float if isinstance(value, float) else section.get_int)(name, value)
-        for name, value in knobs.items()
+        for name, value in knobs.items() if data_file is None or name not in _SYNTHETIC_KEYS
     }
     if data_key is not None:
         values[data_key] = data_file

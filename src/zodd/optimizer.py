@@ -251,15 +251,14 @@ class RunTrace:
     With the default ``thin=1`` the trace holds every iterate x_0..x_T,
     every estimated gradient g_0..g_{T-1} as a (d,) array, and cumulative
     sample counts; with a thinning factor k only every k-th iterate (plus
-    the last) is kept and the gradients are dropped.  ``grad_norm_sq`` holds
-    the analytic squared gradient norms at stored iterates when the oracle
-    exposes a gradient.
+    the last) is kept and the gradients are dropped.  On an environment with
+    an analytic gradient, ``env.gradient`` over ``iterates`` gives the true
+    gradients at the stored iterates.
     """
 
     iterates: list[Vector]
     samples_cumulative: list[int]
     gradients: list[Vector]
-    grad_norm_sq: list[float] | None
     output_index: int | None = None
 
 
@@ -348,7 +347,6 @@ def run_descent(
     cfg = plan.estimator_config()
     cost = cfg.samples_per_estimate(oracle.dimension)
     keep_gradients = thin == 1
-    track_gradient = getattr(oracle, "supports_gradient", False)
 
     output_index = select_uniform_index(plan.iterations + 1, rng)
     x_bar = x.copy()
@@ -357,12 +355,8 @@ def run_descent(
         iterates=[x.copy()],
         samples_cumulative=[0],
         gradients=[],
-        grad_norm_sq=[] if track_gradient else None,
         output_index=output_index,
     )
-    if track_gradient:
-        g = oracle.gradient(x)
-        trace.grad_norm_sq.append(float(g @ g))
 
     chain = lockstep_descent(
         x[None, :], cfg, oracle, [rng], [plan.step], [cfg.mu], plan.iterations
@@ -378,9 +372,6 @@ def run_descent(
         if t % thin == 0 or t == plan.iterations:
             trace.iterates.append(x.copy())
             trace.samples_cumulative.append(t * cost)
-            if track_gradient:
-                g = oracle.gradient(x)
-                trace.grad_norm_sq.append(float(g @ g))
         if keep_gradients:
             trace.gradients.append(step.gradients[0])
 

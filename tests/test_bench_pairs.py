@@ -68,6 +68,16 @@ def test_claim_needs_nine_of_ten_pairs_a_gap_above_the_iqr_and_the_share():
     assert not _claim(parent, faster, 0.10, correct=False)["met"]
 
 
+def test_src_lines_counts_the_package_and_harness_modules(tmp_path):
+    package = tmp_path / "src" / "zodd"
+    (package / "harness" / "deeper").mkdir(parents=True)
+    (package / "core.py").write_text("a = 1\nb = 2\n\n")
+    (package / "harness" / "cli.py").write_text("x = 1\ny = 2")  # no final newline
+    (package / "notes.txt").write_text("not code\n")
+    (package / "harness" / "deeper" / "more.py").write_text("z = 3\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+
+
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("12201-12203,7") == [12201, 12202, 12203, 7]
 
@@ -88,6 +98,7 @@ def test_runs_alternate_which_side_goes_first(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     monkeypatch.setattr(bench_pairs, "git_ids", lambda root: {"sha": root})
+    monkeypatch.setattr(bench_pairs, "src_lines", lambda root: 100 if root == "p" else 90)
     out = tmp_path / "BENCH.json"
     bench_pairs.main(["--parent", "p", "--change", str(tmp_path), "--seeds", "1-4",
                       "--claim", "w:wall_s:0.1", "--out", str(out)])
@@ -99,5 +110,6 @@ def test_runs_alternate_which_side_goes_first(tmp_path, monkeypatch):
     assert wall["parent"]["runs"] == [1.001, 1.002, 1.003, 1.004]
     assert wall["pairs_change_better"] == 4
     assert result["workloads"]["w"]["attempted"] == {"parent": 12, "change": 12}
+    assert (result["parent"]["src_lines"], result["change"]["src_lines"]) == (100, 90)
     # 4 of 4 pairs, a 0.2 s gap against a 0.0015 s IQR, and 20% against 10%
     assert result["claim"]["met"] is True

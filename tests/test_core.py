@@ -407,6 +407,25 @@ class TestStreamHelpers:
         # once no iterator is live, the shared generator is lent again
         assert {id(g) for g in stream_generators(inner)} == ids
 
+    def test_generators_read_no_os_entropy(self, monkeypatch):
+        streams = [RngStream(5), RngStream(6, 2**63).child("x")]
+        expected = [s.generator().standard_normal(3) for s in streams]
+
+        def entropy(*args):
+            raise AssertionError("OS entropy read")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", entropy)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            np.random.Philox()  # an unseeded bit generator reads it
+        assert np.array_equal(streams[1].generator().standard_normal(3), expected[1])
+        outer = stream_generators(streams)
+        first = next(outer).standard_normal(3)
+        # an iterator started while another is live builds its own generator
+        inner = [gen.standard_normal(3) for gen in stream_generators(streams)]
+        rest = [gen.standard_normal(3) for gen in outer]
+        assert np.array_equal([first, *rest], expected)
+        assert np.array_equal(inner, expected)
+
     def test_estimates_in_two_threads_equal_serial_ones(self):
         # each thread resets its own shared generator; a short switch
         # interval interleaves the threads' draws finely

@@ -323,10 +323,19 @@ step = 0.001
         ("[environment]\nkind = quadratic\n[estimator.p]\nkind = sphere\nplan = grad\nepsilon = 0.3\n[tuning]\nenabled = true\nstep = 0.1\nmu = 0.1", "[estimator.p] plan"),
         ("[environment]\nkind = quadratic\n[estimator.p]\nkind = sphere\nplan = grad\nepsilon = 0.3\ndirections = 4", "[estimator.p] directions"),
         ("[environment]\nkind = quadratic\n[estimator.p]\nkind = coordinate\nplan = grad\nepsilon = 0.3\nbatch = 4", "[estimator.p] batch"),
+        # (kind, line) pairs: a data-file config with one more environment line
+        (("pricing", "seed = 3"), "[environment] unknown field(s): seed"),
+        (("strategic", "seed = 3"), "[environment] unknown field(s): seed"),
+        (("strategic", "agents = 60"), "[environment] unknown field(s): agents"),
+        (("strategic", "separation = 1.5"), "[environment] unknown field(s): separation"),
     ])
     def test_rejected_configs(self, tmp_path, mutation, needle):
+        if isinstance(mutation, tuple):
+            path = self._data_file_config(tmp_path, *mutation)
+        else:
+            path = _write(tmp_path, mutation + "\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(_write(tmp_path, mutation + "\n"))
+            parse_config(path)
         assert needle in str(err.value)
 
     def test_missing_file(self, tmp_path):

@@ -177,7 +177,6 @@ class TestRunDescent:
         assert len(trace.samples_cumulative) == 13
         assert trace.samples_cumulative[0] == 0
         assert trace.samples_cumulative[-1] == 12 * plan.samples_per_iteration(3)
-        assert len(trace.grad_norm_sq) == 13
 
     def test_deterministic(self):
         env = QuadraticEnv.isotropic(3, sigma=1.0)
@@ -232,7 +231,6 @@ class TestRunDescent:
         # stored: x_0 plus iterates 5, 10, and the final 12
         assert len(trace.iterates) == 4
         assert trace.gradients == []
-        assert len(trace.grad_norm_sq) == 4
 
     def test_divergence_raises_with_partial_trace(self):
         env = QuadraticEnv.isotropic(2, sigma=0.0)

@@ -7,7 +7,8 @@ first on the first, third, ... seed and the change on the others.  For
 every end-to-end metric of ``BENCHMARK.json`` it records each side's runs,
 median, quartiles (numpy's linear interpolation) and IQR, how many pairs
 the change won and lost, and whether the change's median is worse than the
-metric's bound.  Every workload of ``BENCHMARK.json`` runs at its
+metric's bound.  It also records each side's ``src_lines``, the lines of
+code of the package.  Every workload of ``BENCHMARK.json`` runs at its
 ``run_seconds``.  A claimed metric is met when every run of the workload is
 correct, the change fails no more operations than the parent, the change is
 better in at least nine of ten pairs, its median gap is larger than the
@@ -33,6 +34,7 @@ import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -61,6 +63,13 @@ def git_ids(root: str) -> dict:
         "src_tree": git("rev-parse", "HEAD:src"),
         "src_dirty": bool(git("status", "--porcelain", "--", "src")),
     }
+
+
+def src_lines(root: str) -> int:
+    """Lines of ``src/zodd/*.py`` and ``src/zodd/harness/*.py``, as ``wc -l`` counts them."""
+    package = Path(root, "src", "zodd")
+    return sum(path.read_bytes().count(b"\n")
+               for pattern in ("*.py", "harness/*.py") for path in package.glob(pattern))
 
 
 def machine() -> dict:
@@ -161,9 +170,10 @@ def main(argv=None) -> int:
 
     out = {
         "title": args.title,
-        "parent": git_ids(args.parent),
+        "parent": {**git_ids(args.parent), "src_lines": src_lines(args.parent)},
         # the change's commit may still be amended; its src/ tree is what ran
-        "change": {k: v for k, v in git_ids(args.change).items() if k != "sha"},
+        "change": {**{k: v for k, v in git_ids(args.change).items() if k != "sha"},
+                   "src_lines": src_lines(args.change)},
         "machine": machine(),
         "harness": {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
