@@ -123,6 +123,8 @@ class QuadraticEnv(Environment):
         b = as_point(b)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
             raise ValueError("A must be square and match the length of b")
+        if b.shape[0] < 1:
+            raise ValueError("dimension must be >= 1")
         if not np.allclose(A, A.T, atol=1e-12):
             raise ValueError("A must be symmetric")
         if sigma < 0:

@@ -6,14 +6,16 @@ value`` pairs, ``#``/``;`` comments.  One ``[environment]`` section, one
 optional ``[tuning]`` section.  Lists are comma- or space-separated;
 integer lists also accept ``a..b`` inclusive ranges (``seeds = 0..19``).
 
-Configuration errors raise :class:`ConfigError` with the offending
-section and field named, which the CLI maps to exit code 2.
+Parsing builds the environment once and resolves every estimator against
+it, so what an environment constructor, a data file or the planner rejects
+is caught here.  Configuration errors raise :class:`ConfigError` with the
+offending section and field named, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,15 +92,20 @@ class EstimatorSpec:
     plan_epsilon: float | None = None
 
     def resolve(self, env: Environment) -> tuple[EstimatorConfig, float]:
-        """Concrete (estimator config, step), consulting the planner if asked."""
+        """Concrete (estimator config, step), consulting the planner if asked.
+
+        Knobs that make no estimator config, or a plan the planner rejects,
+        raise :class:`ConfigError` naming the estimator's section.
+        """
         if self.plan_regime is None:
-            return (
-                EstimatorConfig(
+            try:
+                config = EstimatorConfig(
                     kind=self.kind, mu=self.mu, directions=self.directions,
                     batch=self.batch,
-                ),
-                self.step,
-            )
+                )
+            except ValueError as exc:
+                raise ConfigError(f"[estimator.{self.name}] {exc}") from exc
+            return config, self.step
         sigma = env.noise_scale
         M = env.grad_smoothness
         H = env.hess_smoothness
@@ -258,53 +265,42 @@ _ENVIRONMENT_KEYS = {
 _SYNTHETIC_KEYS = {"seed", "agents", "separation"}
 
 
-def _parse_environment(section: _Section) -> EnvironmentSpec:
-    """The environment spec; a key its kind does not read is an unknown field.
+def _parse_environment(section: _Section) -> tuple[EnvironmentSpec, Environment]:
+    """The environment spec and the one environment built from it.
 
-    With a data file, the keys of the synthetic instance are not read.
+    A key its kind does not read is an unknown field; with a data file, the
+    keys of the synthetic instance are not read.  Building checks what the
+    constructors check, and reads the data file, whose dimension then
+    replaces the configured one.
     """
     kind = section.get_str("kind", required=True, choices=set(_ENVIRONMENT_KEYS))
     key, default, data_key, knobs = _ENVIRONMENT_KEYS[kind]
     dimension = section.get_int(key)
     data_file = None if data_key is None else section.get_str(data_key)
-    if data_file is not None:
-        size = _data_file_dimension(section.name, data_key, kind, data_file)
-        if dimension is not None and dimension != size:
-            raise ConfigError(
-                f"[{section.name}] {key}: {dimension} disagrees with {data_key}, "
-                f"which gives {size}"
-            )
-        dimension = size
-    elif dimension is None:
-        dimension = default
     values = {
         name: (section.get_float if isinstance(value, float) else section.get_int)(name, value)
         for name, value in knobs.items() if data_file is None or name not in _SYNTHETIC_KEYS
     }
     if data_key is not None:
         values[data_key] = data_file
-    spec = EnvironmentSpec(kind=kind, dimension=dimension, **values)
+    spec = EnvironmentSpec(
+        kind=kind, dimension=default if dimension is None else dimension, **values
+    )
     section.reject_unknown()
-    if spec.dimension < 1:
-        raise ConfigError(f"[{section.name}] dimension must be >= 1")
-    if kind == "quadratic" and spec.sigma < 0:
-        raise ConfigError(f"[{section.name}] sigma must be >= 0")
-    if kind == "strategic" and spec.dimension < 2:
-        raise ConfigError(f"[{section.name}] strategic dimension is features + 1 >= 2")
-    return spec
-
-
-def _data_file_dimension(section_name: str, key: str, kind: str, path: str) -> int:
-    """The dimension a price or population file fixes.
-
-    The file is read at parse time, so an unreadable one is a config error.
-    """
+    # with a data file, every value a constructor checks but buyers comes from it
+    where = "" if data_file is None else f" {data_key}:"
     try:
-        if kind == "pricing":
-            return load_prices(path)[0].shape[0]
-        return load_population(path)[0].shape[1] + 1
+        env = spec.build()
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"[{section_name}] {key}: {exc}") from exc
+        raise ConfigError(f"[{section.name}]{where} {exc}") from exc
+    if data_file is not None:
+        if dimension is not None and dimension != env.dimension:
+            raise ConfigError(
+                f"[{section.name}] {key}: {dimension} disagrees with {data_key}, "
+                f"which gives {env.dimension}"
+            )
+        spec = replace(spec, dimension=env.dimension)
+    return spec, env
 
 
 def _parse_estimator(section: _Section, name: str) -> EstimatorSpec:
@@ -331,10 +327,6 @@ def _parse_estimator(section: _Section, name: str) -> EstimatorSpec:
             )
         if (epsilon is not None):
             raise ConfigError(f"[{section.name}] epsilon requires plan = grad|hessian")
-        try:
-            EstimatorConfig(kind=kind, mu=mu, directions=spec.directions, batch=spec.batch)
-        except ValueError as exc:
-            raise ConfigError(f"[{section.name}] {exc}") from exc
         if step <= 0:
             raise ConfigError(f"[{section.name}] step must be positive")
     else:
@@ -395,7 +387,7 @@ def parse_config(path) -> ExperimentConfig:
 
     if "environment" not in sections:
         raise ConfigError("missing [environment] section")
-    env_spec = _parse_environment(sections["environment"])
+    env_spec, env = _parse_environment(sections["environment"])
 
     estimators = []
     for name, section in sections.items():
@@ -428,11 +420,20 @@ def parse_config(path) -> ExperimentConfig:
         )
 
     tuning = _parse_tuning(sections.get("tuning", _Section("tuning", {})))
+    costs = []
     for spec in estimators:
         if tuning.enabled and spec.plan_regime is not None:
             raise ConfigError(f"[estimator.{spec.name}] plan: a planned estimator cannot be tuned")
+        est_cfg, _ = spec.resolve(env)
+        if spec.plan_regime is None:  # planner-sized methods are checked per row at run time
+            costs.append(est_cfg.samples_per_estimate(env.dimension))
+    if costs and budget < min(costs):
+        raise ConfigError(
+            f"[run] budget {budget} is below the cheapest single estimate "
+            f"({min(costs)} draws); no method could take even one step"
+        )
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         environment=env_spec,
         estimators=tuple(estimators),
         seeds=tuple(seeds),
@@ -442,33 +443,3 @@ def parse_config(path) -> ExperimentConfig:
         timing=timing,
         tuning=tuning,
     )
-    _check_budget_feasible(config)
-    _check_plans(config)
-    return config
-
-
-def _check_plans(config: ExperimentConfig) -> None:
-    """Resolve every planner request now, so an impossible one fails before any row."""
-    planned = [spec for spec in config.estimators if spec.plan_regime is not None]
-    if planned:
-        env = config.environment.build()
-        for spec in planned:
-            spec.resolve(env)
-
-
-def _check_budget_feasible(config: ExperimentConfig) -> None:
-    """The budget must admit at least one estimate for the cheapest method."""
-    d = config.environment.dimension
-    costs = []
-    for spec in config.estimators:
-        if spec.plan_regime is not None:
-            continue  # planner-sized methods are checked per row at run time
-        cfg = EstimatorConfig(
-            kind=spec.kind, mu=spec.mu, directions=spec.directions, batch=spec.batch
-        )
-        costs.append(cfg.samples_per_estimate(d))
-    if costs and config.budget < min(costs):
-        raise ConfigError(
-            f"[run] budget {config.budget} is below the cheapest single estimate "
-            f"({min(costs)} draws); no method could take even one step"
-        )

@@ -234,27 +234,74 @@ def test_09_estimator_ordering_on_pricing(report):
     assert elapsed < 600.0
 
 
+def _grid_argmax_sweep(grid, w2, b, z2):
+    """(utility, cell) of the largest utility on the grid, first index on ties."""
+    # exact acceptance indicator; blocks keep the 6001^2 sweep in memory
+    best_u, best_pt = -np.inf, None
+    cost_j = (grid - z2[1]) ** 2
+    score_j = w2[1] * grid
+    for lo in range(0, grid.size, 800):
+        gi = grid[lo:lo + 800]
+        score = w2[0] * gi[:, None] + score_j[None, :] + b
+        util = np.where(score >= 0.0, 2.0, 0.0)
+        util -= (gi - z2[0])[:, None] ** 2
+        util -= cost_j[None, :]
+        k = int(np.argmax(util))
+        if util.flat[k] > best_u:
+            best_u = float(util.flat[k])
+            best_pt = np.array([gi[k // grid.size], grid[k % grid.size]])
+    return best_u, best_pt
+
+
+def _grid_argmax_rows(grid, w2, b, z2):
+    """What :func:`_grid_argmax_sweep` returns, from two cells per grid row.
+
+    The utility 2 [score >= 0] - (u - z0)^2 - (v - z1)^2 is separable, and
+    along a row the score is monotone in v, so the accepted cells form a
+    half-line.  A row's largest utility is at the cell nearest z1 or, when
+    that cell is rejected, at the accepted cell nearest it: the half-line's
+    end.  Both use the sweep's float expressions, and rounding is monotone,
+    so each row's largest value is the sweep's.  The first row holding the
+    overall largest is then evaluated whole for the sweep's first-index
+    tie-break.
+    """
+    n = grid.size
+    cost_u = (grid - z2[0]) ** 2
+    cost_v = (grid - z2[1]) ** 2
+    score_u = w2[0] * grid
+    score_v = w2[1] * grid
+    rows = np.arange(n)
+
+    def accepted(i, j):
+        return score_u[i] + score_v[j] + b >= 0.0
+
+    # columns in the order that makes acceptance non-decreasing along a row;
+    # bisect each row for its first accepted position (n when none is)
+    cols = rows if w2[1] >= 0 else rows[::-1]
+    lo, hi = np.zeros(n, dtype=int), np.full(n, n)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        ok = accepted(rows, cols[np.minimum(mid, n - 1)])
+        active = lo < hi
+        hi = np.where(active & ok, mid, hi)
+        lo = np.where(active & ~ok, mid + 1, lo)
+    near = int(np.argmin(cost_v))
+    near_accepted = accepted(rows, near)
+    stay = np.where(near_accepted, 2.0, 0.0) - cost_u - cost_v[near]
+    end = cols[np.minimum(lo, n - 1)]
+    move = np.where(~near_accepted & (lo < n), 2.0 - cost_u - cost_v[end], -np.inf)
+    row_best = np.maximum(stay, move)
+    i = int(np.argmax(row_best))
+    util = np.where(accepted(i, rows), 2.0, 0.0) - cost_u[i] - cost_v
+    j = int(np.argmax(util))
+    assert util[j] == row_best[i]
+    return float(util[j]), np.array([grid[i], grid[j]])
+
+
 def test_10_best_response_matches_grid(report):
     start = time.perf_counter()
     h = 1e-3
     grid = np.arange(-3.0, 3.0 + h / 2, h)
-
-    def grid_argmax(w2, b, z2):
-        # exact acceptance indicator; blocks keep the 6001^2 sweep in memory
-        best_u, best_pt = -np.inf, None
-        cost_j = (grid - z2[1]) ** 2
-        score_j = w2[1] * grid
-        for lo in range(0, grid.size, 800):
-            gi = grid[lo:lo + 800]
-            score = w2[0] * gi[:, None] + score_j[None, :] + b
-            util = np.where(score >= 0.0, 2.0, 0.0)
-            util -= (gi - z2[0])[:, None] ** 2
-            util -= cost_j[None, :]
-            k = int(np.argmax(util))
-            if util.flat[k] > best_u:
-                best_u = float(util.flat[k])
-                best_pt = np.array([gi[k // grid.size], grid[k % grid.size]])
-        return best_u, best_pt
 
     rng = RngStream(10).child("accept10")
     failures = []
@@ -286,7 +333,11 @@ def test_10_best_response_matches_grid(report):
         delta = float(np.linalg.norm(closed - z_full))
         closed_u = 2.0 - delta**2 if moved else (2.0 if score0 >= 0 else 0.0)
 
-        grid_u, grid_pt = grid_argmax(w2, b, z2)
+        grid_u, grid_pt = _grid_argmax_rows(grid, w2, b, z2)
+        if inst < 3:  # the full sweep, as a cross-check of the row maxima
+            sweep_u, sweep_pt = _grid_argmax_sweep(grid, w2, b, z2)
+            if sweep_u != grid_u or not np.array_equal(sweep_pt, grid_pt):
+                failures.append((inst, "sweep", sweep_u, grid_u, sweep_pt, grid_pt))
         dist = float(np.linalg.norm(grid_pt - closed[[i, j]]))
         payoff_allow = 3 * h * (2 * delta + 1)
         dist_allow = math.sqrt(6 * h * (2 * delta + 1)) + 2 * h

@@ -37,6 +37,17 @@ def test_worse_than_bound_reads_the_metric_direction(better, change, worse):
     assert out["worse_than_bound"] is worse
 
 
+def test_unresolved_when_the_parent_spread_exceeds_the_bound():
+    wide = [1.0, 1.4, 0.8, 1.2, 0.9, 1.5]  # IQR 0.425 of a median 1.1
+    assert bench_pairs.compare(wide, [1.05] * 6, "lower", 0.25)["unresolved"]
+    assert not bench_pairs.compare(wide, [1.05] * 6, "lower", 0.5)["unresolved"]
+    # every change run better than every parent run settles it
+    assert not bench_pairs.compare(wide, [0.7] * 6, "lower", 0.25)["unresolved"]
+    assert bench_pairs.compare(wide, [0.7] * 6, "higher", 0.25)["unresolved"]
+    assert not bench_pairs.compare(wide, [1.6] * 6, "higher", 0.25)["unresolved"]
+    assert not bench_pairs.compare([1.0, 1.02, 0.98, 1.01], [1.5] * 4, "lower", 0.25)["unresolved"]
+
+
 def _claim(parent, change, share=0.0, correct=True, failed=(0, 0)):
     runs = {
         "seeds": list(range(len(parent))),

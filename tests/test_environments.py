@@ -65,6 +65,8 @@ class TestQuadraticEnv:
             QuadraticEnv(np.eye(2), np.zeros(3), 0.0)
         with pytest.raises(ValueError):
             QuadraticEnv(np.eye(2), np.zeros(2), -1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            QuadraticEnv.isotropic(0, 1.0)
 
     def test_gradient_matches_finite_differences(self):
         env = self._env()

@@ -11,6 +11,7 @@ from zodd.environments import PricingEnv, QuadraticEnv, save_population, save_pr
 from zodd.harness.cli import main
 from zodd.harness.config import (
     ConfigError,
+    EnvironmentSpec,
     EstimatorSpec,
     TuningSpec,
     parse_config,
@@ -328,6 +329,10 @@ step = 0.001
         (("strategic", "seed = 3"), "[environment] unknown field(s): seed"),
         (("strategic", "agents = 60"), "[environment] unknown field(s): agents"),
         (("strategic", "separation = 1.5"), "[environment] unknown field(s): separation"),
+        # the environment is built at parse time, so its constructor's checks apply
+        ("[environment]\nkind = pricing\nbuyers = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
+        ("[environment]\nkind = strategic\nagents = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
+        ("[environment]\nkind = quadratic\ndimension = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
     ])
     def test_rejected_configs(self, tmp_path, mutation, needle):
         if isinstance(mutation, tuple):
@@ -337,6 +342,28 @@ step = 0.001
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("config", ["quadratic", "pricing_file", "planned"])
+    def test_parse_builds_the_environment_once(self, tmp_path, monkeypatch, config):
+        save_prices(tmp_path / "p.csv", np.array([1.0, 1.5]), np.array([0.3, 0.4]))
+        environment, estimator = {
+            "quadratic": ("kind = quadratic", "mu = 0.1\nstep = 0.1"),
+            "pricing_file": (f"kind = pricing\nprice_file = {tmp_path / 'p.csv'}",
+                             "mu = 0.1\nstep = 0.001"),
+            "planned": ("kind = quadratic\ndimension = 3", "plan = grad\nepsilon = 0.3"),
+        }[config]
+        path = _write(tmp_path, f"[environment]\n{environment}\n\n"
+                                f"[estimator.e]\nkind = sphere\n{estimator}\n")
+        calls = []
+        build = EnvironmentSpec.build
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(EnvironmentSpec, "build", counted)
+        parse_config(path)
+        assert len(calls) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

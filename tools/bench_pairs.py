@@ -7,8 +7,11 @@ first on the first, third, ... seed and the change on the others.  For
 every end-to-end metric of ``BENCHMARK.json`` it records each side's runs,
 median, quartiles (numpy's linear interpolation) and IQR, how many pairs
 the change won and lost, and whether the change's median is worse than the
-metric's bound.  It also records each side's ``src_lines``, the lines of
-code of the package.  Every workload of ``BENCHMARK.json`` runs at its
+metric's bound.  A metric is unresolved when the parent's IQR is wider than
+the bound, relative to the parent's median, unless every change run beats
+every parent run: its spread can then hide a change as large as the bound.
+It also records each side's ``src_lines``, the lines of code of the
+package.  Every workload of ``BENCHMARK.json`` runs at its
 ``run_seconds``.  A claimed metric is met when every run of the workload is
 correct, the change fails no more operations than the parent, the change is
 better in at least nine of ten pairs, its median gap is larger than the
@@ -97,6 +100,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     p, c = summary(parent), summary(change)
     ratio = c["median"] / p["median"] if p["median"] else math.nan
     gains = [sign * (b - a) for a, b in zip(parent, change)]
+    beats_every_run = min(sign * v for v in change) > max(sign * v for v in parent)
     return {
         "parent": p,
         "change": c,
@@ -105,6 +109,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "pairs_change_better": sum(g > 0 for g in gains),
         "pairs_change_worse": sum(g < 0 for g in gains),
         "worse_than_bound": bool(sign * (ratio - 1.0) < -bound),
+        "unresolved": bool(p["iqr"] > bound * abs(p["median"]) and not beats_every_run),
     }
 
 
@@ -237,9 +242,10 @@ def main(argv=None) -> int:
         print(f"claim {claim['workload']} {claim['metric']}: "
               f"{claim['relative_change_of_median']:+.1%}, "
               f"{claim['pairs_change_better']}/{claim['pairs']} pairs, met={claim['met']}")
-    worse = [(w, m) for w, e in out["workloads"].items()
-             for m, v in e["metrics"].items() if v["worse_than_bound"]]
-    print("worse than bound:", worse or "none")
+    for flag, label in (("worse_than_bound", "worse than bound"), ("unresolved", "unresolved")):
+        listed = [(w, m) for w, e in out["workloads"].items()
+                  for m, v in e["metrics"].items() if v[flag]]
+        print(f"{label}:", listed or "none")
     return 0
 
 
