@@ -259,7 +259,11 @@ def load_prices(path) -> tuple[Vector, Vector]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(reader.fieldnames) != {"theta", "rho"}:
             raise ValueError(f"{path}: expected columns theta,rho")
-        rows = [(float(row["theta"]), float(row["rho"])) for row in reader]
+        try:
+            rows = [(float(row["theta"]), float(row["rho"])) for row in reader]
+        except (TypeError, ValueError) as exc:
+            # a short row reads its missing field as None
+            raise ValueError(f"{path}: line {reader.line_num}: expected numbers theta,rho") from exc
     if not rows:
         raise ValueError(f"{path}: no price records")
     theta = np.array([r[0] for r in rows])
@@ -551,10 +555,13 @@ def load_population(path) -> tuple[Vector, Vector]:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no population records")
+    # a row of another width, an empty line included, is on line i + 2
+    bad = next((i for i, r in enumerate(rows) if len(r) != len(header)), None)
+    if bad is not None:
+        raise ValueError(f"{path}: line {bad + 2}: expected {len(header)} fields, "
+                         f"got {len(rows[bad])}")
     labels = np.array([float(r[0]) for r in rows])
     features = np.array([[float(v) for v in r[1:]] for r in rows])
-    if features.shape[1] != len(header) - 1:
-        raise ValueError(f"{path}: ragged feature rows")
     return features, labels
 
 

@@ -254,10 +254,12 @@ def _kernel(
     values = oracle.sample_at(probes, draws, replicates=cfg.batch).reshape(cfg.batch, rows, -1)
     if cfg.kind == "one_point":
         forward, backward = values, None
-        coeffs = values.mean(axis=0) / (2.0 * radius)
+        diffs = values
     else:
         forward, backward = values[:, :, :n], values[:, :, n:]
-        coeffs = (forward - backward).mean(axis=0) / (2.0 * radius)
+        diffs = forward - backward
+    # the mean of a batch of one is its one value, bit for bit
+    coeffs = (diffs[0] if cfg.batch == 1 else diffs.mean(axis=0)) / (2.0 * radius)
     if cfg.kind == "gaussian":
         scale = 1.0 / cfg.directions
     elif cfg.kind == "coordinate":

@@ -23,10 +23,17 @@ with as many rows as fit in ``REPLICATE_CHUNK_DRAWS`` (2^14) oracle draws,
 at least one, and chunk c draws from ``rng.child("chunk", c)`` of the grid
 point's stream.  The chunk size is part of the stream layout, not a
 tuning knob: changing it changes every reported MSE.
+
+The grid points run concurrently, one thread per usable CPU.  Each point's
+draws come from its own stream alone and the results are joined in grid
+order, so neither the thread count nor the order in which points finish
+changes a byte of the report.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +182,52 @@ def _empirical_mse(env, x, cfg, rng, replicates: int) -> tuple[float, float]:
     return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(replicates))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_empirical_mse(env, x, tasks, replicates: int) -> list[tuple[float, float]]:
+    """``_empirical_mse`` of every ``(cfg, rng)`` task, in task order.
+
+    The calling thread and min(usable CPUs, tasks) - 1 helper threads take
+    task indices in turn, the tasks with the most samples per estimate
+    first, so that no long task starts last.  If a task raises, no new task
+    is taken; every helper is joined before the first exception is
+    re-raised.
+    """
+    results = [None] * len(tasks)
+    errors = []
+    indices = iter(sorted(range(len(tasks)), reverse=True,
+                          key=lambda i: tasks[i][0].samples_per_estimate(env.dimension)))
+    lock = threading.Lock()
+
+    def work():
+        try:
+            while not errors:
+                with lock:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                results[i] = _empirical_mse(env, x, *tasks[i], replicates)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(_usable_cpus(), len(tasks)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 _MU_GRID = (0.05, 0.1, 0.2)
 _N_GRID = (10, 100)
 _M_GRID = (1, 10)
@@ -195,10 +248,18 @@ def run_mse_bounds(seed: int = 0, replicates: int = 2000, d: int = 5,
         "sphere": [(mu, N, m) for mu in _MU_GRID for N in _N_GRID for m in _M_GRID],
         "gaussian": [(mu, N, m) for mu in _MU_GRID for N in _N_GRID for m in _M_GRID],
     }
+    tasks = [(EstimatorConfig(kind=kind, mu=mu, directions=N, batch=m), rng.child(kind, gi))
+             for kind, grid in grids.items() for gi, (mu, N, m) in enumerate(grid)]
+    # probe-radius calibration: a gaussian probe at mu/sqrt(d) should match
+    # a sphere probe at mu to within a constant factor
+    tasks += [(EstimatorConfig(kind="gaussian", mu=mu / np.sqrt(d), directions=N, batch=m),
+               rng.child("gaussian-scaled", gi))
+              for gi, (mu, N, m) in enumerate(grids["sphere"])]
+    mses = iter(_map_empirical_mse(env, x, tasks, replicates))
+
     for kind, grid in grids.items():
-        for gi, (mu, N, m) in enumerate(grid):
-            cfg = EstimatorConfig(kind=kind, mu=mu, directions=N, batch=m)
-            emp, se = _empirical_mse(env, x, cfg, rng.child(kind, gi), replicates)
+        for mu, N, m in grid:
+            emp, se = next(mses)
             if kind == "sphere":
                 sphere_mse[(mu, N, m)] = (emp, se)
             point = f"mu={mu} N={N} m={m}"
@@ -212,11 +273,8 @@ def run_mse_bounds(seed: int = 0, replicates: int = 2000, d: int = 5,
                     point, emp, bound + 5 * se,
                 ))
 
-    # Probe-radius calibration: a gaussian probe at mu/sqrt(d) should match
-    # a sphere probe at mu to within a constant factor.
-    for gi, (mu, N, m) in enumerate(grids["sphere"]):
-        cfg = EstimatorConfig(kind="gaussian", mu=mu / np.sqrt(d), directions=N, batch=m)
-        emp, _ = _empirical_mse(env, x, cfg, rng.child("gaussian-scaled", gi), replicates)
+    for mu, N, m in grids["sphere"]:
+        emp, _ = next(mses)
         sphere_emp, _ = sphere_mse[(mu, N, m)]
         ratio = emp / sphere_emp
         results.append(CheckResult(
@@ -233,11 +291,14 @@ def run_n_dominance(seed: int = 0, replicates: int = 2000, d: int = 5,
     x = np.full(d, 0.8)
     rng = RngStream(seed).child("verify", "n-dominance")
     results = []
-    for kind in ("sphere", "gaussian"):
-        wide = EstimatorConfig(kind=kind, mu=mu, directions=100, batch=1)
-        deep = EstimatorConfig(kind=kind, mu=mu, directions=1, batch=100)
-        mse_wide, se_wide = _empirical_mse(env, x, wide, rng.child(kind, "wide"), replicates)
-        mse_deep, se_deep = _empirical_mse(env, x, deep, rng.child(kind, "deep"), replicates)
+    kinds = ("sphere", "gaussian")
+    tasks = [task for kind in kinds for task in (
+        (EstimatorConfig(kind=kind, mu=mu, directions=100, batch=1), rng.child(kind, "wide")),
+        (EstimatorConfig(kind=kind, mu=mu, directions=1, batch=100), rng.child(kind, "deep")),
+    )]
+    mses = iter(_map_empirical_mse(env, x, tasks, replicates))
+    for kind in kinds:
+        (mse_wide, se_wide), (mse_deep, se_deep) = next(mses), next(mses)
         allowance = 5.0 * float(np.hypot(se_wide, se_deep))
         results.append(CheckResult(
             "n_dominance", f"{kind}: MSE(N=100,m=1) <= MSE(N=1,m=100)",

@@ -89,6 +89,16 @@ def test_src_lines_counts_the_package_and_harness_modules(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 4
 
 
+def test_machine_records_the_usable_cpus(monkeypatch):
+    # a thread-parallel gain depends on the CPUs the runs may use, not on the box's count
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(bench_pairs.os, "cpu_count", lambda: 8)
+    out = bench_pairs.machine()
+    assert (out["cpus"], out["nproc"]) == (3, 8)
+    monkeypatch.delattr(bench_pairs.os, "sched_getaffinity")
+    assert bench_pairs.machine()["cpus"] == 8
+
+
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("12201-12203,7") == [12201, 12202, 12203, 7]
 

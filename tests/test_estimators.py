@@ -363,6 +363,35 @@ class TestBatchedKernel:
             # f = |x|^2 / 2: central differences give u . x exactly
             assert np.allclose(grads[r], (d / N) * ((u @ X[r]) @ u), atol=1e-12)
 
+    @given(
+        kind=st.sampled_from(ESTIMATOR_KINDS),
+        rows=st.integers(min_value=1, max_value=6),
+        directions=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_of_one_is_its_mean_bit_for_bit(self, kind, rows, directions, seed):
+        # the kernel takes a batch of one's only value; its mean over the
+        # batch axis must carry the same bits on any (1, R, N) values
+        d = 3
+        gen = RngStream(seed).child("values").generator()
+        scales = 10.0 ** gen.integers(-300, 300, 64)
+
+        class _RandomOracle(_RecordingOracle):
+            def _draw_at(self, points, streams, replicates):
+                k = points.shape[0]
+                return gen.standard_normal((replicates, k)) * gen.choice(scales, (replicates, k))
+
+        X = gen.uniform(-1, 1, (rows, d))
+        cfg = EstimatorConfig(kind, mu=0.25, directions=directions)
+        gradients, dirs, forward, backward = _kernel(X, cfg, _RandomOracle(d), RngStream(seed))
+        diffs = forward if backward is None else forward - backward
+        assert diffs.shape[0] == 1
+        coeffs = diffs.mean(axis=0) / (2.0 * np.full((rows, 1), cfg.mu))
+        scale = {"gaussian": 1.0 / directions, "coordinate": 1.0}.get(kind, d / directions)
+        expected = scale * np.matmul(coeffs[:, None, :], dirs)[:, 0, :]
+        assert np.array_equal(gradients.view(np.int64), expected.view(np.int64))
+
     def test_point_validation(self):
         env = QuadraticEnv.isotropic(3, sigma=0.0)
         cfg = EstimatorConfig("sphere", mu=0.1)

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,9 @@ from zodd.harness.runner import (
     run_experiment,
 )
 from zodd.harness.tuning import TUNING_SEED_BASE, candidate_specs, score_candidate, tune_method
+from zodd.core import RngStream
+from zodd.estimators import EstimatorConfig
+from zodd.harness import verify
 from zodd.harness.verify import (
     CheckResult,
     format_report,
@@ -253,7 +260,8 @@ step = 0.001
         assert env.dimension == 4
 
     @staticmethod
-    def _data_file_config(tmp_path, kind, size_line):
+    def _data_file_config(tmp_path, kind, size_line, data=None):
+        """A config reading a data file: a saved one, or the text ``data``."""
         if kind == "pricing":
             save_prices(tmp_path / "data.csv", np.array([1.0, 1.5]), np.array([0.3, 0.4]))
             file_line = f"price_file = {tmp_path / 'data.csv'}"
@@ -261,6 +269,8 @@ step = 0.001
             features = np.arange(12.0).reshape(4, 3)
             save_population(tmp_path / "data.csv", features, np.array([0.0, 1.0, 0.0, 1.0]))
             file_line = f"population_file = {tmp_path / 'data.csv'}"
+        if data is not None:
+            (tmp_path / "data.csv").write_text(data)
         return _write(tmp_path, f"""\
 [environment]
 kind = {kind}
@@ -329,6 +339,9 @@ step = 0.001
         (("strategic", "seed = 3"), "[environment] unknown field(s): seed"),
         (("strategic", "agents = 60"), "[environment] unknown field(s): agents"),
         (("strategic", "separation = 1.5"), "[environment] unknown field(s): separation"),
+        # (kind, line, data): a short row in the data file, on its third line
+        (("pricing", "", "theta,rho\n1.0,0.3\n1.0\n"), "data.csv: line 3: expected numbers"),
+        (("strategic", "", "label,f1,f2\n0,1,2\n\n1,3,4\n"), "data.csv: line 3: expected 3 fields"),
         # the environment is built at parse time, so its constructor's checks apply
         ("[environment]\nkind = pricing\nbuyers = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
         ("[environment]\nkind = strategic\nagents = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
@@ -679,6 +692,74 @@ class TestVerifySuites:
         kinds = {r.check.split()[0] for r in results}
         assert "coordinate" in kinds and "sphere" in kinds
 
+    @staticmethod
+    def _map(tasks, fake, monkeypatch, cpus):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(verify, "_empirical_mse", fake)
+        env = QuadraticEnv.isotropic(3, sigma=0.5)
+        return verify._map_empirical_mse(env, np.zeros(3), tasks, 10)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_grid_points_join_in_task_order(self, monkeypatch, cpus):
+        # later tasks finish first; the results still come back in task order
+        cfg = EstimatorConfig("sphere", mu=0.1)
+        tasks = [(cfg, RngStream(i)) for i in range(8)]
+
+        def fake(env, x, cfg, rng, replicates):
+            time.sleep(0.002 * (8 - rng.seed))
+            return float(rng.seed), 0.0
+
+        assert self._map(tasks, fake, monkeypatch, cpus) == [(float(i), 0.0) for i in range(8)]
+
+    def test_every_grid_point_runs_once_under_thread_switching(self, monkeypatch):
+        # more threads than cores, switching every microsecond: a task taken
+        # twice or never shows in the list of tasks run
+        cfg = EstimatorConfig("sphere", mu=0.1)
+        tasks = [(cfg, RngStream(i)) for i in range(300)]
+        ran = []
+
+        def fake(env, x, cfg, rng, replicates):
+            ran.append(rng.seed)
+            return float(rng.seed), 0.0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = self._map(tasks, fake, monkeypatch, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(300))
+        assert results == [(float(i), 0.0) for i in range(300)]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_failing_grid_point_reaches_the_caller(self, monkeypatch, cpus):
+        cfg = EstimatorConfig("sphere", mu=0.1)
+        tasks = [(cfg, RngStream(i)) for i in range(8)]
+        taken = []
+
+        def fake(env, x, cfg, rng, replicates):
+            # task 0, taken first, fails while the others are still running
+            taken.append(rng.seed)
+            if rng.seed == 0:
+                time.sleep(0.005)
+                raise RuntimeError("grid point 0 failed")
+            time.sleep(0.1)
+            return 1.0, 0.0
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="grid point 0 failed"):
+            self._map(tasks, fake, monkeypatch, cpus)
+        # every helper was joined, and none took a task after the failure
+        assert threading.active_count() == threads
+        assert 0 in taken and len(taken) <= cpus
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert verify._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert verify._usable_cpus() == 3
+
     def test_report_formatting(self):
         results = [
             CheckResult("s", "alpha check", "d=2", 1.0, 5.0),
@@ -806,6 +887,26 @@ epsilon = 0.25
         report = (tmp_path / "verify_report.txt").read_bytes()
         assert hashlib.sha256(report).hexdigest() == (
             "32207fb772b27cfb63dd258d8794ed26233cc76f776befcb67af37a6f8f0e8c2")
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_mse_bounds_report_is_pinned(self, tmp_path, monkeypatch, cpus):
+        # the grid points run on min(cpus, 42) threads; neither the count
+        # nor the order in which points finish may change a byte
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(verify.threading, "Thread", CountedThread)
+        assert main(["verify", "--suite", "mse_bounds", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        assert len(started) == cpus - 1
+        report = (tmp_path / "verify_report.txt").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "dcf9a058475052fd67981a66c020d0b94611437c7a0c206d234de83fb59c824d")
 
     def test_verify_has_no_threads_option(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -76,6 +76,7 @@ def src_lines(root: str) -> int:
 
 
 def machine() -> dict:
+    """The box: ``cpus`` is how many CPUs this process may run on, ``nproc`` how many it has."""
     cpu = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo") as fh:
@@ -84,7 +85,11 @@ def machine() -> dict:
         cpu = names[0] if names else cpu
     except OSError:
         pass
-    return {"nproc": os.cpu_count(), "cpu": cpu, "numpy": np.__version__,
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count()
+    return {"nproc": os.cpu_count(), "cpus": cpus, "cpu": cpu, "numpy": np.__version__,
             "python": platform.python_version()}
 
 
