@@ -34,6 +34,7 @@ stream layout and changes no number; random draws never go by chunk.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import threading
 from abc import ABC, abstractmethod
@@ -397,6 +398,17 @@ class SampleOracle(ABC):
     @property
     def budget(self) -> BudgetCounter:
         return self._budget
+
+    def with_budget(self, budget: int | None) -> "SampleOracle":
+        """This oracle on a fresh :class:`BudgetCounter` of ``budget`` draws.
+
+        The copy shares every other attribute, so it draws exactly as this
+        oracle does as long as an oracle keeps no state beyond its budget
+        (as zodd's environments do); its draws count against its own budget.
+        """
+        twin = copy.copy(self)
+        twin._budget = BudgetCounter(budget)
+        return twin
 
     @property
     @abstractmethod

@@ -560,8 +560,19 @@ def load_population(path) -> tuple[Vector, Vector]:
     if bad is not None:
         raise ValueError(f"{path}: line {bad + 2}: expected {len(header)} fields, "
                          f"got {len(rows[bad])}")
-    labels = np.array([float(r[0]) for r in rows])
-    features = np.array([[float(v) for v in r[1:]] for r in rows])
+    try:
+        labels = np.array([float(r[0]) for r in rows])
+        features = np.array([[float(v) for v in r[1:]] for r in rows])
+    except ValueError:
+        # only a failed parse looks for the line that failed it
+        for i, row in enumerate(rows):
+            for value in row:
+                try:
+                    float(value)
+                except ValueError:
+                    raise ValueError(f"{path}: line {i + 2}: expected numbers, "
+                                     f"got {value!r}") from None
+        raise
     return features, labels
 
 

@@ -43,12 +43,15 @@ chunking changes no number.
 
 The descent loop, :func:`zodd.optimizer.lockstep_descent`, calls the kernel
 with one stream *per row* instead, as a :class:`RowStreams`: R lockstep
-chains, each with its own stream and probe radius, of which it keeps only
-the gradients and the probe means.  Row r draws exactly what a single
-estimate on its own stream draws, so lockstep groups never change a draw;
-rows that share a stream (tuning candidates of one trial) share its one
-direction draw, and the oracle restarts the stream for each of their probe
-blocks.
+chains, each with its own stream, probe radius and, when the rows mix
+kinds, estimator kind, of which it keeps only the gradients and the probe
+means.  Rows of different kinds share a call when they share a probe shape
+(:meth:`EstimatorConfig.probe_shape`): sphere, gaussian and coordinate rows
+with N = d directions, say.  Row r draws exactly what a single estimate of
+its kind on its own stream draws, so lockstep groups never change a draw;
+rows that share a stream and a kind (tuning candidates of one trial) share
+its one direction draw, and the oracle restarts the stream for each of
+their probe blocks.
 """
 
 from __future__ import annotations
@@ -97,6 +100,15 @@ class EstimatorConfig:
             raise ValueError("need at least one direction")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+
+    def probe_shape(self, d: int) -> tuple[bool, int, int]:
+        """(two-sided, probe directions N, batch) of one estimate at dimension d.
+
+        Estimates of one shape cost the same draws and build the same probe
+        layout, whatever their kind, so they can share a lockstep step.
+        """
+        n = d if self.kind == "coordinate" else self.directions
+        return self.kind != "one_point", n, self.batch
 
     def samples_per_estimate(self, d: int) -> int:
         """Exact number of oracle draws one estimate consumes."""
@@ -158,19 +170,35 @@ def _probe_means(forward: Vector, backward: Vector | None) -> list[float]:
     return means.tolist()
 
 
-def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams) -> Vector:
+def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=None) -> Vector:
     """Directions as an (S * rows, N, d) array for S streams.
 
+    Stream s draws directions of kind ``kinds[s]``, by default ``cfg.kind``.
     Each stream's random directions come from one (rows * N, d) draw on its
     ``directions`` child, so its row r holds draws r*N .. r*N + N - 1; the
-    streams' rows follow one another.  Coordinate directions are one
-    (1, N, d) array shared by every row.
+    streams' rows follow one another.  A coordinate stream draws nothing
+    and its rows hold the d axes, so kinds mix only where N = d.  When every
+    stream is coordinate, the directions are one (1, d, d) array shared by
+    every row.
     """
-    if cfg.kind == "coordinate":
-        return np.eye(d)[None]
-    draw = gaussian_matrix if cfg.kind == "gaussian" else sphere_matrix
-    gens = stream_generators(s.child("directions") for s in streams)
-    drawn = [draw(gen, d, rows * cfg.directions) for gen in gens]
+    # the draws are looked up per call, since the tracer wraps these names in this module
+    if kinds is None:
+        if cfg.kind == "coordinate":
+            return np.eye(d)[None]
+        draw = gaussian_matrix if cfg.kind == "gaussian" else sphere_matrix
+        gens = stream_generators(s.child("directions") for s in streams)
+        drawn = [draw(gen, d, rows * cfg.directions) for gen in gens]
+    else:
+        # mixed kinds: a loop of its own, so groups of one kind pay nothing for it
+        random = [(s, k) for s, k in zip(streams, kinds) if k != "coordinate"]
+        if not random:
+            return np.eye(d)[None]
+        gens = stream_generators(s.child("directions") for s, _ in random)
+        drawn = [(gaussian_matrix if k == "gaussian" else sphere_matrix)(gen, d, rows * cfg.directions)
+                 for gen, (_, k) in zip(gens, random)]
+        if len(random) < len(kinds):
+            axes, it = np.tile(np.eye(d), (rows, 1)), iter(drawn)
+            drawn = [axes if k == "coordinate" else next(it) for k in kinds]
     table = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
     return table.reshape(-1, cfg.directions, d)
 
@@ -183,41 +211,62 @@ class RowStreams(NamedTuple):
     that resolves it once can derive and drop rows without hashing a stream.
     ``distinct`` lists the streams in order of first use, and ``index`` is
     an int array of one entry per row, so when no two rows share a stream
-    it is 0, 1, ..., R - 1.
+    it is 0, 1, ..., R - 1.  ``kinds``, when given, holds each distinct
+    entry's estimator kind: rows then share an entry only when they share
+    both stream and kind, since rows of two kinds on one stream each draw
+    their own directions.  None means every row has the kernel config's kind.
     """
 
     distinct: list[RngStream]
     index: np.ndarray
+    kinds: list[str] | None = None
 
     @classmethod
-    def of(cls, streams) -> "RowStreams":
-        slot: dict[RngStream, int] = {}
-        index = [slot.setdefault(stream, len(slot)) for stream in streams]
-        return cls(list(slot), np.array(index, dtype=np.intp))
+    def of(cls, streams, kinds=None) -> "RowStreams":
+        keys = streams if kinds is None else zip(streams, kinds)
+        slot: dict = {}
+        index = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
+        if kinds is None:
+            return cls(list(slot), index)
+        return cls([s for s, _ in slot], index, [k for _, k in slot])
 
     def child(self, *labels: int | str) -> "RowStreams":
         """Every row's ``child(*labels)``, derived once per distinct stream."""
-        return RowStreams([stream.child(*labels) for stream in self.distinct], self.index)
+        return RowStreams([stream.child(*labels) for stream in self.distinct],
+                          self.index, self.kinds)
 
     def take(self, keep) -> "RowStreams":
         """The rows selected by the boolean mask ``keep``, without unused streams."""
         slot: dict[int, int] = {}
         index = [slot.setdefault(i, len(slot)) for i in self.index[keep].tolist()]
-        return RowStreams([self.distinct[i] for i in slot], np.array(index, dtype=np.intp))
+        kinds = None if self.kinds is None else [self.kinds[i] for i in slot]
+        return RowStreams([self.distinct[i] for i in slot], np.array(index, dtype=np.intp), kinds)
 
 
 def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> tuple[Vector, list]:
     """Directions and ``draws`` streams when every row brings its own stream.
 
     Each distinct stream draws its N directions and derives its children
-    once; rows that share a stream share that draw, exactly as separate
-    single-row calls on the stream would draw it.
+    once; rows that share a stream and a kind share that draw, exactly as
+    separate single-row calls on the stream would draw it.
     """
-    dirs = _draw_directions(cfg, d, 1, rows.distinct)
-    if cfg.kind != "coordinate" and len(rows.distinct) < len(rows.index):
+    dirs = _draw_directions(cfg, d, 1, rows.distinct, rows.kinds)
+    # all-coordinate rows share one set of axes; other directions are per stream
+    if len(rows.distinct) < len(rows.index) and (
+            cfg.kind != "coordinate" if rows.kinds is None
+            else any(k != "coordinate" for k in rows.kinds)):
         dirs = dirs[rows.index]
     draws = rows.child("draws").distinct
     return dirs, [draws[i] for i in rows.index.tolist()]
+
+
+def _scale(kind: str, n: int, d: int) -> float:
+    """An estimator's gradient scale: 1 / N (gaussian), 1 (coordinate), else d / N."""
+    if kind == "gaussian":
+        return 1.0 / n
+    if kind == "coordinate":
+        return 1.0
+    return d / n
 
 
 def _kernel(
@@ -231,8 +280,10 @@ def _kernel(
 
     ``rng`` is one stream for every row, whose directions are laid out by
     row, or a :class:`RowStreams` of R rows: row r then draws exactly what
-    a single-row call on its stream draws.  ``mu`` optionally gives
-    each row its own probe radius, an (R,) array; the default is ``cfg.mu``.
+    a single-row call on its stream draws, with its own kind when the
+    ``RowStreams`` gives kinds (all of ``cfg``'s probe shape; the gradient
+    scale is then an (R, 1) column).  ``mu`` optionally gives each row its
+    own probe radius, an (R,) array; the default is ``cfg.mu``.
 
     All R * (2N or N) probe points go to the oracle in one ``sample_at``
     call, so the budget is charged once for the whole call.  They go as a
@@ -260,12 +311,10 @@ def _kernel(
         diffs = forward - backward
     # the mean of a batch of one is its one value, bit for bit
     coeffs = (diffs[0] if cfg.batch == 1 else diffs.mean(axis=0)) / (2.0 * radius)
-    if cfg.kind == "gaussian":
-        scale = 1.0 / cfg.directions
-    elif cfg.kind == "coordinate":
-        scale = 1.0
+    if isinstance(rng, RngStream) or rng.kinds is None:
+        scale = _scale(cfg.kind, cfg.directions, d)
     else:
-        scale = d / cfg.directions
+        scale = np.array([_scale(k, cfg.directions, d) for k in rng.kinds])[rng.index, None]
     # matmul, unlike einsum, sums each row in the order of a single (N,) @ (N, d)
     gradients = scale * np.matmul(coeffs[:, None, :], dirs)[:, 0, :]
     return gradients, dirs, forward, backward

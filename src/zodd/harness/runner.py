@@ -4,16 +4,22 @@ Every row is a *chain*: a fixed-step descent with its own environment
 budget, RNG stream, step, probe radius, uniformly drawn output iterate and
 divergence check.  :func:`run_chains` runs every row of ``zodd run`` and
 tuning through the one descent loop, :func:`zodd.optimizer.lockstep_descent`,
-in lockstep groups: chains with the same estimator kind, direction count and
-batch (so the same cost and iteration count) share one (R, d) state, and
-each step makes one estimator call and one oracle call for the whole group.
+in lockstep groups: chains with the same probe shape (one- or two-sided,
+probe directions N, which is d for coordinate, and batch; so the same cost
+and iteration count) share one (R, d) state whatever their estimator kind,
+and each step makes one estimator call and one oracle call for the whole
+group.  Sphere, gaussian and coordinate chains with N = d thus step
+together; one_point chains, being one-sided, form groups of their own.
 Grouping never changes a draw: every chain draws from its own stream exactly
 what it would draw alone, so results do not depend on which chains share a
 group, and the CSVs are byte-identical to one-chain-at-a-time runs.  A group
 holds at most ``max(1, GROUP_DRAWS // cost)`` chains, so the sample values
 of one of its steps are never more than one chain's or 2^14 draws, whichever
 is larger; a chain's trace row for the step is the probe mean the descent
-step reports.  A diverged chain leaves its group; the others go on.
+step reports.  A diverged chain leaves its group; the others go on.  The
+environment is built once per :func:`run_chains` call: the final
+evaluation draws from it, and each group's descent from a copy with its own
+budget (``with_budget``).
 
 Timing is off by default because it would break byte-identity; ``[run]
 timing = true`` fills the wall-time column with the wall time of the row's
@@ -25,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,8 +101,7 @@ def run_chains(config: ExperimentConfig, specs, seeds) -> list[RowOutcome]:
     chains = [_Chain(spec.name, seed, *spec.resolve(env)) for spec, seed in zip(specs, seeds)]
     groups: dict[tuple, list[int]] = {}
     for i, chain in enumerate(chains):
-        cfg = chain.cfg
-        groups.setdefault((cfg.kind, cfg.directions, cfg.batch), []).append(i)
+        groups.setdefault(chain.cfg.probe_shape(env.dimension), []).append(i)
     outcomes: list[RowOutcome | None] = [None] * len(chains)
     for members in groups.values():
         cost = chains[members[0]].cfg.samples_per_estimate(env.dimension)
@@ -109,13 +114,15 @@ def run_chains(config: ExperimentConfig, specs, seeds) -> list[RowOutcome]:
 
 
 def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list[RowOutcome]:
-    """Lockstep descent of chains that share kind, directions and batch.
+    """Lockstep descent of chains that share a probe shape, of any kinds.
 
     ``eval_env`` is an unbudgeted environment for the final evaluation; the
-    descent draws from a fresh one whose budget is the sum of the chains'.
+    descent draws from a copy of it whose budget is the sum of the chains'.
     """
     started = time.perf_counter() if config.timing else None
-    cfg = chains[0].cfg
+    first = chains[0].cfg
+    # the group's N, which a coordinate chain's ``directions`` need not hold
+    cfg = replace(first, directions=first.probe_shape(eval_env.dimension)[1])
     cost = cfg.samples_per_estimate(eval_env.dimension)
     iterations = config.budget // cost
     if iterations == 0:
@@ -132,7 +139,7 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
             for c in chains
         ]
 
-    env = config.environment.build(budget=len(chains) * config.budget)
+    env = eval_env.with_budget(len(chains) * config.budget)
     streams = [RngStream(c.seed).child("method", c.method) for c in chains]
     picks = np.array([select_uniform_index(iterations + 1, rng) for rng in streams])
     due = set(picks.tolist())  # most steps pick no output; skip their vector work
@@ -143,7 +150,8 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
 
     steps = [c.step for c in chains]
     mus = [c.cfg.mu for c in chains]
-    for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations):
+    kinds = [c.cfg.kind for c in chains]
+    for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations, kinds):
         spent = (step.t + 1) * cost
         for i, probe_mean in zip(step.live, step.probe_means):
             traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, probe_mean))

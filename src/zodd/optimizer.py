@@ -8,9 +8,12 @@ the uniformly drawn one inherits the average-gradient-norm bound.
 
 :func:`lockstep_descent` is the one descent loop.  It advances R independent
 chains as one (R, d) state, with one estimator call per step, each chain on
-its own stream, step and probe radius, and drops a chain that diverges.
-Which chains share a stream is worked out once, and again only when a chain
-leaves, so a step derives one child per distinct stream and compares none.
+its own stream, step, probe radius and estimator kind, and drops a chain
+that diverges.  Chains of different kinds share a step when they share a
+probe shape (one- or two-sided, N, batch), as sphere, gaussian and
+coordinate chains with N = d do.  Which chains share a stream and a kind
+is worked out once, and again only when a chain leaves, so a step derives
+one child per distinct (stream, kind) and compares none.
 Each step yields only the chains' gradients and probe means, and frees the
 directions and probe values behind them before the next step draws its own.
 The probe means of all chains come from one reduction per half of the
@@ -38,7 +41,7 @@ complexity order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -288,23 +291,35 @@ class Step(NamedTuple):
 
 
 def lockstep_descent(
-    X, cfg: EstimatorConfig, oracle: SampleOracle, streams, steps, mus, iterations: int
+    X, cfg: EstimatorConfig, oracle: SampleOracle, streams, steps, mus, iterations: int,
+    kinds=None,
 ) -> Iterator[Step]:
     """The one descent loop: R chains advanced together as an (R, d) state.
 
-    Row r starts at ``X[r]`` and descends with step ``steps[r]`` and probe
-    radius ``mus[r]`` on its own stream ``streams[r]``: at step t it draws
-    from ``streams[r].child("iteration", t)`` exactly what a single estimate
-    on that stream draws, whichever rows share the call; rows with equal
-    streams derive that child once.  Each step makes
-    one estimator call for all live rows, updates x_{t+1} = x_t - step * g_t
-    and yields a :class:`Step`; a row whose iterate has norm above 1e9 or a
-    non-finite entry is marked ``bad`` and leaves the live set.  The loop
-    ends after ``iterations`` steps or when no row is live.
+    Row r starts at ``X[r]`` and descends with step ``steps[r]``, probe
+    radius ``mus[r]`` and estimator kind ``kinds[r]`` (by default
+    ``cfg.kind``) on its own stream ``streams[r]``: at step t it draws from
+    ``streams[r].child("iteration", t)`` exactly what a single estimate of
+    its kind on that stream draws, whichever rows share the call; rows with
+    equal streams and kinds derive that child once.  Every row's kind must
+    give ``cfg``'s probe shape (:meth:`EstimatorConfig.probe_shape`), so
+    ``cfg.directions`` is d where coordinate rows mix with others.  Each
+    step makes one estimator call for all live rows, updates
+    x_{t+1} = x_t - step * g_t and yields a :class:`Step`; a row whose
+    iterate has norm above 1e9 or a non-finite entry is marked ``bad`` and
+    leaves the live set.  The loop ends after ``iterations`` steps or when
+    no row is live.
     """
     live = np.arange(len(streams))
-    # which rows share a stream, resolved here and again only when rows leave
-    roots = RowStreams.of(streams)
+    if kinds is not None and any(kind != cfg.kind for kind in kinds):
+        shape = cfg.probe_shape(oracle.dimension)
+        if any(replace(cfg, kind=kind).probe_shape(oracle.dimension) != shape
+               for kind in set(kinds)):
+            raise ValueError(f"every row's kind must have the probe shape {shape}")
+    else:
+        kinds = None
+    # which rows share a stream and a kind, resolved here and again only when rows leave
+    roots = RowStreams.of(streams, kinds)
     steps = np.asarray(steps, dtype=np.float64)[:, None]
     mus = np.asarray(mus, dtype=np.float64)
     for t in range(iterations):

@@ -99,6 +99,57 @@ def test_machine_records_the_usable_cpus(monkeypatch):
     assert bench_pairs.machine()["cpus"] == 8
 
 
+def test_host_load_reads_the_load_and_the_steal_ticks(tmp_path, monkeypatch):
+    stat = tmp_path / "stat"
+    # user nice system idle iowait irq softirq steal guest guest_nice
+    stat.write_text("cpu  100 5 50 800 10 1 4 30 7 0\ncpu0 50 2 25 400 5 0 2 15 3 0\n")
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (1.5, 1.0, 0.5))
+    assert bench_pairs.host_load(str(stat)) == {"loadavg": [1.5, 1.0, 0.5],
+                                                "steal_ticks": [30, 1000]}
+    # a missing file or load average is recorded as unknown, not an error
+    monkeypatch.delattr(bench_pairs.os, "getloadavg")
+    assert bench_pairs.host_load(str(tmp_path / "none")) == {"loadavg": None,
+                                                             "steal_ticks": None}
+
+
+def test_host_during_is_the_steal_share_between_two_readings():
+    before = {"loadavg": [1.0, 1.0, 1.0], "steal_ticks": [30, 1000]}
+    after = {"loadavg": [2.0, 1.2, 1.0], "steal_ticks": [80, 1200]}
+    assert bench_pairs.host_during(before, after) == {
+        "loadavg_before": [1.0, 1.0, 1.0], "loadavg_after": [2.0, 1.2, 1.0],
+        "steal_share": 0.25}
+    assert bench_pairs.host_during(before, {"loadavg": None, "steal_ticks": None}) == {
+        "loadavg_before": [1.0, 1.0, 1.0], "loadavg_after": None, "steal_share": None}
+
+
+def test_every_pair_records_the_host_around_it(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 18,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+    }))
+    readings = iter(range(100))
+
+    def fake_load():
+        i = next(readings)  # two readings per pair: i before it, i + 1 after it
+        return {"loadavg": [float(i)] * 3, "steal_ticks": [i * i, 100 * i]}
+
+    monkeypatch.setattr(bench_pairs, "host_load", fake_load)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: {
+        "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}})
+    monkeypatch.setattr(bench_pairs, "git_ids", lambda root: {"sha": root})
+    monkeypatch.setattr(bench_pairs, "src_lines", lambda root: 1)
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", "p", "--change", str(tmp_path), "--seeds", "1-2",
+                      "--out", str(out)])
+    host = json.loads(out.read_text())["workloads"]["w"]["host"]
+    assert [h["loadavg_before"][0] for h in host] == [0.0, 2.0]
+    assert [h["loadavg_after"][0] for h in host] == [1.0, 3.0]
+    # (1 - 0) / 100 and (9 - 4) / 100 of the ticks were stolen
+    assert [h["steal_share"] for h in host] == [0.01, 0.05]
+
+
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("12201-12203,7") == [12201, 12202, 12203, 7]
 

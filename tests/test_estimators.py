@@ -413,6 +413,33 @@ def test_row_streams_keep_the_order_of_first_use():
     assert kept.distinct == [b, a] and kept.index.tolist() == [0, 1]
 
 
+def test_row_streams_share_a_draw_only_within_one_kind():
+    a, b = RngStream(0), RngStream(1)
+    rows = RowStreams.of([a, RngStream(0), a, b], ["sphere", "gaussian", "sphere", "sphere"])
+    assert rows.distinct == [a, a, b] and rows.index.tolist() == [0, 1, 0, 2]
+    assert rows.kinds == ["sphere", "gaussian", "sphere"]
+    kept = rows.take(np.array([False, True, False, True]))
+    assert kept.distinct == [a, b] and kept.kinds == ["gaussian", "sphere"]
+    assert rows.child("draws").kinds == rows.kinds
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_mixed_kind_rows_are_their_single_estimates(batch):
+    # rows of three kinds at N = d, two of them on one stream, in one call
+    d = 4
+    env = QuadraticEnv.isotropic(d, sigma=0.5)
+    kinds = ["coordinate", "sphere", "gaussian", "coordinate", "sphere"]
+    streams = [RngStream(7), RngStream(7), RngStream(7), RngStream(8), RngStream(9)]
+    X = RngStream(1).generator().uniform(-1, 1, (len(kinds), d))
+    mu = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    cfg = EstimatorConfig("sphere", mu=0.1, directions=d, batch=batch)
+    gradients = _kernel(X, cfg, env, RowStreams.of(streams, kinds), mu)[0]
+    for r, kind in enumerate(kinds):
+        single = estimate_gradient(X[r], EstimatorConfig(kind, mu=mu[r], directions=d, batch=batch),
+                                   env, streams[r])
+        assert np.array_equal(gradients[r].view(np.int64), single.gradient.view(np.int64))
+
+
 def _whole_array_kernel(X, cfg, oracle, rng, mu=None):
     """The kernel as it stood before probe chunking: every probe point in
     one (R, 2N or N, d) array and one plain-array ``sample_at`` call, with

@@ -342,6 +342,8 @@ step = 0.001
         # (kind, line, data): a short row in the data file, on its third line
         (("pricing", "", "theta,rho\n1.0,0.3\n1.0\n"), "data.csv: line 3: expected numbers"),
         (("strategic", "", "label,f1,f2\n0,1,2\n\n1,3,4\n"), "data.csv: line 3: expected 3 fields"),
+        # a field that is not a number, on the third line
+        (("strategic", "", "label,f1,f2\n0,1,2\n1,x,4\n"), "data.csv: line 3: expected numbers, got 'x'"),
         # the environment is built at parse time, so its constructor's checks apply
         ("[environment]\nkind = pricing\nbuyers = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
         ("[environment]\nkind = strategic\nagents = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
@@ -377,6 +379,28 @@ step = 0.001
         monkeypatch.setattr(EnvironmentSpec, "build", counted)
         parse_config(path)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["pricing", "strategic"])
+    def test_a_run_reads_its_data_file_once_after_parsing(self, tmp_path, monkeypatch, kind):
+        # one read at parse, one per run_chains call, however many groups it runs
+        from zodd.harness import config as config_module
+        loader = {"pricing": "load_prices", "strategic": "load_population"}[kind]
+        path = self._data_file_config(tmp_path, kind, "")
+        estimators = "".join(f"\n[estimator.{k}]\nkind = {k}\nmu = 0.1\nstep = 0.001\n"
+                             for k in ("gaussian", "coordinate", "one_point"))
+        path.write_text(path.read_text() + estimators)
+        calls = []
+        load = getattr(config_module, loader)
+
+        def counted(*args):
+            calls.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(config_module, loader, counted)
+        config = parse_config(path)
+        assert len(calls) == 1
+        rows, _ = run_experiment(config)
+        assert len(rows) == 4 * len(config.seeds) and len(calls) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

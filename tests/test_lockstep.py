@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,11 @@ chain = st.tuples(
     chains=st.lists(chain, min_size=1, max_size=8),
     wild=st.integers(min_value=0, max_value=7),
 )
+# a sphere and a gaussian chain on one stream share a group but not a direction draw
+@example(env="quadratic",
+         chains=[("sphere", "m0", 0, 0.05, 0.01, 1, 1), ("gaussian", "m0", 0, 0.05, 0.01, 1, 1),
+                 ("sphere", "m1", 1, 0.05, 0.01, 1, 1)],
+         wild=2)
 @settings(max_examples=30, deadline=None)
 def test_lockstep_chains_equal_single_runs(env, chains, wild):
     config = _config(env)
@@ -181,6 +187,34 @@ def test_group_cap_splits_chains_without_changing_rows(monkeypatch):
     split = run_chains(config, specs, seeds)
     assert sizes == [2, 2, 2, 1]
     _assert_same(split, whole)
+
+
+@pytest.mark.parametrize("env, kinds, sizes", [
+    # d = 4: sphere, gaussian and coordinate chains at N = 4 are one shape
+    ("strategic", ["sphere", "gaussian", "one_point", "coordinate", "sphere", "gaussian"], [5, 1]),
+    # d = 3: an N = 3 sphere chain steps with the coordinate chains
+    ("quadratic", ["sphere", "one_point", "coordinate", "coordinate", "sphere"], [4, 1]),
+])
+def test_one_group_per_probe_shape(monkeypatch, env, kinds, sizes):
+    config = _config(env, budget=200)
+    n = ENVIRONMENTS[env].dimension
+    specs = [EstimatorSpec(name=kind, kind=kind, mu=0.1, directions=n, batch=2,
+                           step=0.001 if kind == "one_point" else 0.01)
+             for kind in kinds]
+    seeds = [i // 3 for i in range(len(specs))]
+    recorded = _record_group_sizes(monkeypatch)
+    together = run_chains(config, specs, seeds)
+    assert recorded == sizes  # one_point, being one-sided, runs apart
+    _assert_same(together, [run_cell(config, spec, seed) for spec, seed in zip(specs, seeds)])
+
+
+def test_rows_of_another_probe_shape_are_rejected():
+    env = QuadraticEnv.isotropic(3, sigma=0.5)
+    cfg = EstimatorConfig("sphere", mu=0.1, directions=2)
+    streams = [RngStream(0), RngStream(1)]
+    with pytest.raises(ValueError, match="probe shape"):
+        next(lockstep_descent(np.zeros((2, 3)), cfg, env, streams, [0.1, 0.1], [0.1, 0.1],
+                              1, ["sphere", "coordinate"]))
 
 
 def test_group_probe_array_is_capped(monkeypatch):

@@ -11,7 +11,10 @@ metric's bound.  A metric is unresolved when the parent's IQR is wider than
 the bound, relative to the parent's median, unless every change run beats
 every parent run: its spread can then hide a change as large as the bound.
 It also records each side's ``src_lines``, the lines of code of the
-package.  Every workload of ``BENCHMARK.json`` runs at its
+package, and for every pair the host's load averages before and after it
+and the share of CPU time the hypervisor stole meanwhile (read from
+``/proc/stat``), so a ``BENCH_*.json`` shows which pairs ran on a busy
+host.  Every workload of ``BENCHMARK.json`` runs at its
 ``run_seconds``.  A claimed metric is met when every run of the workload is
 correct, the change fails no more operations than the parent, the change is
 better in at least nine of ten pairs, its median gap is larger than the
@@ -91,6 +94,37 @@ def machine() -> dict:
         cpus = os.cpu_count()
     return {"nproc": os.cpu_count(), "cpus": cpus, "cpu": cpu, "numpy": np.__version__,
             "python": platform.python_version()}
+
+
+def host_load(stat_path: str = "/proc/stat") -> dict:
+    """The load averages and the (steal, total) CPU ticks of ``stat_path``, read only.
+
+    The ticks are the cumulative counters of the aggregate ``cpu`` line, the
+    first eight fields from ``user`` to ``steal``; either entry is None where
+    it cannot be read.
+    """
+    try:
+        loadavg = list(os.getloadavg())
+    except (AttributeError, OSError):
+        loadavg = None
+    try:
+        with open(stat_path) as fh:
+            fields = fh.readline().split()
+        ticks = [int(v) for v in fields[1:9]]
+        steal = [ticks[7], sum(ticks)] if fields[0] == "cpu" and len(ticks) == 8 else None
+    except (OSError, ValueError, IndexError):
+        steal = None
+    return {"loadavg": loadavg, "steal_ticks": steal}
+
+
+def host_during(before: dict, after: dict) -> dict:
+    """Load averages around one pair, and the share of CPU ticks stolen between them."""
+    share = None
+    if before["steal_ticks"] and after["steal_ticks"]:
+        stolen, total = (b - a for a, b in zip(before["steal_ticks"], after["steal_ticks"]))
+        share = stolen / total if total > 0 else None
+    return {"loadavg_before": before["loadavg"], "loadavg_after": after["loadavg"],
+            "steal_share": share}
 
 
 def summary(runs: list[float]) -> dict:
@@ -197,16 +231,20 @@ def main(argv=None) -> int:
     }
     for workload in workloads:
         runs = {"parent": [], "change": []}
+        host = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            before = host_load()
             for side in order:
                 result = run_bench(roots[side], workload, seed, seconds, 0)
                 runs[side].append(result)
                 print(f"{workload} seed {seed} {side}: "
                       + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
                       file=sys.stderr, flush=True)
+            host.append(host_during(before, host_load()))
         entry = {
             "seeds": seeds,
+            "host": host,
             "correct": all(r["correct"] for side in runs.values() for r in side),
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
