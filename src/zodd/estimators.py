@@ -43,9 +43,9 @@ chunking changes no number.
 
 The descent loop, :func:`zodd.optimizer.lockstep_descent`, calls the kernel
 with one stream *per row* instead, as a :class:`RowStreams`: R lockstep
-chains, each with its own stream, probe radius and, when the rows mix
-kinds, estimator kind, of which it keeps only the gradients and the probe
-means.  Rows of different kinds share a call when they share a probe shape
+chains, each with its own stream, probe radius and estimator kind, of
+which it keeps only the gradients and the probe means.  Rows of different
+kinds share a call when they share a probe shape
 (:meth:`EstimatorConfig.probe_shape`): sphere, gaussian and coordinate rows
 with N = d directions, say.  Row r draws exactly what a single estimate of
 its kind on its own stream draws, so lockstep groups never change a draw;
@@ -181,24 +181,17 @@ def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=Non
     stream is coordinate, the directions are one (1, d, d) array shared by
     every row.
     """
+    kinds = [cfg.kind] * len(streams) if kinds is None else kinds
+    random = [(s, k) for s, k in zip(streams, kinds) if k != "coordinate"]
+    if not random:
+        return np.eye(d)[None]
+    gens = stream_generators(s.child("directions") for s, _ in random)
     # the draws are looked up per call, since the tracer wraps these names in this module
-    if kinds is None:
-        if cfg.kind == "coordinate":
-            return np.eye(d)[None]
-        draw = gaussian_matrix if cfg.kind == "gaussian" else sphere_matrix
-        gens = stream_generators(s.child("directions") for s in streams)
-        drawn = [draw(gen, d, rows * cfg.directions) for gen in gens]
-    else:
-        # mixed kinds: a loop of its own, so groups of one kind pay nothing for it
-        random = [(s, k) for s, k in zip(streams, kinds) if k != "coordinate"]
-        if not random:
-            return np.eye(d)[None]
-        gens = stream_generators(s.child("directions") for s, _ in random)
-        drawn = [(gaussian_matrix if k == "gaussian" else sphere_matrix)(gen, d, rows * cfg.directions)
-                 for gen, (_, k) in zip(gens, random)]
-        if len(random) < len(kinds):
-            axes, it = np.tile(np.eye(d), (rows, 1)), iter(drawn)
-            drawn = [axes if k == "coordinate" else next(it) for k in kinds]
+    drawn = [(gaussian_matrix if k == "gaussian" else sphere_matrix)(gen, d, rows * cfg.directions)
+             for gen, (_, k) in zip(gens, random)]
+    if len(random) < len(kinds):
+        axes, it = np.tile(np.eye(d), (rows, 1)), iter(drawn)
+        drawn = [axes if k == "coordinate" else next(it) for k in kinds]
     table = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
     return table.reshape(-1, cfg.directions, d)
 
@@ -211,23 +204,22 @@ class RowStreams(NamedTuple):
     that resolves it once can derive and drop rows without hashing a stream.
     ``distinct`` lists the streams in order of first use, and ``index`` is
     an int array of one entry per row, so when no two rows share a stream
-    it is 0, 1, ..., R - 1.  ``kinds``, when given, holds each distinct
-    entry's estimator kind: rows then share an entry only when they share
-    both stream and kind, since rows of two kinds on one stream each draw
-    their own directions.  None means every row has the kernel config's kind.
+    it is 0, 1, ..., R - 1.  ``kinds`` holds each distinct entry's
+    estimator kind, None for the kernel config's: rows share an entry only
+    when they share both stream and kind, since rows of two kinds on one
+    stream each draw their own directions.
     """
 
     distinct: list[RngStream]
     index: np.ndarray
-    kinds: list[str] | None = None
+    kinds: list[str | None]
 
     @classmethod
     def of(cls, streams, kinds=None) -> "RowStreams":
-        keys = streams if kinds is None else zip(streams, kinds)
+        """Rows on ``streams``, of the given ``kinds`` or else all of the kernel config's."""
+        keys = zip(streams, [None] * len(streams) if kinds is None else kinds)
         slot: dict = {}
         index = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
-        if kinds is None:
-            return cls(list(slot), index)
         return cls([s for s, _ in slot], index, [k for _, k in slot])
 
     def child(self, *labels: int | str) -> "RowStreams":
@@ -239,8 +231,8 @@ class RowStreams(NamedTuple):
         """The rows selected by the boolean mask ``keep``, without unused streams."""
         slot: dict[int, int] = {}
         index = [slot.setdefault(i, len(slot)) for i in self.index[keep].tolist()]
-        kinds = None if self.kinds is None else [self.kinds[i] for i in slot]
-        return RowStreams([self.distinct[i] for i in slot], np.array(index, dtype=np.intp), kinds)
+        return RowStreams([self.distinct[i] for i in slot], np.array(index, dtype=np.intp),
+                          [self.kinds[i] for i in slot])
 
 
 def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> tuple[Vector, list]:
@@ -250,11 +242,10 @@ def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> tuple[Ve
     once; rows that share a stream and a kind share that draw, exactly as
     separate single-row calls on the stream would draw it.
     """
-    dirs = _draw_directions(cfg, d, 1, rows.distinct, rows.kinds)
+    kinds = [kind or cfg.kind for kind in rows.kinds]
+    dirs = _draw_directions(cfg, d, 1, rows.distinct, kinds)
     # all-coordinate rows share one set of axes; other directions are per stream
-    if len(rows.distinct) < len(rows.index) and (
-            cfg.kind != "coordinate" if rows.kinds is None
-            else any(k != "coordinate" for k in rows.kinds)):
+    if len(rows.distinct) < len(rows.index) and any(k != "coordinate" for k in kinds):
         dirs = dirs[rows.index]
     draws = rows.child("draws").distinct
     return dirs, [draws[i] for i in rows.index.tolist()]
@@ -280,10 +271,10 @@ def _kernel(
 
     ``rng`` is one stream for every row, whose directions are laid out by
     row, or a :class:`RowStreams` of R rows: row r then draws exactly what
-    a single-row call on its stream draws, with its own kind when the
-    ``RowStreams`` gives kinds (all of ``cfg``'s probe shape; the gradient
-    scale is then an (R, 1) column).  ``mu`` optionally gives each row its
-    own probe radius, an (R,) array; the default is ``cfg.mu``.
+    a single-row call on its stream draws, with its own kind (all of
+    ``cfg``'s probe shape; the gradient scale is then an (R, 1) column).
+    ``mu`` optionally gives each row its own probe radius, an (R,) array;
+    the default is ``cfg.mu``.
 
     All R * (2N or N) probe points go to the oracle in one ``sample_at``
     call, so the budget is charged once for the whole call.  They go as a
@@ -297,8 +288,11 @@ def _kernel(
     if isinstance(rng, RngStream):
         dirs = _draw_directions(cfg, d, rows, [rng])
         draws = rng.child("draws")
+        scale = _scale(cfg.kind, cfg.directions, d)
     else:
         dirs, draws = _streams_per_row(cfg, d, rng)
+        scales = [_scale(kind or cfg.kind, cfg.directions, d) for kind in rng.kinds]
+        scale = np.array(scales)[rng.index, None]
     n = dirs.shape[1]
     radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
     probes = ProbePoints(X, radius, dirs, two_sided=cfg.kind != "one_point")
@@ -311,10 +305,6 @@ def _kernel(
         diffs = forward - backward
     # the mean of a batch of one is its one value, bit for bit
     coeffs = (diffs[0] if cfg.batch == 1 else diffs.mean(axis=0)) / (2.0 * radius)
-    if isinstance(rng, RngStream) or rng.kinds is None:
-        scale = _scale(cfg.kind, cfg.directions, d)
-    else:
-        scale = np.array([_scale(k, cfg.directions, d) for k in rng.kinds])[rng.index, None]
     # matmul, unlike einsum, sums each row in the order of a single (N,) @ (N, d)
     gradients = scale * np.matmul(coeffs[:, None, :], dirs)[:, 0, :]
     return gradients, dirs, forward, backward

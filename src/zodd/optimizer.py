@@ -311,13 +311,10 @@ def lockstep_descent(
     no row is live.
     """
     live = np.arange(len(streams))
-    if kinds is not None and any(kind != cfg.kind for kind in kinds):
-        shape = cfg.probe_shape(oracle.dimension)
-        if any(replace(cfg, kind=kind).probe_shape(oracle.dimension) != shape
-               for kind in set(kinds)):
-            raise ValueError(f"every row's kind must have the probe shape {shape}")
-    else:
-        kinds = None
+    kinds = [cfg.kind] * len(streams) if kinds is None else list(kinds)
+    shape = cfg.probe_shape(oracle.dimension)
+    if any(replace(cfg, kind=kind).probe_shape(oracle.dimension) != shape for kind in set(kinds)):
+        raise ValueError(f"every row's kind must have the probe shape {shape}")
     # which rows share a stream and a kind, resolved here and again only when rows leave
     roots = RowStreams.of(streams, kinds)
     steps = np.asarray(steps, dtype=np.float64)[:, None]
