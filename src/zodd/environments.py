@@ -182,8 +182,10 @@ class QuadraticEnv(Environment):
         return float(self.exact_objective_at(as_point(x, self.dimension)[None, :])[0])
 
     def exact_objective_at(self, points) -> Vector:
-        return np.concatenate([self._objective_block(block)
-                               for _, _, block in point_chunks(points)])
+        values = np.empty(points.shape[0])
+        for lo, hi, block in point_chunks(points):
+            values[lo:hi] = self._objective_block(block)
+        return values
 
     def _objective_block(self, pts) -> Vector:
         if self._diag is None:
@@ -202,15 +204,15 @@ class QuadraticEnv(Environment):
 
     def _draw_at(self, points, streams, replicates):
         k = points.shape[0]
-        mean = self.exact_objective_at(points)
         if self.sigma == 0.0:
-            return np.broadcast_to(mean, (replicates, k)).copy()
+            return np.broadcast_to(self.exact_objective_at(points), (replicates, k)).copy()
+        # the noise first, while a pending direction draw fills its chunks
         noise = draw_blocks(
             streams, k, lambda gen, lo, hi: gen.standard_normal((replicates, hi - lo)), axis=1
         )
         # the bits of mean + sigma * noise, without a temporary
         noise *= self.sigma
-        noise += mean
+        noise += self.exact_objective_at(points)
         return noise
 
 
@@ -361,15 +363,18 @@ class PricingEnv(Environment):
         return self._restock.item_costs(np.asarray(counts)).sum(axis=-1)
 
     def _draw_at(self, points, streams, replicates):
-        probs = np.concatenate([self._probabilities_at(block)
-                                for _, _, block in point_chunks(points)])
+        k = points.shape[0]
+        probs = np.empty((k, self.dimension + 1))
+        for lo, hi, block in point_chunks(points):
+            probs[lo:hi] = self._probabilities_at(block)
         counts = draw_blocks(
-            streams, points.shape[0],
+            streams, k,
             lambda gen, lo, hi: _multinomial_block(gen, self.buyers, probs[lo:hi], replicates),
         )
         demand = counts[..., :-1]
-        revenue = np.concatenate([np.matmul(demand[lo:hi], block[:, :, None])[..., 0]
-                                  for lo, hi, block in point_chunks(points)])
+        revenue = np.empty((k, replicates))
+        for lo, hi, block in point_chunks(points):
+            revenue[lo:hi] = np.matmul(demand[lo:hi], block[:, :, None])[..., 0]
         return np.ascontiguousarray((self.restock_cost(demand) - revenue).T)
 
     def _binomial_pmf(self, item_probs) -> Vector:
@@ -632,9 +637,9 @@ class StrategicEnv(Environment):
             streams, points.shape[0],
             lambda gen, lo, hi: gen.integers(0, self.population_size, size=(hi - lo, replicates)),
         )
-        losses = []
+        losses = np.empty((points.shape[0], replicates))
         for lo, hi, block in point_chunks(points):
             picked = chosen[lo:hi]
             scores = _respond(self.features[picked], block)
-            losses.append(_logistic_loss(scores, self.labels[picked]))
-        return np.ascontiguousarray(np.concatenate(losses).T)
+            losses[lo:hi] = _logistic_loss(scores, self.labels[picked])
+        return np.ascontiguousarray(losses.T)

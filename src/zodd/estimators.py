@@ -37,7 +37,13 @@ stream.  The probe points are built in chunks of at most
 :data:`~zodd.core.CHUNK_VALUES` coordinates (see
 :class:`~zodd.core.ProbePoints`), so an estimate holds its (N, d)
 directions, its O(2N * batch) sample values and one chunk of points; the
-chunking changes no number.
+chunking changes no number.  A direction table longer than one chunk, on
+more than one usable CPU, is drawn on a helper thread
+(:class:`~zodd.core.PendingDirections`) while the kernel's own thread
+normalizes and evaluates each chunk as it lands; the kernel waits for the
+last chunk before its reduction and joins the helper however the call
+ends.  The values are those of the inline draw, so no CPU count changes a
+byte.
 :func:`estimate_gradient` is its R = 1 case and selects the estimator by
 ``cfg.kind``; directions exist only as rows of these (N, d) arrays.
 
@@ -62,14 +68,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    PendingDirections,
     ProbePoints,
     RngStream,
     SampleOracle,
     Vector,
     as_point,
+    chunk_rows,
     gaussian_matrix,
     sphere_matrix,
     stream_generators,
+    usable_cpus,
 )
 
 ESTIMATOR_KINDS = ("coordinate", "sphere", "gaussian", "one_point")
@@ -170,7 +179,8 @@ def _probe_means(forward: Vector, backward: Vector | None) -> list[float]:
     return means.tolist()
 
 
-def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=None) -> Vector:
+def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=None,
+                     overlap: bool = True):
     """Directions as an (S * rows, N, d) array for S streams.
 
     Stream s draws directions of kind ``kinds[s]``, by default ``cfg.kind``.
@@ -179,12 +189,18 @@ def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=Non
     streams' rows follow one another.  A coordinate stream draws nothing
     and its rows hold the d axes, so kinds mix only where N = d.  When every
     stream is coordinate, the directions are one (1, d, d) array shared by
-    every row.
+    every row.  With ``overlap``, a table longer than one chunk, on more
+    than one usable CPU, comes as a :class:`~zodd.core.PendingDirections`
+    of the same values, drawn on a helper thread while the caller reads it.
     """
     kinds = [cfg.kind] * len(streams) if kinds is None else kinds
     random = [(s, k) for s, k in zip(streams, kinds) if k != "coordinate"]
     if not random:
         return np.eye(d)[None]
+    shape = (len(kinds) * rows, cfg.directions, d)
+    if overlap and shape[0] * shape[1] > chunk_rows(d) and usable_cpus() > 1:
+        children = [s.child("directions") for s, _ in random]
+        return PendingDirections(stream_generators(children), kinds, shape)
     gens = stream_generators(s.child("directions") for s, _ in random)
     # the draws are looked up per call, since the tracer wraps these names in this module
     drawn = [(gaussian_matrix if k == "gaussian" else sphere_matrix)(gen, d, rows * cfg.directions)
@@ -243,12 +259,12 @@ def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> tuple[Ve
     separate single-row calls on the stream would draw it.
     """
     kinds = [kind or cfg.kind for kind in rows.kinds]
-    dirs = _draw_directions(cfg, d, 1, rows.distinct, kinds)
+    distinct = rows.child("draws").distinct
+    draws = [distinct[i] for i in rows.index.tolist()]
     # all-coordinate rows share one set of axes; other directions are per stream
-    if len(rows.distinct) < len(rows.index) and any(k != "coordinate" for k in kinds):
-        dirs = dirs[rows.index]
-    draws = rows.child("draws").distinct
-    return dirs, [draws[i] for i in rows.index.tolist()]
+    shared = len(rows.distinct) < len(rows.index) and any(k != "coordinate" for k in kinds)
+    dirs = _draw_directions(cfg, d, 1, rows.distinct, kinds, overlap=not shared)
+    return (dirs[rows.index] if shared else dirs), draws
 
 
 def _scale(kind: str, n: int, d: int) -> float:
@@ -280,23 +296,34 @@ def _kernel(
     call, so the budget is charged once for the whole call.  They go as a
     :class:`~zodd.core.ProbePoints`, built a chunk at a time, so the call
     holds the directions, the sample values and one chunk of points, never
-    the whole (R, 2N, d) probe array.  Returns the gradients, the
+    the whole (R, 2N, d) probe array.  Directions still being drawn by a
+    helper thread are read through their pending draw, and the helper is
+    stopped and joined before any exception leaves.  Returns the gradients, the
     directions (R or 1, N, d), and the forward and backward sample values
     as (batch, R, N) arrays (backward is None for ``one_point``).
     """
     rows, d = X.shape
+    radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
+    # the directions come last: a pending draw is closed by the block after them
     if isinstance(rng, RngStream):
-        dirs = _draw_directions(cfg, d, rows, [rng])
         draws = rng.child("draws")
         scale = _scale(cfg.kind, cfg.directions, d)
+        dirs = _draw_directions(cfg, d, rows, [rng])
     else:
-        dirs, draws = _streams_per_row(cfg, d, rng)
         scales = [_scale(kind or cfg.kind, cfg.directions, d) for kind in rng.kinds]
         scale = np.array(scales)[rng.index, None]
+        dirs, draws = _streams_per_row(cfg, d, rng)
     n = dirs.shape[1]
-    radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
-    probes = ProbePoints(X, radius, dirs, two_sided=cfg.kind != "one_point")
-    values = oracle.sample_at(probes, draws, replicates=cfg.batch).reshape(cfg.batch, rows, -1)
+    pending = dirs if isinstance(dirs, PendingDirections) else None
+    try:
+        probes = ProbePoints(X, radius, dirs, two_sided=cfg.kind != "one_point")
+        values = oracle.sample_at(probes, draws, replicates=cfg.batch)
+        if pending is not None:
+            dirs = pending.result()
+    finally:
+        if pending is not None:
+            pending.close()
+    values = values.reshape(cfg.batch, rows, -1)
     if cfg.kind == "one_point":
         forward, backward = values, None
         diffs = values

@@ -19,7 +19,7 @@ is larger; a chain's trace row for the step is the probe mean the descent
 step reports.  A diverged chain leaves its group; the others go on.  The
 environment is built once per :func:`run_chains` call: the final
 evaluation draws from it, and each group's descent from a copy with its own
-budget (``with_budget``).
+budget (``with_budget``); a caller that built it already passes it in.
 
 Timing is off by default because it would break byte-identity; ``[run]
 timing = true`` fills the wall-time column with the wall time of the row's
@@ -91,13 +91,14 @@ class _Chain:
     step: float
 
 
-def run_chains(config: ExperimentConfig, specs, seeds) -> list[RowOutcome]:
+def run_chains(config: ExperimentConfig, specs, seeds, env=None) -> list[RowOutcome]:
     """One descent run per (spec, seed) pair, in the order given.
 
     Chain i runs ``specs[i]`` on seed ``seeds[i]``; its row, trace and
-    output point are exactly what it would produce alone.
+    output point are exactly what it would produce alone.  ``env`` is the
+    config's environment, unbudgeted, when the caller has built it.
     """
-    env = config.environment.build()
+    env = config.environment.build() if env is None else env
     chains = [_Chain(spec.name, seed, *spec.resolve(env)) for spec, seed in zip(specs, seeds)]
     groups: dict[tuple, list[int]] = {}
     for i, chain in enumerate(chains):

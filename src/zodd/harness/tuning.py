@@ -78,8 +78,8 @@ def score_candidate(config: ExperimentConfig, candidate: EstimatorSpec) -> float
     Failed runs score +inf.
     """
     seeds = _trial_seeds(config)
-    outcomes = run_chains(config, [candidate] * len(seeds), seeds)
-    return _mean_objective(config.environment.build(), outcomes)
+    env = config.environment.build()
+    return _mean_objective(env, run_chains(config, [candidate] * len(seeds), seeds, env))
 
 
 def tune_method(config: ExperimentConfig, spec: EstimatorSpec) -> TuningOutcome:
@@ -89,12 +89,13 @@ def tune_method(config: ExperimentConfig, spec: EstimatorSpec) -> TuningOutcome:
     """
     candidates = candidate_specs(spec, config.tuning)
     seeds = _trial_seeds(config)
+    env = config.environment.build()
     outcomes = run_chains(
         config,
         [c for c in candidates for _ in seeds],
         [seed for _ in candidates for seed in seeds],
+        env,
     )
-    env = config.environment.build()
     table = []
     best = None
     best_score = math.inf

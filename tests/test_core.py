@@ -14,6 +14,7 @@ from zodd.core import (
     CHUNK_VALUES,
     BudgetCounter,
     BudgetExhaustedError,
+    PendingDirections,
     ProbePoints,
     RngStream,
     SampleOracle,
@@ -525,3 +526,61 @@ class TestPointChunks:
         expected = u / np.linalg.norm(u, axis=1)[:, None]
         got = sphere_matrix(RngStream(seed).generator(), d, n)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class _ZeroRow:
+    """A generator whose first draws hold an all-zero row ``row``."""
+
+    def __init__(self, gen, row):
+        self._gen = gen
+        self._row = row
+        self._drawn = 0
+
+    @property
+    def bit_generator(self):
+        return self._gen.bit_generator
+
+    def standard_normal(self, size=None, out=None):
+        out = self._gen.standard_normal(size, out=out)
+        if 0 <= self._row - self._drawn < out.shape[0]:
+            out[self._row - self._drawn] = 0.0
+        self._drawn += out.shape[0]
+        return out
+
+
+class TestPendingDirections:
+    def test_a_zero_norm_in_chunk_two_is_redrawn_as_sphere_matrix_redraws_it(self):
+        d = 16
+        size = chunk_rows(d)
+        n, row = 2 * size + size // 2, size + 17
+        drawing = _ZeroRow(RngStream(3).generator(), row)
+        pending = PendingDirections(iter([drawing]), ["sphere"], (1, n, d))
+        try:
+            got = pending.result()[0]
+        finally:
+            pending.close()
+        alone = _ZeroRow(RngStream(3).generator(), row)
+        expected = sphere_matrix(alone, d, n)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert abs(np.linalg.norm(got[row]) - 1.0) < 1e-15
+        # the redraw left the generator where sphere_matrix leaves it
+        assert drawing._drawn == alone._drawn == n + 1
+        assert np.array_equal(drawing.standard_normal(5), alone.standard_normal(5))
+
+    def test_a_zero_norm_of_a_first_part_is_redrawn_on_its_own_stream(self):
+        # two streams take turns on the helper's one generator; the redraw
+        # of the first part starts where that part's draw ended
+        d = 16
+        size = chunk_rows(d)
+        n, row = size + size // 2, size + 3
+        streams = [RngStream(5), RngStream(6)]
+        gens = (_ZeroRow(gen, row if s == 0 else -1)
+                for s, gen in enumerate(stream_generators(streams)))
+        pending = PendingDirections(gens, ["sphere", "sphere"], (2, n, d))
+        try:
+            got = pending.result()
+        finally:
+            pending.close()
+        first = sphere_matrix(_ZeroRow(streams[0].generator(), row), d, n)
+        second = sphere_matrix(streams[1].generator(), d, n)
+        assert np.array_equal(got.view(np.int64), np.stack([first, second]).view(np.int64))

@@ -1,6 +1,9 @@
 """Gradient estimators: cost accounting, exactness, and error bounds."""
 
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,8 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zodd.core
+import zodd.estimators
 from zodd.core import (
     BudgetExhaustedError,
+    PendingDirections,
+    ProbePoints,
     RngStream,
     SampleOracle,
     chunk_rows,
@@ -45,7 +51,10 @@ class _RecordingOracle(SampleOracle):
         return self._d
 
     def _draw_at(self, points, streams, replicates):
-        points = np.concatenate([block for _, _, block in point_chunks(points)])
+        whole = np.empty(points.shape)
+        for lo, hi, block in point_chunks(points):
+            whole[lo:hi] = block
+        points = whole
         self.batches.append((points, replicates))
         return np.tile(0.5 * (points**2).sum(axis=1), (replicates, 1))
 
@@ -540,7 +549,8 @@ class TestChunkedProbes:
 
     def test_a_planned_estimate_is_built_in_pieces_of_each_half(self):
         # N = 65,536 two-sided probes are 2^17 points: at d = 16 a chunk is
-        # 8,192 points, so each half goes in 8 pieces
+        # 8,192 points, so each half goes in 8 pieces, each forward piece
+        # followed by the backward piece of the same directions
         env = QuadraticEnv.isotropic(16, sigma=0.5)
         cfg = EstimatorConfig("sphere", mu=0.1, directions=65_536)
         X = np.linspace(-1.0, 1.0, 16)[None, :]
@@ -556,7 +566,10 @@ class TestChunkedProbes:
         whole = _whole_array_kernel(X, cfg, env, RngStream(4))
         size = chunk_rows(16)
         assert size == 8192
-        assert seen == [(lo, lo + size) for lo in range(0, 2**17, size)]
+        half = 2**16
+        assert seen == [(a + side, a + side + size)
+                        for a in range(0, half, size) for side in (0, half)]
+        assert seen[:4] == [(0, 8192), (65536, 73728), (8192, 16384), (73728, 81920)]
         assert _same_bits(streamed[0], whole[0])
 
     def test_a_planned_estimate_keeps_its_directions_not_its_probes(self):
@@ -585,3 +598,166 @@ class TestChunkedProbes:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             estimate_gradient(x, cfg, env, RngStream(0))
         assert env.budget.consumed == 0
+
+    @given(
+        env_name=st.sampled_from(sorted(_CHUNKED_ENVS)),
+        rows=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=30),
+        two_sided=st.booleans(),
+        shared=st.booleans(),
+        replicates=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_span_order_gives_the_same_bits(
+        self, env_name, rows, n, two_sided, shared, replicates, seed
+    ):
+        # point_chunks promises every row once, in any order: every reader
+        # places blocks by (lo, hi), so a shuffled ProbePoints reads alike
+        gen = RngStream(seed).child("points").generator()
+        with mock.patch.object(zodd.core, "CHUNK_VALUES", 48):
+            env = _CHUNKED_ENVS[env_name]()
+            d = env.dimension
+            X = gen.uniform(0.2, 1.2, (rows, d))
+            radius = gen.uniform(0.01, 0.2, (rows, 1))
+            dirs = gen.standard_normal((1 if shared else rows, n, d))
+            probes = ProbePoints(X, radius, dirs, two_sided)
+            shuffled = ProbePoints(X, radius, dirs, two_sided)
+            shuffled._spans = [shuffled._spans[i] for i in gen.permutation(len(shuffled._spans))]
+            whole = np.empty(probes.shape)
+            for lo, hi, block in point_chunks(probes):
+                whole[lo:hi] = block
+            streams = [RngStream(seed).child("row", r) for r in range(rows)]
+            results = [env._draw_at(points, streams, replicates)
+                       for points in (whole, probes, shuffled)]
+            if env_name == "quadratic":
+                results += [env.exact_objective_at(points) for points in (whole, probes, shuffled)]
+        assert all(_same_bits(got, results[0]) for got in results[1:3])
+        assert all(_same_bits(got, results[3]) for got in results[4:])
+
+
+def _counted_threads(monkeypatch):
+    """The threads started from now on, in a list."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(zodd.core.threading, "Thread", Counted)
+    return started
+
+
+def _wide_cfg(kind, d, rows, chunks):
+    """A config whose R-row call draws a table of about ``chunks`` chunks."""
+    return EstimatorConfig(kind, mu=0.1, directions=int((chunks - 0.5) * chunk_rows(d)) // rows)
+
+
+class TestDirectionHelper:
+    @pytest.mark.parametrize("chunks", [2, 3])
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("kind", ["sphere", "gaussian", "one_point"])
+    def test_wide_estimates_are_bit_equal_at_one_and_two_cpus(
+        self, monkeypatch, kind, per_row, chunks
+    ):
+        d, rows = 16, 2
+        cfg = _wide_cfg(kind, d, rows, chunks)
+        X = RngStream(1).generator().uniform(-1.0, 1.0, (rows, d))
+        if per_row:
+            rng, mu = RowStreams.of([RngStream(7), RngStream(8)]), np.array([0.1, 0.3])
+        else:
+            rng, mu = RngStream(7), None
+        started = _counted_threads(monkeypatch)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: cpus)
+            runs.append(_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), rng, mu))
+            assert len(started) == cpus - 1
+        whole = _whole_array_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), rng, mu)
+        for one, two, expected in zip(*runs, whole):
+            assert _same_bits(one, expected) and _same_bits(two, expected)
+
+    def test_the_helper_is_joined_however_the_estimate_ends(self, monkeypatch):
+        monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 2)
+        started = _counted_threads(monkeypatch)
+        threads = threading.active_count()
+        d = 16
+        x = np.linspace(-1.0, 1.0, d)
+        estimate_gradient(x, _wide_cfg("sphere", d, 1, 3), QuadraticEnv.isotropic(d, 0.5),
+                          RngStream(0))
+        assert threading.active_count() == threads
+        for kind in ("sphere", "gaussian"):
+            # the first forward chunk overflows while the helper still draws
+            env = QuadraticEnv.isotropic(d, 0.5, budget=10**7)
+            cfg = replace(_wide_cfg(kind, d, 1, 3), mu=1e308)
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+                estimate_gradient(np.full(d, 1e308), cfg, env, RngStream(1))
+            assert env.budget.consumed == 0
+            assert threading.active_count() == threads
+        cfg = _wide_cfg("sphere", d, 1, 3)
+        env = QuadraticEnv.isotropic(d, 0.5, budget=cfg.samples_per_estimate(d) - 1)
+        with pytest.raises(BudgetExhaustedError):
+            estimate_gradient(x, cfg, env, RngStream(2))
+        assert env.budget.consumed == 0
+        assert threading.active_count() == threads
+        assert len(started) == 4
+
+    def test_concurrent_wide_estimates_under_thread_switching(self, monkeypatch):
+        # four callers and their four helpers on two cores, switching every
+        # microsecond: a chunk read before it lands, or finished twice,
+        # changes the bits
+        d = 16
+        cfg = _wide_cfg("sphere", d, 1, 3)
+        x = np.linspace(-1.0, 1.0, d)
+        monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 1)
+        expected = [estimate_gradient(x, cfg, QuadraticEnv.isotropic(d, 0.5), RngStream(s))
+                    for s in range(4)]
+        monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 2)
+        got = [None] * 4
+
+        def run(s):
+            got[s] = estimate_gradient(x, cfg, QuadraticEnv.isotropic(d, 0.5), RngStream(s))
+
+        callers = [threading.Thread(target=run, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for one, two in zip(expected, got):
+            assert _same_bits(one.gradient, two.gradient)
+            assert _same_bits(one._directions, two._directions)
+
+    @pytest.mark.parametrize("kind, d, n, batch, env", [
+        # pricing_tune: N = 1 sphere chains at d = 8
+        ("sphere", 8, 1, 1, lambda: PricingEnv.synthetic(1, n=8, buyers=100)),
+        # strategic_run: N = 4, batch 8 sphere and gaussian chains at d = 12
+        ("sphere", 12, 4, 8, lambda: StrategicEnv.synthetic(2, count=300)),
+        ("gaussian", 12, 4, 8, lambda: StrategicEnv.synthetic(2, count=300)),
+        # verify_mse: 2^14 draws per call at d = 5
+        ("sphere", 5, 10, 1, lambda: QuadraticEnv.isotropic(5, 0.5)),
+        ("gaussian", 5, 100, 10, lambda: QuadraticEnv.isotropic(5, 0.5)),
+    ])
+    def test_calls_of_one_chunk_start_no_thread(self, monkeypatch, kind, d, n, batch, env):
+        # the largest call of each other workload: a lockstep group or an
+        # MSE replicate chunk of 2^14 draws
+        monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 2)
+        started = _counted_threads(monkeypatch)
+        cfg = EstimatorConfig(kind, mu=0.1, directions=n, batch=batch)
+        rows = (1 << 14) // cfg.samples_per_estimate(d)
+        assert rows * n <= chunk_rows(d)
+        X = np.full((rows, d), 0.5)
+        _kernel(X, cfg, env(), RngStream(3))
+        _kernel(X, cfg, env(), RowStreams.of([RngStream(r) for r in range(rows)]))
+        assert started == []
+        # one row past a chunk starts the helper
+        wide = replace(cfg, directions=chunk_rows(d) + 1)
+        _kernel(X[:1], wide, env(), RngStream(3))
+        assert len(started) == 1
+
