@@ -678,6 +678,24 @@ class TestDirectionHelper:
         for one, two, expected in zip(*runs, whole):
             assert _same_bits(one, expected) and _same_bits(two, expected)
 
+    def test_a_wide_mixed_kind_call_keeps_its_axes(self, monkeypatch):
+        # 600 rows of N = d = 16 are 9,600 direction rows, over one chunk:
+        # coordinate rows' axes sit between drawn parts of the pending table
+        d, rows = 16, 600
+        kinds = [("coordinate", "sphere", "gaussian")[r % 3] for r in range(rows)]
+        streams = RowStreams.of([RngStream(r) for r in range(rows)], kinds)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
+        X = RngStream(2).generator().uniform(-1.0, 1.0, (rows, d))
+        started = _counted_threads(monkeypatch)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: cpus)
+            runs.append(_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), streams))
+        assert len(started) == 1
+        for one, two in zip(*runs):
+            assert _same_bits(one, two)
+        assert np.array_equal(runs[1][1][0], np.eye(d))
+
     def test_the_helper_is_joined_however_the_estimate_ends(self, monkeypatch):
         monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 2)
         started = _counted_threads(monkeypatch)
