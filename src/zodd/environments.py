@@ -262,12 +262,15 @@ def load_prices(path) -> tuple[Vector, Vector]:
         if reader.fieldnames is None or set(reader.fieldnames) != {"theta", "rho"}:
             raise ValueError(f"{path}: expected columns theta,rho")
         try:
-            rows = [(float(row["theta"]), float(row["rho"])) for row in reader]
+            rows = [(float(row["theta"]), float(row["rho"]), reader.line_num) for row in reader]
         except (TypeError, ValueError) as exc:
             # a short row reads its missing field as None
             raise ValueError(f"{path}: line {reader.line_num}: expected numbers theta,rho") from exc
     if not rows:
         raise ValueError(f"{path}: no price records")
+    for theta, rho, line in rows:
+        if not (math.isfinite(theta) and math.isfinite(rho)):
+            raise ValueError(f"{path}: line {line}: expected finite numbers theta,rho")
     theta = np.array([r[0] for r in rows])
     rho = np.array([r[1] for r in rows])
     return theta, rho
@@ -578,6 +581,9 @@ def load_population(path) -> tuple[Vector, Vector]:
                     raise ValueError(f"{path}: line {i + 2}: expected numbers, "
                                      f"got {value!r}") from None
         raise
+    finite = np.isfinite(features).all(axis=1) & np.isfinite(labels)
+    if not finite.all():
+        raise ValueError(f"{path}: line {int(finite.argmin()) + 2}: expected finite numbers")
     return features, labels
 
 
@@ -599,6 +605,8 @@ class StrategicEnv(Environment):
         labels = np.asarray(labels, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError("features must be a nonempty (count, d_feat) matrix")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("features must be finite")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must align with feature rows")
         if not np.all((labels == 0.0) | (labels == 1.0)):

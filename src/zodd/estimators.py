@@ -123,11 +123,8 @@ class EstimatorConfig:
         """Exact number of oracle draws one estimate consumes."""
         if d < 1:
             raise ValueError("need d >= 1")
-        if self.kind == "coordinate":
-            return 2 * d * self.batch
-        if self.kind == "one_point":
-            return self.directions * self.batch
-        return 2 * self.directions * self.batch
+        two_sided, n, batch = self.probe_shape(d)
+        return (2 if two_sided else 1) * n * batch
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,7 @@ def _probe_means(forward: Vector, backward: Vector | None) -> list[float]:
 
 def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=None,
                      overlap: bool = True):
-    """Directions as an (S * rows, N, d) array for S streams.
+    """Directions as an (S * rows, N, d) array for S streams, N of ``cfg``'s probe shape.
 
     Stream s draws directions of kind ``kinds[s]``, by default ``cfg.kind``.
     Each stream's random directions come from one (rows * N, d) draw on its
@@ -197,19 +194,20 @@ def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=Non
     random = [(s, k) for s, k in zip(streams, kinds) if k != "coordinate"]
     if not random:
         return np.eye(d)[None]
-    shape = (len(kinds) * rows, cfg.directions, d)
+    n = cfg.probe_shape(d)[1]
+    shape = (len(kinds) * rows, n, d)
     if overlap and shape[0] * shape[1] > chunk_rows(d) and usable_cpus() > 1:
         children = [s.child("directions") for s, _ in random]
         return PendingDirections(stream_generators(children), kinds, shape)
     gens = stream_generators(s.child("directions") for s, _ in random)
     # the draws are looked up per call, since the tracer wraps these names in this module
-    drawn = [(gaussian_matrix if k == "gaussian" else sphere_matrix)(gen, d, rows * cfg.directions)
+    drawn = [(gaussian_matrix if k == "gaussian" else sphere_matrix)(gen, d, rows * n)
              for gen, (_, k) in zip(gens, random)]
     if len(random) < len(kinds):
         axes, it = np.tile(np.eye(d), (rows, 1)), iter(drawn)
         drawn = [axes if k == "coordinate" else next(it) for k in kinds]
     table = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-    return table.reshape(-1, cfg.directions, d)
+    return table.reshape(-1, n, d)
 
 
 class RowStreams(NamedTuple):
@@ -221,21 +219,21 @@ class RowStreams(NamedTuple):
     ``distinct`` lists the streams in order of first use, and ``index`` is
     an int array of one entry per row, so when no two rows share a stream
     it is 0, 1, ..., R - 1.  ``kinds`` holds each distinct entry's
-    estimator kind, None for the kernel config's: rows share an entry only
-    when they share both stream and kind, since rows of two kinds on one
-    stream each draw their own directions.
+    estimator kind: rows share an entry only when they share both stream
+    and kind, since rows of two kinds on one stream each draw their own
+    directions.
     """
 
     distinct: list[RngStream]
     index: np.ndarray
-    kinds: list[str | None]
+    kinds: list[str]
 
     @classmethod
-    def of(cls, streams, kinds=None) -> "RowStreams":
-        """Rows on ``streams``, of the given ``kinds`` or else all of the kernel config's."""
-        keys = zip(streams, [None] * len(streams) if kinds is None else kinds)
+    def of(cls, streams, kinds) -> "RowStreams":
+        """Row r on ``streams[r]``, of estimator kind ``kinds[r]``."""
         slot: dict = {}
-        index = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
+        index = np.array([slot.setdefault(key, len(slot)) for key in zip(streams, kinds)],
+                         dtype=np.intp)
         return cls([s for s, _ in slot], index, [k for _, k in slot])
 
     def child(self, *labels: int | str) -> "RowStreams":
@@ -258,12 +256,11 @@ def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> tuple[Ve
     once; rows that share a stream and a kind share that draw, exactly as
     separate single-row calls on the stream would draw it.
     """
-    kinds = [kind or cfg.kind for kind in rows.kinds]
     distinct = rows.child("draws").distinct
     draws = [distinct[i] for i in rows.index.tolist()]
     # all-coordinate rows share one set of axes; other directions are per stream
-    shared = len(rows.distinct) < len(rows.index) and any(k != "coordinate" for k in kinds)
-    dirs = _draw_directions(cfg, d, 1, rows.distinct, kinds, overlap=not shared)
+    shared = len(rows.distinct) < len(rows.index) and any(k != "coordinate" for k in rows.kinds)
+    dirs = _draw_directions(cfg, d, 1, rows.distinct, rows.kinds, overlap=not shared)
     return (dirs[rows.index] if shared else dirs), draws
 
 
@@ -285,10 +282,11 @@ def _kernel(
 ) -> tuple[Vector, Vector, Vector, Vector | None]:
     """The one estimator computation: (R, d) base points in, (R, d) gradients out.
 
+    Every row takes N, the batch and its sides from ``cfg.probe_shape(d)``.
     ``rng`` is one stream for every row, whose directions are laid out by
     row, or a :class:`RowStreams` of R rows: row r then draws exactly what
-    a single-row call on its stream draws, with its own kind (all of
-    ``cfg``'s probe shape; the gradient scale is then an (R, 1) column).
+    a single-row call on its stream draws, with its own kind (the gradient
+    scale is then an (R, 1) column).
     ``mu`` optionally gives each row its own probe radius, an (R,) array;
     the default is ``cfg.mu``.
 
@@ -300,38 +298,37 @@ def _kernel(
     helper thread are read through their pending draw, and the helper is
     stopped and joined before any exception leaves.  Returns the gradients, the
     directions (R or 1, N, d), and the forward and backward sample values
-    as (batch, R, N) arrays (backward is None for ``one_point``).
+    as (batch, R, N) arrays (backward is None when one-sided).
     """
     rows, d = X.shape
+    two_sided, n, batch = cfg.probe_shape(d)
     radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
     # the directions come last: a pending draw is closed by the block after them
     if isinstance(rng, RngStream):
         draws = rng.child("draws")
-        scale = _scale(cfg.kind, cfg.directions, d)
+        scale = _scale(cfg.kind, n, d)
         dirs = _draw_directions(cfg, d, rows, [rng])
     else:
-        scales = [_scale(kind or cfg.kind, cfg.directions, d) for kind in rng.kinds]
-        scale = np.array(scales)[rng.index, None]
+        scale = np.array([_scale(kind, n, d) for kind in rng.kinds])[rng.index, None]
         dirs, draws = _streams_per_row(cfg, d, rng)
-    n = dirs.shape[1]
     pending = dirs if isinstance(dirs, PendingDirections) else None
     try:
-        probes = ProbePoints(X, radius, dirs, two_sided=cfg.kind != "one_point")
-        values = oracle.sample_at(probes, draws, replicates=cfg.batch)
+        probes = ProbePoints(X, radius, dirs, two_sided=two_sided)
+        values = oracle.sample_at(probes, draws, replicates=batch)
         if pending is not None:
             dirs = pending.result()
     finally:
         if pending is not None:
             pending.close()
-    values = values.reshape(cfg.batch, rows, -1)
-    if cfg.kind == "one_point":
-        forward, backward = values, None
-        diffs = values
-    else:
+    values = values.reshape(batch, rows, -1)
+    if two_sided:
         forward, backward = values[:, :, :n], values[:, :, n:]
         diffs = forward - backward
+    else:
+        forward, backward = values, None
+        diffs = values
     # the mean of a batch of one is its one value, bit for bit
-    coeffs = (diffs[0] if cfg.batch == 1 else diffs.mean(axis=0)) / (2.0 * radius)
+    coeffs = (diffs[0] if batch == 1 else diffs.mean(axis=0)) / (2.0 * radius)
     # matmul, unlike einsum, sums each row in the order of a single (N,) @ (N, d)
     gradients = scale * np.matmul(coeffs[:, None, :], dirs)[:, 0, :]
     return gradients, dirs, forward, backward

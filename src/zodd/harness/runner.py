@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,78 +121,53 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
     descent draws from a copy of it whose budget is the sum of the chains'.
     """
     started = time.perf_counter() if config.timing else None
-    first = chains[0].cfg
-    # the group's N, which a coordinate chain's ``directions`` need not hold
-    cfg = replace(first, directions=first.probe_shape(eval_env.dimension)[1])
+    cfg = chains[0].cfg
     cost = cfg.samples_per_estimate(eval_env.dimension)
     iterations = config.budget // cost
-    if iterations == 0:
-        elapsed = _elapsed(started)
-        return [
-            RowOutcome(
-                ResultRow(
-                    method=c.method, seed=c.seed, obj_mean=math.nan, obj_sd=math.nan,
-                    samples_used=0, wall_time_s=elapsed,
-                    grad_norm_sq=None, status=STATUS_BUDGET_ERROR,
-                ),
-                (), None,
-            )
-            for c in chains
-        ]
-
-    env = eval_env.with_budget(len(chains) * config.budget)
-    streams = [RngStream(c.seed).child("method", c.method) for c in chains]
-    picks = np.array([select_uniform_index(iterations + 1, rng) for rng in streams])
-    due = set(picks.tolist())  # most steps pick no output; skip their vector work
-    X = np.tile(config.start_point(), (len(chains), 1))
-    outputs = X.copy()  # row i becomes iterate picks[i]; a diverged chain's is never read
     traces: list[list[TraceRow]] = [[] for _ in chains]
-    diverged = set()
-
-    steps = [c.step for c in chains]
-    mus = [c.cfg.mu for c in chains]
-    kinds = [c.cfg.kind for c in chains]
-    for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations, kinds):
-        spent = (step.t + 1) * cost
-        for i, probe_mean in zip(step.live, step.probe_means):
-            traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, probe_mean))
-        if step.t + 1 in due:
-            hit = picks[step.live] == step.t + 1
-            outputs[step.live[hit]] = step.X[hit]
-        diverged.update(step.live[step.bad].tolist())
-
-    done = [i for i in range(len(chains)) if i not in diverged]
-    if done:
-        values = eval_env.sample_at(
-            outputs[done],
-            [streams[i].child("eval") for i in done],
-            replicates=config.eval_draws,
-        )
-        column = {i: values[:, j].copy() for j, i in enumerate(done)}
+    outputs = np.tile(config.start_point(), (len(chains), 1))  # row i becomes iterate picks[i]
+    statuses = [STATUS_OK if iterations else STATUS_BUDGET_ERROR] * len(chains)
+    if iterations:
+        env = eval_env.with_budget(len(chains) * config.budget)
+        streams = [RngStream(c.seed).child("method", c.method) for c in chains]
+        picks = np.array([select_uniform_index(iterations + 1, rng) for rng in streams])
+        due = set(picks.tolist())  # most steps pick no output; skip their vector work
+        steps = [c.step for c in chains]
+        mus = [c.cfg.mu for c in chains]
+        kinds = [c.cfg.kind for c in chains]
+        X = outputs.copy()
+        for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations, kinds):
+            spent = (step.t + 1) * cost
+            for i, probe_mean in zip(step.live, step.probe_means):
+                traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, probe_mean))
+            if step.t + 1 in due:
+                hit = picks[step.live] == step.t + 1
+                outputs[step.live[hit]] = step.X[hit]
+            for i in step.live[step.bad].tolist():
+                statuses[i] = STATUS_DIVERGED
+        done = [i for i, status in enumerate(statuses) if status == STATUS_OK]
+        if done:
+            values = eval_env.sample_at(
+                outputs[done],
+                [streams[i].child("eval") for i in done],
+                replicates=config.eval_draws,
+            )
+            column = {i: values[:, j].copy() for j, i in enumerate(done)}
     elapsed = _elapsed(started)
     rows = []
-    for i, c in enumerate(chains):
-        trace = tuple(traces[i])
-        if i in diverged:
-            row = ResultRow(
-                method=c.method, seed=c.seed, obj_mean=math.nan, obj_sd=math.nan,
-                samples_used=len(trace) * cost, wall_time_s=elapsed,
-                grad_norm_sq=math.nan if env.supports_gradient else None,
-                status=STATUS_DIVERGED,
-            )
-            rows.append(RowOutcome(row, trace, None))
-            continue
-        drawn = column[i]
+    for i, (c, status) in enumerate(zip(chains, statuses)):
+        ok = status == STATUS_OK
         grad_norm_sq = None
-        if env.supports_gradient:
-            grad_norm_sq = float(np.sum(env.gradient(outputs[i]) ** 2))
+        if eval_env.supports_gradient and status != STATUS_BUDGET_ERROR:
+            grad_norm_sq = float(np.sum(eval_env.gradient(outputs[i]) ** 2)) if ok else math.nan
         row = ResultRow(
             method=c.method, seed=c.seed,
-            obj_mean=float(drawn.mean()), obj_sd=float(drawn.std(ddof=1)),
-            samples_used=len(trace) * cost, wall_time_s=elapsed,
-            grad_norm_sq=grad_norm_sq, status=STATUS_OK,
+            obj_mean=float(column[i].mean()) if ok else math.nan,
+            obj_sd=float(column[i].std(ddof=1)) if ok else math.nan,
+            samples_used=len(traces[i]) * cost, wall_time_s=elapsed,
+            grad_norm_sq=grad_norm_sq, status=status,
         )
-        rows.append(RowOutcome(row, trace, outputs[i].copy()))
+        rows.append(RowOutcome(row, tuple(traces[i]), outputs[i].copy() if ok else None))
     return rows
 
 

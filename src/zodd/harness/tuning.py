@@ -83,7 +83,10 @@ def score_candidate(config: ExperimentConfig, candidate: EstimatorSpec) -> float
 
 
 def tune_method(config: ExperimentConfig, spec: EstimatorSpec) -> TuningOutcome:
-    """Pick the grid point with the lowest mean objective; first wins ties.
+    """Pick the grid point with the lowest finite mean objective.
+
+    The first of equal scores wins, and the first candidate when no score
+    is finite.
 
     Every candidate's trials run together in one lockstep call.
     """
@@ -96,16 +99,10 @@ def tune_method(config: ExperimentConfig, spec: EstimatorSpec) -> TuningOutcome:
         [seed for _ in candidates for seed in seeds],
         env,
     )
-    table = []
-    best = None
-    best_score = math.inf
-    for i, candidate in enumerate(candidates):
-        score = _mean_objective(env, outcomes[i * len(seeds):(i + 1) * len(seeds)])
-        table.append((candidate, score))
-        if score < best_score:
-            best, best_score = candidate, score
-    if best is None:
-        best = table[0][0]
+    table = [(candidate, _mean_objective(env, outcomes[i * len(seeds):(i + 1) * len(seeds)]))
+             for i, candidate in enumerate(candidates)]
+    finite = [(candidate, score) for candidate, score in table if math.isfinite(score)]
+    best = min(finite, key=lambda pair: pair[1])[0] if finite else candidates[0]
     return TuningOutcome(method=spec.name, chosen=best, scores=tuple(table))
 
 

@@ -102,15 +102,13 @@ class PlannerConstants:
     c_T: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.c_mu <= 0 or self.c_m <= 0 or self.c_T <= 0:
-            raise ValueError("planner constants must be positive")
+        _require_positive({"c_mu": self.c_mu, "c_m": self.c_m, "c_T": self.c_T})
 
     @classmethod
     def with_known_gap(
         cls, M: float, gap: float, c_mu: float = 1.0, c_m: float = 1.0
     ) -> "PlannerConstants":
-        if M <= 0 or gap <= 0:
-            raise ValueError("need positive M and optimality gap")
+        _require_positive({"smoothness M": M, "gap": gap})
         return cls(c_mu=c_mu, c_m=c_m, c_T=16.0 * M * gap)
 
 
@@ -127,8 +125,7 @@ class ParameterPlan:
     iterations: int
 
     def __post_init__(self) -> None:
-        if self.mu <= 0 or self.step <= 0:
-            raise ValueError("mu and step must be positive")
+        _require_positive({"mu": self.mu, "step": self.step})
         if self.directions < 1 or self.batch < 1 or self.iterations < 0:
             raise ValueError("directions, batch >= 1 and iterations >= 0 required")
 
@@ -155,6 +152,13 @@ def _check_kind_regime(kind: str, regime: str) -> None:
         raise ValueError(f"planner kind must be one of {PLANNER_KINDS}, got {kind!r}")
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+
+
+def _require_positive(values: dict[str, float]) -> None:
+    """Reject any value that is not a finite positive number, naming it."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _ceil(value: float) -> int:
@@ -191,14 +195,9 @@ def plan_parameters(
     """
     _check_kind_regime(kind, regime)
     constants = constants or PlannerConstants()
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _require_positive({"epsilon": epsilon, "sigma": sigma, "smoothness M": M})
     if d < 1:
         raise ValueError("need d >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if M <= 0:
-        raise ValueError("M must be positive")
     cap = _EPSILON_CAPS[(kind, regime)]
     if enforce_epsilon_bound and cap is not None and epsilon > cap:
         raise ValueError(
@@ -206,8 +205,8 @@ def plan_parameters(
             f"{kind}/{regime}"
         )
     if regime == "hessian":
-        if H is None or not H >= 0:
-            raise ValueError("hessian regime requires H >= 0")
+        if H is None or not (H >= 0 and math.isfinite(H)):
+            raise ValueError(f"hessian regime requires a finite H >= 0, got {H!r}")
         if kind == "coordinate" and H == 0:
             # mu = (18 sigma^2 / (m H^2))^(1/6) has no finite value
             raise ValueError("coordinate/hessian requires a positive H")
@@ -302,8 +301,7 @@ def lockstep_descent(
     ``streams[r].child("iteration", t)`` exactly what a single estimate of
     its kind on that stream draws, whichever rows share the call; rows with
     equal streams and kinds derive that child once.  Every row's kind must
-    give ``cfg``'s probe shape (:meth:`EstimatorConfig.probe_shape`), so
-    ``cfg.directions`` is d where coordinate rows mix with others.  Each
+    fit ``cfg``'s probe shape (:meth:`EstimatorConfig.probe_shape`).  Each
     step makes one estimator call for all live rows, updates
     x_{t+1} = x_t - step * g_t and yields a :class:`Step`; a row whose
     iterate has norm above 1e9 or a non-finite entry is marked ``bad`` and
@@ -313,7 +311,8 @@ def lockstep_descent(
     live = np.arange(len(streams))
     kinds = [cfg.kind] * len(streams) if kinds is None else list(kinds)
     shape = cfg.probe_shape(oracle.dimension)
-    if any(replace(cfg, kind=kind).probe_shape(oracle.dimension) != shape for kind in set(kinds)):
+    if any(replace(cfg, kind=kind, directions=shape[1]).probe_shape(oracle.dimension) != shape
+           for kind in set(kinds)):
         raise ValueError(f"every row's kind must have the probe shape {shape}")
     # which rows share a stream and a kind, resolved here and again only when rows leave
     roots = RowStreams.of(streams, kinds)

@@ -835,6 +835,9 @@ class TestStrategicEnv:
             StrategicEnv(np.zeros((2, 3)), np.array([0.0]))
         with pytest.raises(ValueError):
             StrategicEnv(np.zeros((0, 3)), np.zeros(0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StrategicEnv(np.array([[0.0, bad], [1.0, 2.0]]), np.array([0.0, 1.0]))
 
     def test_dimension_is_features_plus_intercept(self):
         env = StrategicEnv.synthetic(0, count=10, d_feat=7)

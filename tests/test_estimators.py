@@ -319,7 +319,8 @@ class TestBatchedKernel:
         cfg = EstimatorConfig(kind, mu=0.3, directions=4)
         if per_row:
             # one stream per row, some shared, and a radius per row
-            rng = RowStreams.of([RngStream(seed).child("row", r % 3) for r in range(rows)])
+            rng = RowStreams.of([RngStream(seed).child("row", r % 3) for r in range(rows)],
+                                [kind] * rows)
             mu = gen.uniform(0.01, 1.0, rows)
             radius = mu[:, None]
         else:
@@ -414,7 +415,7 @@ class TestBatchedKernel:
 
 def test_row_streams_keep_the_order_of_first_use():
     a, b, c = RngStream(0), RngStream(1), RngStream(2)
-    rows = RowStreams.of([a, b, RngStream(0), c])
+    rows = RowStreams.of([a, b, RngStream(0), c], ["sphere"] * 4)
     assert rows.distinct == [a, b, c] and rows.index.tolist() == [0, 1, 0, 2]
     assert rows.child("iteration", 3).distinct == [s.child("iteration", 3) for s in (a, b, c)]
     # once row 0 leaves, b is used first: no two rows share, so index is 0..R-1
@@ -537,7 +538,8 @@ class TestChunkedProbes:
         X = gen.uniform(0.2, 1.2, (rows, d))
         if per_row:
             # one stream per row, with repeats, and a radius per row
-            rng = RowStreams.of([RngStream(seed).child("row", r % 3) for r in range(rows)])
+            rng = RowStreams.of([RngStream(seed).child("row", r % 3) for r in range(rows)],
+                                [kind] * rows)
             mu = gen.uniform(0.01, 0.2, rows)
         else:
             rng, mu = RngStream(seed), None
@@ -665,7 +667,7 @@ class TestDirectionHelper:
         cfg = _wide_cfg(kind, d, rows, chunks)
         X = RngStream(1).generator().uniform(-1.0, 1.0, (rows, d))
         if per_row:
-            rng, mu = RowStreams.of([RngStream(7), RngStream(8)]), np.array([0.1, 0.3])
+            rng, mu = RowStreams.of([RngStream(7), RngStream(8)], [kind] * 2), np.array([0.1, 0.3])
         else:
             rng, mu = RngStream(7), None
         started = _counted_threads(monkeypatch)
@@ -772,7 +774,7 @@ class TestDirectionHelper:
         assert rows * n <= chunk_rows(d)
         X = np.full((rows, d), 0.5)
         _kernel(X, cfg, env(), RngStream(3))
-        _kernel(X, cfg, env(), RowStreams.of([RngStream(r) for r in range(rows)]))
+        _kernel(X, cfg, env(), RowStreams.of([RngStream(r) for r in range(rows)], [kind] * rows))
         assert started == []
         # one row past a chunk starts the helper
         wide = replace(cfg, directions=chunk_rows(d) + 1)

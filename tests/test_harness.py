@@ -32,7 +32,7 @@ from zodd.harness.runner import (
 from zodd.harness.tuning import TUNING_SEED_BASE, candidate_specs, score_candidate, tune_method
 from zodd.core import RngStream
 from zodd.estimators import EstimatorConfig
-from zodd.harness import verify
+from zodd.harness import tuning, verify
 from zodd.harness.verify import (
     CheckResult,
     format_report,
@@ -344,6 +344,9 @@ step = 0.001
         (("strategic", "", "label,f1,f2\n0,1,2\n\n1,3,4\n"), "data.csv: line 3: expected 3 fields"),
         # a field that is not a number, on the third line
         (("strategic", "", "label,f1,f2\n0,1,2\n1,x,4\n"), "data.csv: line 3: expected numbers, got 'x'"),
+        # a value that is not finite, on the third line
+        (("pricing", "", "theta,rho\n1.0,0.3\n1.5,inf\n"), "data.csv: line 3: expected finite numbers"),
+        (("strategic", "", "label,f1,f2\n0,1,2\n1,nan,4\n"), "data.csv: line 3: expected finite numbers"),
         # the environment is built at parse time, so its constructor's checks apply
         ("[environment]\nkind = pricing\nbuyers = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
         ("[environment]\nkind = strategic\nagents = 0\n[estimator.e]\nkind = sphere\nmu = 1\nstep = 1", "[environment]"),
@@ -668,6 +671,20 @@ trials = 2
         assert outcome.chosen.step == pytest.approx(0.25)
         assert len(outcome.scores) == 2
 
+    @pytest.mark.parametrize("scores, chosen", [
+        ([3.0, 1.0, 1.0, math.inf], 1),  # the lowest score, the first of a tie
+        ([math.nan, 2.0, -math.inf, 2.0], 1),  # only finite scores compete
+        ([math.inf, math.nan, math.inf, math.inf], 0),  # none finite: the first
+    ])
+    def test_tune_picks_the_first_lowest_finite_score(self, tmp_path, monkeypatch,
+                                                      scores, chosen):
+        cfg = self._config(tmp_path, "[tuning]\nenabled = true\nstep = 0.01 0.25\n"
+                                     "mu = 0.05 0.2\ntrials = 1\n")
+        given = iter(scores)
+        monkeypatch.setattr(tuning, "_mean_objective", lambda env, outcomes: next(given))
+        outcome = tune_method(cfg, cfg.estimators[0])
+        assert outcome.chosen == candidate_specs(cfg.estimators[0], cfg.tuning)[chosen]
+
     def test_tune_scores_every_candidate_as_alone(self, tmp_path):
         cfg = self._config(tmp_path, """\
 [tuning]
@@ -966,6 +983,12 @@ epsilon = 0.25
                      "--epsilon", "0.4", "--dimension", "3",
                      "--sigma", "1", "--smoothness", "1"]) == 2
         assert "epsilon" in capsys.readouterr().err
+
+    def test_plan_rejects_a_non_finite_input(self, capsys):
+        assert main(["plan", "--kind", "sphere", "--regime", "grad",
+                     "--epsilon", "0.3", "--dimension", "4",
+                     "--sigma", "1", "--smoothness", "nan"]) == 2
+        assert "smoothness M must be finite and positive, got nan" in capsys.readouterr().err
 
     def test_plan_gap_and_ct_conflict(self, capsys):
         assert main(["plan", "--kind", "sphere", "--regime", "grad",

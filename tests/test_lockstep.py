@@ -75,6 +75,11 @@ chain = st.tuples(
          chains=[("sphere", "m0", 0, 0.05, 0.01, 1, 1), ("gaussian", "m0", 0, 0.05, 0.01, 1, 1),
                  ("sphere", "m1", 1, 0.05, 0.01, 1, 1)],
          wild=2)
+# d = 3: a coordinate chain, whose unused directions are 1, leads a group of N = 3 chains
+@example(env="quadratic",
+         chains=[("coordinate", "m0", 0, 0.05, 0.01, 1, 1), ("sphere", "m1", 1, 0.05, 0.01, 3, 1),
+                 ("gaussian", "m0", 0, 0.2, 0.05, 3, 1), ("sphere", "m0", 2, 0.05, 0.01, 1, 1)],
+         wild=3)
 @settings(max_examples=30, deadline=None)
 def test_lockstep_chains_equal_single_runs(env, chains, wild):
     config = _config(env)

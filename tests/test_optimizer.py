@@ -125,6 +125,27 @@ class TestPlannerSchedules:
         c = PlannerConstants.with_known_gap(2.0, 3.0)
         assert c.c_T == pytest.approx(96.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_are_rejected_by_name(self, bad):
+        # NaN passes an x <= 0 check, so every input is checked for finiteness
+        for name, args in [("epsilon", (bad, 3, 1.0, 1.0)), ("sigma", (0.1, 3, bad, 1.0)),
+                           ("smoothness M", (0.1, 3, 1.0, bad))]:
+            with pytest.raises(ValueError, match=name):
+                plan_parameters("sphere", "grad", *args)
+        with pytest.raises(ValueError, match="finite H"):
+            plan_parameters("sphere", "hessian", 0.1, 3, 1.0, 1.0, bad)
+        for name in ("c_mu", "c_m", "c_T"):
+            with pytest.raises(ValueError, match=name):
+                PlannerConstants(**{name: bad})
+        with pytest.raises(ValueError, match="smoothness M"):
+            PlannerConstants.with_known_gap(bad, 1.0)
+        with pytest.raises(ValueError, match="gap"):
+            PlannerConstants.with_known_gap(1.0, bad)
+        for name in ("mu", "step"):
+            with pytest.raises(ValueError, match=name):
+                ParameterPlan("sphere", "grad", directions=1, batch=1, iterations=1,
+                              **{"mu": 0.1, "step": 0.1, name: bad})
+
     def test_complexity_tags(self):
         assert sample_complexity_order("coordinate", "grad") == "O(d^3 eps^-6)"
         assert sample_complexity_order("coordinate", "hessian") == "O(d^2.5 eps^-5)"
