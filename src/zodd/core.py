@@ -15,8 +15,9 @@ of work (directions of one estimate, seeds of one experiment) run in any
 order, or batched together, without changing results.  Code that draws
 from many streams in turn takes its generators from :func:`stream_generators`:
 each thread keeps one Philox generator and resets it to the start of every
-stream it is lent for, which draws exactly what ``stream.generator()``
-draws without building a generator per stream.
+stream it is lent for, by a state of Python ints (numpy sets it faster than
+uint64 words), which draws exactly what ``stream.generator()`` draws
+without building a generator per stream.
 
 A :class:`SampleOracle` is the only way samples enter the library.  Every
 draw is counted by a :class:`BudgetCounter`; when a hard budget is set, a
@@ -32,7 +33,8 @@ independent of the rows around it, so neither the chunk size nor the order
 in which chunks come is part of the stream layout, and neither changes a
 number; random draws never go by chunk.
 
-Wide estimates overlap their two halves of work.  A direction table longer
+A call's directions are one :func:`direction_table` of one part per
+stream.  Wide estimates overlap their two halves of work: a table longer
 than one chunk, on a process with more than one usable CPU, is a
 :class:`PendingDirections`: one helper thread fills it a chunk at a time
 with the values of one whole draw, while the calling thread finishes each
@@ -115,7 +117,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         # a fixed seed reads no OS entropy; the state set next replaces its key
         gen = np.random.Generator(np.random.Philox(0))
-        gen.bit_generator.state = _start_state(np.array([self.seed, self.stream], np.uint64))
+        gen.bit_generator.state = _start_state([self.seed, self.stream])
         return gen
 
     def child(self, *labels: int | str) -> "RngStream":
@@ -125,29 +127,27 @@ class RngStream:
         h = self._prefix.copy()
         for label in labels:
             if isinstance(label, int):
-                h.update(b"i" + (label & _MASK64).to_bytes(8, "little"))
+                h.update(b"i%s/" % (label & _MASK64).to_bytes(8, "little"))
             else:
-                h.update(b"s" + label.encode("utf-8"))
-            h.update(b"/")
-        return RngStream(self.seed, int.from_bytes(h.digest(), "little"))
+                h.update(b"s%s/" % label.encode("utf-8"))
+        # both ids are in range already, so the child skips __init__ and its masking
+        child = object.__new__(RngStream)
+        child.__dict__.update(seed=self.seed, stream=int.from_bytes(h.digest(), "little"))
+        return child
 
 
-_ZERO_WORDS = np.zeros(4, np.uint64)
-_ZERO_WORDS.flags.writeable = False
-
-
-def _start_state(key: NDArray[np.uint64]) -> dict:
+def _start_state(key: list[int]) -> dict:
     """The Philox state at which a stream with key ``[seed, stream]`` begins.
 
-    It is the state ``Philox(key=(stream << 64) | seed)`` starts in.
-    Setting a state copies its words, so every state shares one constant
-    zero counter and buffer, and one state may be set again after ``key``
-    is rewritten.
+    It is the state ``Philox(key=(stream << 64) | seed)`` starts in.  Its
+    key and words are Python ints, which numpy's setter converts about
+    twice as fast as uint64 arrays; setting a state copies them, so one
+    state may be set again after ``key`` is rewritten.
     """
     return {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": key},
-        "buffer": _ZERO_WORDS,
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -181,7 +181,7 @@ def stream_generators(streams):
     shared = not lender.busy
     gen = lender.gen if shared else None
     lender.busy = True
-    key = np.empty(2, np.uint64)
+    key = [0, 0]
     start = _start_state(key)
     try:
         for stream in streams:
@@ -389,6 +389,15 @@ def _chunked_norms(u) -> Vector:
     return norms
 
 
+def direction_table(kinds, part: int, d: int) -> Vector:
+    """An (len(kinds) * part, d) table of one part per kind; only coordinate parts are filled."""
+    table = np.empty((len(kinds) * part, d))
+    for p, kind in enumerate(kinds):
+        if kind == "coordinate":
+            table[p * part:(p + 1) * part].reshape(-1, d, d)[:] = np.eye(d)
+    return table
+
+
 class PendingDirections:
     """Random directions drawn on a helper thread while the caller reads the first.
 
@@ -418,13 +427,9 @@ class PendingDirections:
         self.unit = "gaussian" not in kinds
         self._kinds = list(kinds)
         rows, n, d = shape
-        self._table = np.empty((rows * n, d))
         self._part = rows * n // len(kinds)
+        self._table = direction_table(kinds, self._part, d)
         self._size = chunk_rows(d)
-        for p, kind in enumerate(kinds):
-            if kind == "coordinate":
-                part = self._table[p * self._part:(p + 1) * self._part]
-                part.reshape(-1, d, d)[:] = np.eye(d)
         self._drawn = 0  # rows the helper has filled, a prefix of the table
         self._done = 0  # rows finished for reading, a prefix of the drawn ones
         self._ends = {}  # each drawn part's generator and the state its fill left
@@ -508,11 +513,11 @@ class PendingDirections:
         self._thread.join()
 
 
-def gaussian_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
-    """n standard Gaussian directions as rows of an (n, d) array."""
+def gaussian_matrix(gen: np.random.Generator, d: int, n: int, out=None) -> Vector:
+    """n standard Gaussian directions as rows of an (n, d) array, or drawn into ``out``."""
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    return gen.standard_normal((n, d))
+    return gen.standard_normal((n, d), out=out)
 
 
 class BudgetExhaustedError(RuntimeError):

@@ -301,7 +301,9 @@ class PricingEnv(Environment):
     larger block one broadcast call, which draws the same counts.  The
     softmax and the restocking cost run in place on preallocated arrays,
     with the operands and order of operations of their textbook forms, so
-    they carry the same bits.
+    they carry the same bits.  A count is at most ``buyers``, so each item's
+    cost of every count is priced once, in an (n, buyers + 1) table that a
+    sample looks its counts up in and :meth:`expected_restock_cost` weighs.
     """
 
     def __init__(self, theta, rho, buyers: int = 120, budget: int | None = None):
@@ -327,6 +329,10 @@ class PricingEnv(Environment):
             self.lower, self.upper, self.upper - self.lower,
             self.slope, 2.0 * self.slope, 3.0 * self.slope,
         )
+        # item i's cost of every count 0..buyers, by restock_cost's formula
+        self._item_costs = _Restock(*(column[:, None] for column in self._restock)).item_costs(
+            np.arange(self.buyers + 1))
+        self._items = np.arange(n)
         log_factorial = np.array([math.lgamma(c + 1.0) for c in range(self.buyers + 1)])
         self._log_choose = log_factorial[-1] - log_factorial - log_factorial[::-1]
 
@@ -378,7 +384,8 @@ class PricingEnv(Environment):
         revenue = np.empty((k, replicates))
         for lo, hi, block in point_chunks(points):
             revenue[lo:hi] = np.matmul(demand[lo:hi], block[:, :, None])[..., 0]
-        return np.ascontiguousarray((self.restock_cost(demand) - revenue).T)
+        restock = self._item_costs[self._items, demand].sum(axis=-1)
+        return np.ascontiguousarray((restock - revenue).T)
 
     def _binomial_pmf(self, item_probs) -> Vector:
         """(n, buyers + 1) matrix of Binomial(buyers, p_i) pmfs, one row per item.
@@ -396,11 +403,7 @@ class PricingEnv(Environment):
     def expected_restock_cost(self, item_probs) -> float:
         """Exact expected restocking cost given per-item purchase probabilities."""
         p = as_point(item_probs, self.dimension)
-        pmf = self._binomial_pmf(p)
-        # item i's cost of every count 0..buyers, as an (n, buyers + 1) table
-        table = _Restock(*(column[:, None] for column in self._restock))
-        cost = table.item_costs(np.arange(self.buyers + 1))
-        return float((pmf * cost).sum())
+        return float((self._binomial_pmf(p) * self._item_costs).sum())
 
     def exact_objective(self, x) -> float:
         x = as_point(x, self.dimension)

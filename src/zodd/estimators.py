@@ -73,8 +73,10 @@ from .core import (
     RngStream,
     SampleOracle,
     Vector,
+    _chunked_norms,
     as_point,
     chunk_rows,
+    direction_table,
     gaussian_matrix,
     sphere_matrix,
     stream_generators,
@@ -189,25 +191,38 @@ def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=Non
     every row.  With ``overlap``, a table longer than one chunk, on more
     than one usable CPU, comes as a :class:`~zodd.core.PendingDirections`
     of the same values, drawn on a helper thread while the caller reads it.
+    Otherwise the parts are drawn into one table, whose unit-vector rows are
+    normalized in one pass by :func:`sphere_matrix`'s formula; a part with a
+    zero norm (probability zero) is drawn again by ``sphere_matrix`` itself.
     """
     kinds = [cfg.kind] * len(streams) if kinds is None else kinds
-    random = [(s, k) for s, k in zip(streams, kinds) if k != "coordinate"]
+    n = cfg.probe_shape(d)[1]
+    shape, part = (len(kinds) * rows, n, d), rows * n
+    # each random part's rows of the table, and its stream's directions child
+    random = [(slice(p * part, (p + 1) * part), s.child("directions"), k)
+              for p, (s, k) in enumerate(zip(streams, kinds)) if k != "coordinate"]
     if not random:
         return np.eye(d)[None]
-    n = cfg.probe_shape(d)[1]
-    shape = (len(kinds) * rows, n, d)
+    children = [child for _, child, _ in random]
     if overlap and shape[0] * shape[1] > chunk_rows(d) and usable_cpus() > 1:
-        children = [s.child("directions") for s, _ in random]
         return PendingDirections(stream_generators(children), kinds, shape)
-    gens = stream_generators(s.child("directions") for s, _ in random)
-    # the draws are looked up per call, since the tracer wraps these names in this module
-    drawn = [(gaussian_matrix if k == "gaussian" else sphere_matrix)(gen, d, rows * n)
-             for gen, (_, k) in zip(gens, random)]
-    if len(random) < len(kinds):
-        axes, it = np.tile(np.eye(d), (rows, 1)), iter(drawn)
-        drawn = [axes if k == "coordinate" else next(it) for k in kinds]
-    table = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-    return table.reshape(-1, n, d)
+    table = direction_table(kinds, part, d)
+    # the draw is looked up per call, since the tracer wraps this name in this module
+    for gen, (at, _, _) in zip(stream_generators(children), random):
+        gaussian_matrix(gen, d, part, out=table[at])
+    if kinds.count("gaussian") < len(kinds):
+        norms = _chunked_norms(table)  # a coordinate row's norm is exactly 1
+        for at, _, kind in random:
+            if kind == "gaussian":
+                norms[at] = 1.0
+        if not norms.all():  # a zero norm
+            for at, child, _ in random:
+                if not norms[at].all():
+                    for gen in stream_generators([child]):
+                        table[at] = sphere_matrix(gen, d, part)
+                    norms[at] = 1.0
+        table /= norms[:, None]
+    return table.reshape(shape)
 
 
 class RowStreams(NamedTuple):
@@ -279,6 +294,7 @@ def _kernel(
     oracle: SampleOracle,
     rng,
     mu=None,
+    scale=None,
 ) -> tuple[Vector, Vector, Vector, Vector | None]:
     """The one estimator computation: (R, d) base points in, (R, d) gradients out.
 
@@ -286,7 +302,8 @@ def _kernel(
     ``rng`` is one stream for every row, whose directions are laid out by
     row, or a :class:`RowStreams` of R rows: row r then draws exactly what
     a single-row call on its stream draws, with its own kind (the gradient
-    scale is then an (R, 1) column).
+    scale is then an (R, 1) column, which a caller that keeps it passes as
+    ``scale``).
     ``mu`` optionally gives each row its own probe radius, an (R,) array;
     the default is ``cfg.mu``.
 
@@ -309,7 +326,8 @@ def _kernel(
         scale = _scale(cfg.kind, n, d)
         dirs = _draw_directions(cfg, d, rows, [rng])
     else:
-        scale = np.array([_scale(kind, n, d) for kind in rng.kinds])[rng.index, None]
+        if scale is None:
+            scale = np.array([_scale(kind, n, d) for kind in rng.kinds])[rng.index, None]
         dirs, draws = _streams_per_row(cfg, d, rng)
     pending = dirs if isinstance(dirs, PendingDirections) else None
     try:

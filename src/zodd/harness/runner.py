@@ -32,6 +32,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,9 @@ class ResultRow:
     status: str
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One line of ``trace.csv``; a tuple, since a run builds one per chain and step."""
+
     method: str
     seed: int
     cumulative_samples: int
@@ -136,10 +138,11 @@ def _run_group(config: ExperimentConfig, eval_env, chains: list[_Chain]) -> list
         mus = [c.cfg.mu for c in chains]
         kinds = [c.cfg.kind for c in chains]
         X = outputs.copy()
+        names = [(c.method, c.seed) for c in chains]
         for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations, kinds):
             spent = (step.t + 1) * cost
-            for i, probe_mean in zip(step.live, step.probe_means):
-                traces[i].append(TraceRow(chains[i].method, chains[i].seed, spent, probe_mean))
+            for i, probe_mean in zip(step.live.tolist(), step.probe_means):
+                traces[i].append(TraceRow(*names[i], spent, probe_mean))
             if step.t + 1 in due:
                 hit = picks[step.live] == step.t + 1
                 outputs[step.live[hit]] = step.X[hit]

@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import RngStream, SampleOracle, Vector, as_point, row_norms
-from .estimators import EstimatorConfig, RowStreams, _kernel, _probe_means
+from .estimators import EstimatorConfig, RowStreams, _kernel, _probe_means, _scale
 
 DIVERGENCE_NORM = 1e9
 
@@ -191,7 +191,8 @@ def plan_parameters(
     epsilon up to 1/3 (sphere, and gaussian in the ``grad`` regime) or 1/4
     (gaussian, ``hessian`` regime); by default epsilon beyond the cap is
     rejected.  ``enforce_epsilon_bound=False`` skips that check and
-    extrapolates the same formulas, without any accuracy guarantee.
+    extrapolates the same formulas, without any accuracy guarantee.  An
+    epsilon whose powers or quotients over- or underflow is rejected too.
     """
     _check_kind_regime(kind, regime)
     constants = constants or PlannerConstants()
@@ -211,24 +212,30 @@ def plan_parameters(
             # mu = (18 sigma^2 / (m H^2))^(1/6) has no finite value
             raise ValueError("coordinate/hessian requires a positive H")
 
-    if kind == "coordinate":
-        if regime == "grad":
-            batch = _ceil(constants.c_m * d * d / epsilon**4)
-            mu = (2.0 * sigma**2 / (batch * M * M)) ** 0.25
+    try:
+        if kind == "coordinate":
+            if regime == "grad":
+                batch = _ceil(constants.c_m * d * d / epsilon**4)
+                mu = (2.0 * sigma**2 / (batch * M * M)) ** 0.25
+            else:
+                batch = _ceil(constants.c_m * d**1.5 / epsilon**3)
+                mu = (18.0 * sigma**2 / (batch * H * H)) ** (1.0 / 6.0)
+            directions = d
         else:
-            batch = _ceil(constants.c_m * d**1.5 / epsilon**3)
-            mu = (18.0 * sigma**2 / (batch * H * H)) ** (1.0 / 6.0)
-        directions = d
-    else:
-        if regime == "grad":
-            directions = _ceil(d * d / epsilon**4)
-            mu = constants.c_mu * epsilon
-        else:
-            directions = _ceil(d * d / epsilon**3)
-            mu = constants.c_mu * math.sqrt(epsilon)
-        if kind == "gaussian":
-            mu = mu / math.sqrt(d)
-        batch = 1
+            if regime == "grad":
+                directions = _ceil(d * d / epsilon**4)
+                mu = constants.c_mu * epsilon
+            else:
+                directions = _ceil(d * d / epsilon**3)
+                mu = constants.c_mu * math.sqrt(epsilon)
+            if kind == "gaussian":
+                mu = mu / math.sqrt(d)
+            batch = 1
+        iterations = _ceil(constants.c_T / epsilon**2)
+    except (ZeroDivisionError, OverflowError):
+        # a power of epsilon, or a quotient of one, underflowed to 0 or overflowed
+        raise ValueError(f"epsilon {epsilon!r} is out of range for d = {d}, sigma = {sigma!r}, "
+                         f"M = {M!r}: the {kind}/{regime} schedule has no finite value") from None
 
     return ParameterPlan(
         kind=kind,
@@ -237,7 +244,7 @@ def plan_parameters(
         directions=directions,
         batch=batch,
         step=1.0 / (4.0 * M),
-        iterations=_ceil(constants.c_T / epsilon**2),
+        iterations=iterations,
     )
 
 
@@ -318,18 +325,20 @@ def lockstep_descent(
     roots = RowStreams.of(streams, kinds)
     steps = np.asarray(steps, dtype=np.float64)[:, None]
     mus = np.asarray(mus, dtype=np.float64)
+    scales = np.array([_scale(kind, shape[1], oracle.dimension) for kind in kinds])[:, None]
     for t in range(iterations):
         rngs = roots.child("iteration", t)
-        gradients, dirs, forward, backward = _kernel(X, cfg, oracle, rngs, mu=mus)
+        gradients, dirs, forward, backward = _kernel(X, cfg, oracle, rngs, mu=mus, scale=scales)
         means = _probe_means(forward, backward)
         del dirs, forward, backward  # freed before the next step draws its own
         X = X - steps * gradients
+        # a NaN norm compares false; an infinite entry or an overflow makes it inf
         with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~np.isfinite(X).all(axis=1) | (row_norms(X) > DIVERGENCE_NORM)
+            bad = ~(row_norms(X) <= DIVERGENCE_NORM)
         yield Step(t, live, X, bad, gradients, means)
         if bad.any():
             keep = ~bad
-            live, X, steps, mus = live[keep], X[keep], steps[keep], mus[keep]
+            live, X, steps, mus, scales = live[keep], X[keep], steps[keep], mus[keep], scales[keep]
             if live.size == 0:
                 return
             roots = roots.take(keep)

@@ -85,6 +85,53 @@ def test_perfbench_tracer_installs():
     assert done.returncode == 0, done.stderr
 
 
+TRACED_PRICING = """\
+[environment]
+kind = pricing
+products = 3
+buyers = 10
+seed = 3
+
+[run]
+seeds = 1 2
+budget = 20
+eval_draws = 5
+
+[estimator.sphere]
+kind = sphere
+mu = 0.1
+directions = 1
+step = 0.01
+"""
+
+
+def test_perfbench_tracer_sees_direction_draws_and_stream_derivations(tmp_path):
+    # the kernel's inline direction draw goes through the names the tracer
+    # wraps: 2 chains of 10 steps draw one direction row each per step, and
+    # each step derives the iteration, draws and directions child of each chain
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    config = tmp_path / "pricing.ini"
+    config.write_text(TRACED_PRICING)
+    code = f"""if True:
+        import sys; sys.path.insert(0, "perfbench")
+        from tracer import Tracer, install
+        tracer = Tracer(); install(tracer)
+        from zodd.harness import cli
+        cli.main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
+        for i, name in enumerate(tracer.names):
+            works = [w for j, w in zip(tracer.name_id, tracer.work) if j == i]
+            print("span", name, len(works), sum(works))
+    """
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    spans = {name: (int(calls), int(work)) for _, name, calls, work in
+             (line.split() for line in done.stdout.splitlines() if line.startswith("span "))}
+    assert spans["core.directions"] == (20, 20)
+    assert spans["core.child"][0] >= 2 * 10 * 3
+
+
 def test_readme_config_block_parses(tmp_path):
     blocks = re.findall(r"```ini\n(.*?)```", README, flags=re.S)
     assert len(blocks) == 1

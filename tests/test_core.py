@@ -27,8 +27,9 @@ from zodd.core import (
     sphere_matrix,
     stream_generators,
 )
+from zodd import estimators
 from zodd.environments import QuadraticEnv
-from zodd.estimators import EstimatorConfig, estimate_gradient, estimate_gradients
+from zodd.estimators import EstimatorConfig, _draw_directions, estimate_gradient, estimate_gradients
 
 
 class TestRngStream:
@@ -378,6 +379,25 @@ class TestStreamHelpers:
             assert np.array_equal(ints, fresh.integers(0, 1000, 5))
             assert np.array_equal(normals, fresh.standard_normal(7))
 
+    @given(ids=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                        min_size=1, max_size=4),
+           high=st.integers(2**63, 2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_reset_draws_what_the_keyed_philox_draws(self, ids, high):
+        # the reset sets its key from Python ints, which keep every bit of an
+        # id at or above 2^63
+        ids = [(high, high - 1), *ids, (5, high)]
+        streams = [RngStream(seed, stream) for seed, stream in ids]
+        drawn = [(gen.standard_normal(6), gen.integers(0, 2**63, 3))
+                 for gen in stream_generators(streams)]
+        for (seed, stream), s, (normals, ints) in zip(ids, streams, drawn):
+            keyed = np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
+            assert np.array_equal(normals, keyed.standard_normal(6))
+            assert np.array_equal(ints, keyed.integers(0, 2**63, 3))
+            fresh = s.generator()
+            assert np.array_equal(normals, fresh.standard_normal(6))
+            assert np.array_equal(ints, fresh.integers(0, 2**63, 3))
+
     def test_nested_and_interleaved_generators_draw_what_fresh_ones_draw(self):
         # the thread's shared generator is lent to one live iterator; one
         # started inside it, or beside it, draws from its own generator
@@ -546,6 +566,62 @@ class _ZeroRow:
             out[self._row - self._drawn] = 0.0
         self._drawn += out.shape[0]
         return out
+
+
+class TestDirectionTable:
+    """An inline draw of per-row directions, one part per stream, against
+    each stream's own ``sphere_matrix`` or ``gaussian_matrix``."""
+
+    @staticmethod
+    def _alone(kind, stream, d, count, gen=None):
+        if kind == "coordinate":
+            return np.tile(np.eye(d), (count // d, 1))
+        gen = stream.child("directions").generator() if gen is None else gen
+        return (gaussian_matrix if kind == "gaussian" else sphere_matrix)(gen, d, count)
+
+    @given(
+        parts=st.lists(st.tuples(st.sampled_from(["coordinate", "sphere", "gaussian", "one_point"]),
+                                 st.integers(0, 2)), min_size=1, max_size=6),
+        d=st.integers(1, 6),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_part_holds_its_streams_own_draw(self, parts, d, rows, seed):
+        # mixed kinds share a table at N = d; a stream may repeat, with one
+        # kind or with two, and each part draws from the stream's start
+        streams = [RngStream(seed, label) for _, label in parts]
+        kinds = [kind for kind, _ in parts]
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
+        got = _draw_directions(cfg, d, rows, streams, kinds, overlap=False)
+        if set(kinds) == {"coordinate"}:
+            assert np.array_equal(got, np.eye(d)[None])
+            return
+        assert got.shape == (len(parts) * rows, d, d)
+        expected = np.concatenate([self._alone(k, s, d, rows * d) for k, s in zip(kinds, streams)])
+        assert np.array_equal(got.reshape(-1, d).view(np.int64), expected.view(np.int64))
+
+    def test_a_zero_norm_part_is_drawn_again_as_sphere_matrix_redraws_it(self, monkeypatch):
+        d, rows, row = 3, 4, 5
+        streams = [RngStream(1), RngStream(2), RngStream(1), RngStream(3)]
+        kinds = ["gaussian", "sphere", "sphere", "coordinate"]
+        zeroed = streams[1].child("directions")
+        lend = estimators.stream_generators
+
+        def zeroing(children):
+            children = list(children)
+            return (_ZeroRow(gen, row if child == zeroed else -1)
+                    for child, gen in zip(children, lend(children)))
+
+        monkeypatch.setattr(estimators, "stream_generators", zeroing)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
+        got = _draw_directions(cfg, d, rows, streams, kinds, overlap=False).reshape(-1, d)
+        count = rows * d
+        expected = [self._alone(k, s, d, count) for k, s in zip(kinds, streams)]
+        expected[1] = sphere_matrix(_ZeroRow(zeroed.generator(), row), d, count)
+        assert not np.array_equal(expected[1], self._alone("sphere", streams[1], d, count))
+        assert np.array_equal(got.view(np.int64), np.concatenate(expected).view(np.int64))
+        assert abs(np.linalg.norm(got[count + row]) - 1.0) < 1e-15
 
 
 class TestPendingDirections:

@@ -432,6 +432,25 @@ def _strategic_draws_per_point(env, points, gen, replicates):
     return out
 
 
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    buyers=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_item_cost_table_is_restock_cost_at_every_count(n, buyers, seed):
+    # a sample looks its counts up in the table; every count 0..buyers of
+    # every item, alone, and a drawn demand sum to restock_cost's bits
+    gen = RngStream(seed).child("restock").generator()
+    env = PricingEnv(gen.uniform(0.05, 5.0, n), gen.uniform(0.0, 1.0, n), buyers=buyers)
+    alone = np.zeros((n, buyers + 1, n), np.int64)
+    alone[np.arange(n), :, np.arange(n)] = np.arange(buyers + 1)
+    assert np.array_equal(_bits(env._item_costs), _bits(env.restock_cost(alone)))
+    demand = gen.integers(0, buyers + 1, size=(4, 3, n + 1))[..., :-1]
+    assert np.array_equal(_bits(env._item_costs[env._items, demand].sum(axis=-1)),
+                          _bits(env.restock_cost(demand)))
+
+
 @pytest.mark.parametrize("k", [2, 5, 8, 16, 200])
 @pytest.mark.parametrize("replicates", [1, 3, 7])
 def test_vectorized_pricing_draws_match_per_point_loop(k, replicates):

@@ -990,6 +990,14 @@ epsilon = 0.25
                      "--sigma", "1", "--smoothness", "nan"]) == 2
         assert "smoothness M must be finite and positive, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["1e-100", "1e-80"])
+    def test_plan_rejects_an_epsilon_without_a_finite_schedule(self, epsilon, capsys):
+        # once a traceback and exit 1: ZeroDivisionError at 1e-100, OverflowError at 1e-80
+        assert main(["plan", "--kind", "sphere", "--regime", "grad",
+                     "--epsilon", epsilon, "--dimension", "4",
+                     "--sigma", "1", "--smoothness", "1"]) == 2
+        assert f"epsilon {float(epsilon)!r} is out of range" in capsys.readouterr().err
+
     def test_plan_gap_and_ct_conflict(self, capsys):
         assert main(["plan", "--kind", "sphere", "--regime", "grad",
                      "--epsilon", "0.1", "--dimension", "3", "--sigma", "1",

@@ -1,6 +1,7 @@
 """Parameter planner and descent loop."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,18 @@ class TestPlannerSchedules:
             with pytest.raises(ValueError, match=name):
                 ParameterPlan("sphere", "grad", directions=1, batch=1, iterations=1,
                               **{"mu": 0.1, "step": 0.1, name: bad})
+
+    @pytest.mark.parametrize("kind, regime, epsilon", [
+        *[(kind, "grad", epsilon) for kind in ("coordinate", "sphere", "gaussian")
+          for epsilon in (1e-100, 1e-80)],
+        ("coordinate", "grad", 1e100), ("coordinate", "hessian", 1e100),
+    ])
+    def test_an_epsilon_without_a_finite_schedule_is_rejected_by_name(self, kind, regime, epsilon):
+        # epsilon**4 underflows to 0 at 1e-100 and the quotient overflows at
+        # 1e-80; at 1e100 (coordinate has no cap) epsilon**4 overflows, and the
+        # hessian batch rounds to 0 and is divided by
+        with pytest.raises(ValueError, match=re.escape(f"epsilon {epsilon!r} is out of range")):
+            plan_parameters(kind, regime, epsilon, 4, 1.0, 1.0, 1.0)
 
     def test_complexity_tags(self):
         assert sample_complexity_order("coordinate", "grad") == "O(d^3 eps^-6)"
