@@ -32,14 +32,6 @@ chunk by chunk instead of holding them all.  Every row's arithmetic is
 independent of the rows around it, so neither the chunk size nor the order
 in which chunks come is part of the stream layout, and neither changes a
 number; random draws never go by chunk.
-
-A call's directions are one :func:`direction_table` of one part per
-stream.  Wide estimates overlap their two halves of work: a table longer
-than one chunk, on a process with more than one usable CPU, is a
-:class:`PendingDirections`: one helper thread fills it a chunk at a time
-with the values of one whole draw, while the calling thread finishes each
-chunk as it lands and builds that chunk's probe points.  There is no option
-for it, and no CPU count changes a byte.
 """
 
 from __future__ import annotations
@@ -218,9 +210,11 @@ class ProbePoints:
     Row r of the (R, d) ``base`` owns P consecutive points: x_r + mu_r v
     for each of its N directions, then, when ``two_sided``, x_r - mu_r v,
     so P is 2N or N.  ``radius`` is (R, 1) and ``dirs`` is (R, N, d), or
-    (1, N, d) when every row shares its directions, or a
-    :class:`PendingDirections` of shape (R, N, d), read only through its
-    :meth:`~PendingDirections.rows`.  Only :func:`point_chunks` reads the
+    (1, N, d) when every row shares its directions, or a pending draw of
+    shape (R, N, d) (:class:`zodd.estimators.PendingDirections`), read only
+    through its ``rows(lo, hi)``, ``unit`` and ``result()``, which give rows
+    lo..hi-1 of its (R * N, d) table, whether every entry is at most 1 up
+    to rounding, and the whole array.  Only :func:`point_chunks` reads the
     points.  A chunk holds at most :func:`chunk_rows` points: several whole
     rows when one row's P points fit, and otherwise a consecutive piece of
     one row's forward half or of its backward half.  Such a row comes
@@ -257,7 +251,7 @@ class ProbePoints:
         A single op writes its points over the offsets, so a piece of one
         half needs no second array.
         """
-        if isinstance(self._dirs, PendingDirections):
+        if not isinstance(self._dirs, np.ndarray):
             n = self._n
             dirs = self._dirs.rows(r0 * n + a, (r1 - 1) * n + b).reshape(r1 - r0, b - a, -1)
         elif self._dirs.shape[0] == 1:
@@ -280,13 +274,12 @@ class ProbePoints:
         Rounding is monotone, so no point exceeds max|x| + max|mu| * max|v|
         rounded the same way; when that bound is finite, so is every point.
         A pending unit-vector draw is not waited for: its entries are at
-        most 1 up to rounding (see :class:`PendingDirections`), so 2 bounds
-        max|v|.  A call of one chunk is checked on the chunk it builds and
-        keeps.
+        most 1 up to rounding, so 2 bounds max|v|.  A call of one chunk is
+        checked on the chunk it builds and keeps.
         """
         if len(self._spans) > 1:
             dirs = self._dirs
-            if isinstance(dirs, PendingDirections):
+            if not isinstance(dirs, np.ndarray):
                 top = 2.0 if dirs.unit else _max_abs(dirs.result())
             else:
                 top = _max_abs(dirs)
@@ -348,169 +341,37 @@ def row_norms(X) -> Vector:
 
 
 def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
-    """n unit-sphere directions as rows of an (n, d) array."""
+    """n unit-sphere directions as rows of an (n, d) array.
+
+    Each drawn row is divided by its norm.  A zero draw has probability
+    zero; it is redrawn from ``gen`` (all zero rows at once, in row order,
+    until none is left) rather than divided by.
+    """
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
     u = gen.standard_normal((n, d))
-    _to_unit_rows(gen, u)
+    norms = _chunked_norms(u)
+    while not norms.all():
+        bad = norms == 0.0
+        u[bad] = gen.standard_normal((int(bad.sum()), d))
+        norms = _chunked_norms(u)
+    u /= norms[:, None]
     return u
 
 
-def _to_unit_rows(gen: np.random.Generator, u: Vector) -> None:
-    """Divide each row of the drawn ``u`` by its norm, in place.
-
-    A zero draw has probability zero; it is redrawn from ``gen`` (all zero
-    rows at once, in row order, until none is left) rather than divided by.
-    """
-    norms = _chunked_norms(u)
-    while (norms == 0.0).any():
-        bad = norms == 0.0
-        u[bad] = gen.standard_normal((int(bad.sum()), u.shape[1]))
-        norms = _chunked_norms(u)
-    u /= norms[:, None]
-
-
-def _norms(block) -> Vector:
-    """The norm's own formula for real rows, ``sqrt(add.reduce(u * u, axis=1))``.
+def _chunked_norms(u) -> Vector:
+    """``np.linalg.norm(u, axis=1)`` a chunk of rows at a time, by the norm's
+    own formula for real rows, ``sqrt(add.reduce(u * u, axis=1))``.
 
     Each row's sum rounds alike in any chunk, so the norms of any split of a
     matrix are those of the whole, bit for bit.
     """
-    return np.sqrt(np.add.reduce(block * block, axis=1))
-
-
-def _chunked_norms(u) -> Vector:
-    """``np.linalg.norm(u, axis=1)`` by :func:`_norms`, a chunk of rows at a time."""
     if u.size <= CHUNK_VALUES:
-        return _norms(u)
+        return np.sqrt(np.add.reduce(u * u, axis=1))
     norms = np.empty(u.shape[0])
     for lo, hi, block in point_chunks(u):
-        norms[lo:hi] = _norms(block)
+        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[lo:hi])
     return norms
-
-
-def direction_table(kinds, part: int, d: int) -> Vector:
-    """An (len(kinds) * part, d) table of one part per kind; only coordinate parts are filled."""
-    table = np.empty((len(kinds) * part, d))
-    for p, kind in enumerate(kinds):
-        if kind == "coordinate":
-            table[p * part:(p + 1) * part].reshape(-1, d, d)[:] = np.eye(d)
-    return table
-
-
-class PendingDirections:
-    """Random directions drawn on a helper thread while the caller reads the first.
-
-    The (R * N, d) table, of shape ``shape`` = (R, N, d), holds one part of
-    equal length per entry of ``kinds``.  A ``"coordinate"`` part is filled
-    at once with rows of the identity; every other part is drawn from the
-    next generator of ``gens``, which one helper thread takes in turn (a
-    :func:`stream_generators` iterator then lends it the helper's one
-    generator for its whole life).  The helper fills each part
-    :func:`chunk_rows` rows at a time with ``standard_normal(out=...)``:
-    exactly the values of one (part, d) draw.
-
-    :meth:`rows` hands out finished rows only, waiting for the helper as
-    needed.  The calling thread normalizes each chunk of a unit-vector part
-    (any kind but ``"gaussian"``) as it lands, by :func:`sphere_matrix`'s
-    per-row formula.  Such entries are at most 1 up to rounding, since
-    sqrt(fl(sum u_j^2)) >= |u_i| but for one rounding of each step, so
-    :attr:`unit` calls tell that without waiting.  A zero norm waits for the
-    whole draw and is redrawn exactly as :func:`sphere_matrix` redraws it,
-    on the part's generator at the state its fill left.  :meth:`result`
-    finishes the whole table and joins the helper; :meth:`close` stops it
-    between chunks and joins it.
-    """
-
-    def __init__(self, gens, kinds, shape):
-        self.shape = shape
-        self.unit = "gaussian" not in kinds
-        self._kinds = list(kinds)
-        rows, n, d = shape
-        self._part = rows * n // len(kinds)
-        self._table = direction_table(kinds, self._part, d)
-        self._size = chunk_rows(d)
-        self._drawn = 0  # rows the helper has filled, a prefix of the table
-        self._done = 0  # rows finished for reading, a prefix of the drawn ones
-        self._ends = {}  # each drawn part's generator and the state its fill left
-        self._stopped = False
-        self._over = False
-        self._error = None
-        self._cond = threading.Condition()
-        self._thread = threading.Thread(target=self._fill, args=(gens,), daemon=True)
-        self._thread.start()
-
-    def _fill(self, gens) -> None:
-        """The helper thread: draw every random part in turn, a chunk at a time."""
-        part, size = self._part, self._size
-        gens = iter(gens)
-        try:
-            for p, kind in enumerate(self._kinds):
-                if kind != "coordinate":
-                    gen = next(gens)
-                    for lo in range(p * part, (p + 1) * part, size):
-                        if self._stopped:
-                            return
-                        hi = min(lo + size, (p + 1) * part)
-                        gen.standard_normal(out=self._table[lo:hi])
-                        self._advance(hi)
-                    self._ends[p] = gen, gen.bit_generator.state
-                self._advance((p + 1) * part)
-        except BaseException as exc:
-            self._error = exc
-        finally:
-            with self._cond:
-                self._over = True
-                self._cond.notify()
-
-    def _advance(self, drawn: int) -> None:
-        with self._cond:
-            self._drawn = drawn
-            self._cond.notify()
-
-    def rows(self, lo: int, hi: int) -> Vector:
-        """Rows lo..hi-1 of the table, finished."""
-        while self._done < hi:
-            self._finish_next()
-        return self._table[lo:hi]
-
-    def _finish_next(self) -> None:
-        """Wait for the next chunk to land and finish it."""
-        start, part = self._done, self._part
-        p = start // part
-        end = min(start + self._size, (p + 1) * part)
-        with self._cond:
-            while self._drawn < end and not self._over:
-                self._cond.wait()
-        if self._drawn < end:
-            self._thread.join()
-            raise self._error or RuntimeError("the direction draw was stopped")
-        if self._kinds[p] not in ("gaussian", "coordinate"):
-            block = self._table[start:end]
-            norms = _norms(block)
-            if (norms == 0.0).any():
-                # the part's rows so far had none; sphere_matrix redraws after the whole draw
-                self._thread.join()
-                gen, state = self._ends[p]
-                gen.bit_generator.state = state
-                end = (p + 1) * part
-                _to_unit_rows(gen, self._table[start:end])
-            else:
-                block /= norms[:, None]
-        self._done = end
-
-    def result(self) -> Vector:
-        """The whole finished (R, N, d) array, the helper joined."""
-        table = self.rows(0, self._table.shape[0])
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return table.reshape(self.shape)
-
-    def close(self) -> None:
-        """Stop the helper between chunks, if it still runs, and join it."""
-        self._stopped = True
-        self._thread.join()
 
 
 def gaussian_matrix(gen: np.random.Generator, d: int, n: int, out=None) -> Vector:

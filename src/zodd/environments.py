@@ -46,10 +46,6 @@ class UnsupportedEnvironmentError(RuntimeError):
     """The environment does not expose the requested analytic quantity."""
 
 
-class DegenerateClassifierError(ValueError):
-    """The feature weights vanish where a feature response is required."""
-
-
 class Environment(SampleOracle):
     """Sampling oracle with optional analytic ground truth.
 
@@ -194,9 +190,15 @@ class QuadraticEnv(Environment):
             quad = _diagonal_form(pts, self._diag)
         half = 0.5 * quad
         # x'Ax is finite only at finite points, where b'x = +0.0 when b = 0
-        if self._zero_b and np.isfinite(half).all():
+        finite = np.isfinite(half).all()
+        if self._zero_b and finite:
             return half + 0.0
-        return half + np.matmul(pts[:, None, :], self.b[:, None])[:, 0, 0]
+        values = half + np.matmul(pts[:, None, :], self.b[:, None])[:, 0, 0]
+        if not finite:
+            # which NaN a sum of two NaNs keeps varies with the loop numpy picks
+            # for the batch's length: one NaN keeps a point's bits batch-free
+            values[np.isnan(values)] = np.nan
+        return values
 
     def gradient(self, x) -> Vector:
         x = as_point(x, self.dimension)
@@ -479,9 +481,11 @@ def best_response(x, xi_true) -> Vector:
     Acceptance (nonnegative score) pays reward 2; changing features costs
     the squared distance moved.  The optimal move is either to stay put, or
     to project onto the acceptance boundary when that costs less than the
-    reward; exact ties stay put.  This is the one-agent case of the
-    population's best response, so its one score rounds as a dot product;
-    the scores of m agents round as an (m, f) @ (f,) matvec.
+    reward; exact ties stay put, and so does everyone when the feature
+    weights are all zero, since then no move changes the score.  This is
+    the one-agent case of the population's best response, so its one score
+    rounds as a dot product; the scores of m agents round as an
+    (m, f) @ (f,) matvec.
     """
     x = as_point(x)
     features = as_point(xi_true, x.shape[0] - 1)[None, None, :].copy()
@@ -503,10 +507,7 @@ def _respond(features, points) -> Vector:
     negative = scores < 0.0
     if np.any(negative):
         norms = row_norms(weights)
-        if np.any((norms == 0.0) & negative.any(axis=1)):
-            raise DegenerateClassifierError(
-                "zero feature weights: no move can change the score"
-            )
+        # zero weights give +inf gaps: no move changes the score, and no agent moves
         with np.errstate(divide="ignore", invalid="ignore"):
             gaps = -scores / norms[:, None]
             units = weights / norms[:, None]

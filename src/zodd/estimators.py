@@ -37,13 +37,14 @@ stream.  The probe points are built in chunks of at most
 :data:`~zodd.core.CHUNK_VALUES` coordinates (see
 :class:`~zodd.core.ProbePoints`), so an estimate holds its (N, d)
 directions, its O(2N * batch) sample values and one chunk of points; the
-chunking changes no number.  A direction table longer than one chunk, on
-more than one usable CPU, is drawn on a helper thread
-(:class:`~zodd.core.PendingDirections`) while the kernel's own thread
-normalizes and evaluates each chunk as it lands; the kernel waits for the
-last chunk before its reduction and joins the helper however the call
-ends.  The values are those of the inline draw, so no CPU count changes a
-byte.
+chunking changes no number.  A call's directions are one table of one
+part per stream, drawn by one fill and finished by one pass
+(:func:`_draw_directions`).  A table longer than one chunk, on more than
+one usable CPU, is filled on a helper thread (:class:`PendingDirections`)
+while the kernel's own thread finishes and evaluates each chunk as it
+lands; the kernel waits for the last chunk before its reduction and joins
+the helper however the call ends.  The helper is the only difference
+from the inline draw, so no CPU count changes a byte.
 :func:`estimate_gradient` is its R = 1 case and selects the estimator by
 ``cfg.kind``; directions exist only as rows of these (N, d) arrays.
 
@@ -62,13 +63,13 @@ their probe blocks.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    PendingDirections,
     ProbePoints,
     RngStream,
     SampleOracle,
@@ -76,7 +77,6 @@ from .core import (
     _chunked_norms,
     as_point,
     chunk_rows,
-    direction_table,
     gaussian_matrix,
     sphere_matrix,
     stream_generators,
@@ -185,44 +185,171 @@ def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=Non
     Stream s draws directions of kind ``kinds[s]``, by default ``cfg.kind``.
     Each stream's random directions come from one (rows * N, d) draw on its
     ``directions`` child, so its row r holds draws r*N .. r*N + N - 1; the
-    streams' rows follow one another.  A coordinate stream draws nothing
-    and its rows hold the d axes, so kinds mix only where N = d.  When every
-    stream is coordinate, the directions are one (1, d, d) array shared by
-    every row.  With ``overlap``, a table longer than one chunk, on more
-    than one usable CPU, comes as a :class:`~zodd.core.PendingDirections`
-    of the same values, drawn on a helper thread while the caller reads it.
-    Otherwise the parts are drawn into one table, whose unit-vector rows are
-    normalized in one pass by :func:`sphere_matrix`'s formula; a part with a
-    zero norm (probability zero) is drawn again by ``sphere_matrix`` itself.
+    streams' rows follow one another as parts of one table.  A coordinate
+    stream draws nothing and its rows hold the d axes, so kinds mix only
+    where N = d.  When every stream is coordinate, the directions are one
+    (1, d, d) array shared by every row.  :func:`_fill` draws the random
+    parts and :func:`_finish` makes the unit vectors.  With ``overlap``, a
+    table longer than one chunk, on more than one usable CPU, comes as a
+    :class:`PendingDirections` of the same values, drawn on a helper thread
+    while the caller reads it; otherwise each part is drawn whole and the
+    table finished in one pass.
     """
     kinds = [cfg.kind] * len(streams) if kinds is None else kinds
     n = cfg.probe_shape(d)[1]
     shape, part = (len(kinds) * rows, n, d), rows * n
-    # each random part's rows of the table, and its stream's directions child
-    random = [(slice(p * part, (p + 1) * part), s.child("directions"), k)
+    # each random part's rows of the table, its stream's directions child and its kind
+    random = [(p * part, (p + 1) * part, s.child("directions"), k)
               for p, (s, k) in enumerate(zip(streams, kinds)) if k != "coordinate"]
     if not random:
         return np.eye(d)[None]
-    children = [child for _, child, _ in random]
-    if overlap and shape[0] * shape[1] > chunk_rows(d) and usable_cpus() > 1:
-        return PendingDirections(stream_generators(children), kinds, shape)
-    table = direction_table(kinds, part, d)
-    # the draw is looked up per call, since the tracer wraps this name in this module
-    for gen, (at, _, _) in zip(stream_generators(children), random):
-        gaussian_matrix(gen, d, part, out=table[at])
-    if kinds.count("gaussian") < len(kinds):
-        norms = _chunked_norms(table)  # a coordinate row's norm is exactly 1
-        for at, _, kind in random:
-            if kind == "gaussian":
-                norms[at] = 1.0
-        if not norms.all():  # a zero norm
-            for at, child, _ in random:
-                if not norms[at].all():
-                    for gen in stream_generators([child]):
-                        table[at] = sphere_matrix(gen, d, part)
-                    norms[at] = 1.0
-        table /= norms[:, None]
+    table = np.empty((shape[0] * n, d))
+    if len(random) < len(kinds):
+        for p, kind in enumerate(kinds):
+            if kind == "coordinate":
+                table[p * part:(p + 1) * part].reshape(-1, d, d)[:] = np.eye(d)
+    if overlap and len(table) > chunk_rows(d) and usable_cpus() > 1:
+        return PendingDirections(table, random, shape)
+    _fill(table, random, part)
+    _finish(table, random, 0, len(table))
     return table.reshape(shape)
+
+
+def _fill(table: Vector, random, size: int, landed=None) -> None:
+    """Draw each random part of ``table`` from its stream, ``size`` rows at a time.
+
+    ``random`` lists each part's first and last row + 1, directions child
+    and kind.  A part's rows are the values of one (part, d) draw however
+    they are split, and the parts are drawn in order.  After each piece,
+    ``landed(end of the rows drawn so far)`` is called when given; a true
+    return stops the fill.
+    """
+    d = table.shape[1]
+    for gen, (a, hi, _, _) in zip(stream_generators([r[2] for r in random]), random):
+        while a < hi:
+            b = a + size if a + size < hi else hi
+            # looked up per call, since the tracer wraps this name in this module
+            gaussian_matrix(gen, d, b - a, out=table[a:b])
+            a = b
+            if landed is not None and landed(b):
+                return
+
+
+def _finish(table: Vector, parts, lo: int, hi: int, wait=None) -> int:
+    """Finish rows lo..hi-1 of ``table`` in place, and return where the finished rows end.
+
+    ``parts`` lists the random parts (as :func:`_fill` takes them) that
+    meet those rows.  Unit-vector rows, of every kind but gaussian, are
+    divided by their norms, by :func:`sphere_matrix`'s per-row formula;
+    gaussian rows stay as drawn, and a coordinate row's norm is exactly 1.
+    A part with a zero norm (probability zero) is drawn again whole by
+    ``sphere_matrix`` from its directions child, after ``wait(end of the
+    part)``; its rows past ``hi`` are then finished too.
+    """
+    for *_, kind in parts:
+        if kind != "gaussian":
+            break
+    else:
+        return hi
+    block = table[lo:hi]
+    norms = _chunked_norms(block)
+    for a, b, _, kind in parts:
+        if kind == "gaussian":
+            norms[max(a - lo, 0):b - lo] = 1.0
+    if not norms.all():
+        for a, b, child, _ in parts:
+            if not norms[max(a - lo, 0):b - lo].all():
+                if wait is not None:
+                    wait(b)
+                for gen in stream_generators([child]):
+                    table[a:b] = sphere_matrix(gen, table.shape[1], b - a)
+                norms[max(a - lo, 0):b - lo] = 1.0
+                hi = max(hi, b)
+    block /= norms[:, None]
+    return hi
+
+
+class PendingDirections:
+    """A direction table drawn on a helper thread while the caller reads the first rows.
+
+    The (R * N, d) ``table``, of shape ``shape`` = (R, N, d), holds its
+    coordinate parts already; one helper thread runs :func:`_fill` over the
+    ``random`` parts a chunk (:func:`~zodd.core.chunk_rows`) at a time.
+    :meth:`rows` hands out finished rows only: the calling thread waits for
+    each chunk to land and finishes it by :func:`_finish`.  A unit-vector
+    entry is at most 1 up to rounding, since sqrt(fl(sum u_j^2)) >= |u_i|
+    but for one rounding of each step, so :attr:`unit` tells that without
+    waiting.  :meth:`result` finishes the whole table and joins the helper;
+    :meth:`close` stops it between chunks and joins it.
+    """
+
+    def __init__(self, table: Vector, random, shape):
+        self.shape = shape
+        self.unit = all(kind != "gaussian" for *_, kind in random)
+        self._table = table
+        self._part = part = random[0][1] - random[0][0]
+        self._random = {entry[0] // part: entry for entry in random}  # by part index
+        self._size = chunk_rows(shape[2])
+        self._drawn = 0  # the end of the random rows the helper has drawn
+        self._done = 0  # rows finished for reading, a prefix of the table
+        self._stopped = False
+        self._over = False
+        self._error = None
+        self._cond = threading.Condition()
+        self._thread = threading.Thread(target=self._draw, args=(random,), daemon=True)
+        self._thread.start()
+
+    def _draw(self, random) -> None:
+        """The helper thread: fill the random parts, telling the caller of each chunk."""
+        try:
+            _fill(self._table, random, self._size, self._landed)
+        except BaseException as exc:
+            self._error = exc
+        finally:
+            with self._cond:
+                self._over = True
+                self._cond.notify()
+
+    def _landed(self, drawn: int) -> bool:
+        with self._cond:
+            self._drawn = drawn
+            self._cond.notify()
+        return self._stopped
+
+    def _wait(self, drawn: int) -> None:
+        """Wait until the helper has drawn every random row before ``drawn``."""
+        with self._cond:
+            while self._drawn < drawn and not self._over:
+                self._cond.wait()
+        if self._drawn < drawn:
+            self._thread.join()
+            raise self._error or RuntimeError("the direction draw was stopped")
+
+    def rows(self, lo: int, hi: int) -> Vector:
+        """Rows lo..hi-1 of the table, finished."""
+        while self._done < hi:
+            start, part = self._done, self._part
+            p = start // part
+            end = min(start + self._size, (p + 1) * part)
+            entry = self._random.get(p)
+            if entry is not None:
+                self._wait(end)
+                end = _finish(self._table, [entry], start, end, self._wait)
+            self._done = end
+        return self._table[lo:hi]
+
+    def result(self) -> Vector:
+        """The whole finished (R, N, d) array, the helper joined."""
+        table = self.rows(0, len(self._table))
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return table.reshape(self.shape)
+
+    def close(self) -> None:
+        """Stop the helper between chunks, if it still runs, and join it."""
+        self._stopped = True
+        self._thread.join()
 
 
 class RowStreams(NamedTuple):
@@ -329,7 +456,7 @@ def _kernel(
         if scale is None:
             scale = np.array([_scale(kind, n, d) for kind in rng.kinds])[rng.index, None]
         dirs, draws = _streams_per_row(cfg, d, rng)
-    pending = dirs if isinstance(dirs, PendingDirections) else None
+    pending = None if isinstance(dirs, np.ndarray) else dirs
     try:
         probes = ProbePoints(X, radius, dirs, two_sided=two_sided)
         values = oracle.sample_at(probes, draws, replicates=batch)

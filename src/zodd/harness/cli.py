@@ -10,9 +10,10 @@ Three subcommands:
             the bytes of one estimate's direction matrix for a target
             accuracy.
 
-Exit codes: 0 success, 1 verification failure or diverged-only results,
-2 invalid configuration or arguments.  Divergence of individual rows is
-reported in the results table and does not fail the run.
+Exit codes: 0 success, 1 a verify check failed, 2 invalid configuration
+or arguments.  ``run`` exits 0 whatever its rows' statuses: a diverged or
+budget-exhausted row is reported in the results table and does not fail
+the run.
 """
 
 from __future__ import annotations

@@ -186,39 +186,42 @@ def _empirical_mse(env, x, cfg, rng, replicates: int) -> tuple[float, float]:
 def _map_empirical_mse(env, x, tasks, replicates: int) -> list[tuple[float, float]]:
     """``_empirical_mse`` of every ``(cfg, rng)`` task, in task order.
 
-    The calling thread and min(usable CPUs, tasks) - 1 helper threads take
-    task indices in turn, the tasks with the most samples per estimate
-    first, so that no long task starts last.  If a task raises, no new task
-    is taken; every helper is joined before the first exception is
-    re-raised.
+    A pool of min(usable CPUs, tasks) - 1 helper threads queues every task,
+    those with the most samples per estimate first, so that no long task
+    starts last; the calling thread works too, running each queued task it
+    can still cancel there.  Once a task raises, no task starts: one taken
+    meanwhile does nothing, and the pool cancels the rest.  The pool is
+    joined before the exception is re-raised: the calling thread's own,
+    else the first in that order.
     """
-    results = [None] * len(tasks)
-    errors = []
-    indices = iter(sorted(range(len(tasks)), reverse=True,
-                          key=lambda i: tasks[i][0].samples_per_estimate(env.dimension)))
-    lock = threading.Lock()
+    # imported here, so that importing the CLI does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
+    failed = threading.Event()
+
+    def run(i):
+        if failed.is_set():
+            return None
         try:
-            while not errors:
-                with lock:
-                    i = next(indices, None)
-                if i is None:
-                    return
-                results[i] = _empirical_mse(env, x, *tasks[i], replicates)
-        except BaseException as exc:
-            errors.append(exc)
+            return _empirical_mse(env, x, *tasks[i], replicates)
+        except BaseException:
+            failed.set()
+            raise
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(_usable_cpus(), len(tasks)) - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return results
+    order = sorted(range(len(tasks)), reverse=True,
+                   key=lambda i: tasks[i][0].samples_per_estimate(env.dimension))
+    helpers = min(_usable_cpus(), len(tasks)) - 1
+    pool = ThreadPoolExecutor(max_workers=helpers) if helpers > 0 else None
+    futures = {i: pool.submit(run, i) for i in order} if pool else {}
+    try:
+        own = {i: run(i) for i in order if i not in futures or futures[i].cancel()}
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    for i in order:
+        if i not in own and futures[i].exception() is not None:
+            raise futures[i].exception()
+    return [own[i] if i in own else futures[i].result() for i in range(len(tasks))]
 
 
 _MU_GRID = (0.05, 0.1, 0.2)

@@ -192,7 +192,8 @@ def plan_parameters(
     (gaussian, ``hessian`` regime); by default epsilon beyond the cap is
     rejected.  ``enforce_epsilon_bound=False`` skips that check and
     extrapolates the same formulas, without any accuracy guarantee.  An
-    epsilon whose powers or quotients over- or underflow is rejected too.
+    epsilon whose powers or quotients over- or underflow, or whose schedule
+    rounds to no direction or no batch, is rejected too.
     """
     _check_kind_regime(kind, regime)
     constants = constants or PlannerConstants()
@@ -234,8 +235,12 @@ def plan_parameters(
         iterations = _ceil(constants.c_T / epsilon**2)
     except (ZeroDivisionError, OverflowError):
         # a power of epsilon, or a quotient of one, underflowed to 0 or overflowed
+        directions = batch = 0
+    if directions < 1 or batch < 1:
+        # or a count rounded to zero: a huge epsilon asks for no probe at all
         raise ValueError(f"epsilon {epsilon!r} is out of range for d = {d}, sigma = {sigma!r}, "
-                         f"M = {M!r}: the {kind}/{regime} schedule has no finite value") from None
+                         f"M = {M!r}: the {kind}/{regime} schedule has no finite value "
+                         f"with a direction and a batch")
 
     return ParameterPlan(
         kind=kind,

@@ -14,7 +14,6 @@ from zodd.core import (
     CHUNK_VALUES,
     BudgetCounter,
     BudgetExhaustedError,
-    PendingDirections,
     ProbePoints,
     RngStream,
     SampleOracle,
@@ -624,39 +623,76 @@ class TestDirectionTable:
         assert abs(np.linalg.norm(got[count + row]) - 1.0) < 1e-15
 
 
+def _zeroing(monkeypatch, zeroed, row):
+    """Zero row ``row`` of every draw from the ``zeroed`` child's generators.
+
+    Returns the generators made for it, each as a (generator, rows its
+    predecessors had drawn when it was made) pair.
+    """
+    lend = estimators.stream_generators
+    made = []
+
+    def zeroing(children):
+        children = list(children)
+        for child, gen in zip(children, lend(children)):
+            if child == zeroed:
+                made.append((_ZeroRow(gen, row), [m._drawn for m, _ in made]))
+                gen = made[-1][0]
+            yield gen
+
+    monkeypatch.setattr(estimators, "stream_generators", zeroing)
+    return made
+
+
 class TestPendingDirections:
-    def test_a_zero_norm_in_chunk_two_is_redrawn_as_sphere_matrix_redraws_it(self):
+    """A zero norm on a wide draw, with and without the helper thread."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_zero_norm_in_chunk_two_is_redrawn_as_sphere_matrix_redraws_it(
+        self, monkeypatch, cpus
+    ):
         d = 16
         size = chunk_rows(d)
         n, row = 2 * size + size // 2, size + 17
-        drawing = _ZeroRow(RngStream(3).generator(), row)
-        pending = PendingDirections(iter([drawing]), ["sphere"], (1, n, d))
+        stream = RngStream(3)
+        monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
+        made = _zeroing(monkeypatch, stream.child("directions"), row)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=n)
+        pending = _draw_directions(cfg, d, 1, [stream])
+        assert isinstance(pending, np.ndarray) == (cpus == 1)
         try:
-            got = pending.result()[0]
+            got = pending[0] if cpus == 1 else pending.result()[0]
         finally:
-            pending.close()
-        alone = _ZeroRow(RngStream(3).generator(), row)
+            if cpus > 1:
+                pending.close()
+        alone = _ZeroRow(stream.child("directions").generator(), row)
         expected = sphere_matrix(alone, d, n)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         assert abs(np.linalg.norm(got[row]) - 1.0) < 1e-15
-        # the redraw left the generator where sphere_matrix leaves it
+        # the part is drawn again only once its whole first draw has landed,
+        # and the redraw leaves its generator where sphere_matrix leaves it
+        (fill, _), (drawing, before) = made
+        assert fill._drawn == before[0] == n
         assert drawing._drawn == alone._drawn == n + 1
         assert np.array_equal(drawing.standard_normal(5), alone.standard_normal(5))
 
-    def test_a_zero_norm_of_a_first_part_is_redrawn_on_its_own_stream(self):
-        # two streams take turns on the helper's one generator; the redraw
-        # of the first part starts where that part's draw ended
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_zero_norm_of_a_first_part_is_redrawn_on_its_own_stream(self, monkeypatch, cpus):
+        # two streams take turns on the fill's one generator; the first
+        # part is drawn again from its own stream's start
         d = 16
         size = chunk_rows(d)
         n, row = size + size // 2, size + 3
         streams = [RngStream(5), RngStream(6)]
-        gens = (_ZeroRow(gen, row if s == 0 else -1)
-                for s, gen in enumerate(stream_generators(streams)))
-        pending = PendingDirections(gens, ["sphere", "sphere"], (2, n, d))
+        monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
+        _zeroing(monkeypatch, streams[0].child("directions"), row)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=n)
+        pending = _draw_directions(cfg, d, 1, streams)
         try:
-            got = pending.result()
+            got = pending if cpus == 1 else pending.result()
         finally:
-            pending.close()
-        first = sphere_matrix(_ZeroRow(streams[0].generator(), row), d, n)
-        second = sphere_matrix(streams[1].generator(), d, n)
+            if cpus > 1:
+                pending.close()
+        first = sphere_matrix(_ZeroRow(streams[0].child("directions").generator(), row), d, n)
+        second = sphere_matrix(streams[1].child("directions").generator(), d, n)
         assert np.array_equal(got.view(np.int64), np.stack([first, second]).view(np.int64))

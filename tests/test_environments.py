@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zodd.core import BudgetExhaustedError, RngStream, chunk_rows
 from zodd.environments import (
-    DegenerateClassifierError,
     Environment,
     PricingEnv,
     QuadraticEnv,
@@ -271,9 +270,11 @@ class TestQuadraticFastPath:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
+    @example(d=16, diagonal=True, seed=27996)  # inf, -inf and nan in one row
     def test_zero_linear_term_gives_the_product_bits(self, d, diagonal, seed):
         # with b = 0 (signed zeros) no b'x product is formed; huge points
-        # overflow x'Ax and non-finite ones give the NaN of inf * 0
+        # overflow x'Ax and non-finite ones give NaN, always np.nan's bits:
+        # the NaN a sum of two NaNs keeps varies with numpy's loop
         gen = RngStream(seed).child("zero-b").generator()
         b = np.where(gen.random(d) < 0.5, -0.0, 0.0)
         env = QuadraticEnv(_definite_matrix(gen, d, diagonal), b, sigma=0.0)
@@ -291,6 +292,7 @@ class TestQuadraticFastPath:
 
         with np.errstate(over="ignore", invalid="ignore"):
             expected = product_form(pts)
+            expected[np.isnan(expected)] = np.nan
             batched = env.exact_objective_at(pts)
             alone = np.concatenate([env.exact_objective_at(p[None, :]) for p in pts])
         assert np.array_equal(batched.view(np.int64), expected.view(np.int64))
@@ -413,7 +415,7 @@ def _presented_per_point(x, features):
         return features
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
-        raise DegenerateClassifierError("zero feature weights")
+        return features  # no move changes the score: everyone stays put
     gaps = -scores / norm
     move = negative & (gaps * gaps < 2.0)
     out = features.copy()
@@ -546,17 +548,21 @@ def test_vectorized_strategic_draws_match_per_point_loop(k, replicates):
 
 
 
-def test_vectorized_strategic_draws_raise_on_a_degenerate_point():
+def test_vectorized_strategic_draws_stay_put_at_zero_weights():
     env = StrategicEnv.synthetic(2, count=120)
     points = np.ones((3, 12))
     points[1, :-1] = 0.0
-    points[1, -1] = -1.0  # zero weights, every score negative: no move helps
-    with pytest.raises(DegenerateClassifierError):
-        env._draw_at(points, [RngStream(9)], 4)
-    points[1, -1] = 1.0  # zero weights that accept everyone need no move
-    got = env._draw_at(points, [RngStream(9)], 4)
-    expected = _strategic_draws_per_point(env, points, RngStream(9).generator(), 4)
-    assert np.array_equal(got, expected)
+    # zero weights that reject everyone (no move helps) or accept everyone
+    # (none is needed): every agent presents its own features
+    for intercept in (-1.0, 1.0):
+        points[1, -1] = intercept
+        got = env._draw_at(points, [RngStream(9)], 4)
+        expected = _strategic_draws_per_point(env, points, RngStream(9).generator(), 4)
+        assert np.array_equal(got, expected)
+        gen = RngStream(9).generator()
+        idx = [gen.integers(0, env.population_size, size=4) for _ in range(3)][1]
+        stay = _logistic_loss(np.full(4, intercept), env.labels[idx])
+        assert np.array_equal(got[:, 1], stay)
 
 
 def test_vectorized_strategic_draws_match_when_agents_move():
@@ -740,11 +746,11 @@ class TestBestResponse:
         xi = np.zeros(11)
         assert np.array_equal(best_response(x, xi), xi)
 
-    def test_degenerate_classifier(self):
+    def test_zero_weights_rejecting_everyone_stay_put(self):
         x = np.zeros(12)
-        x[-1] = -1.0
-        with pytest.raises(DegenerateClassifierError):
-            best_response(x, np.zeros(11))
+        x[-1] = -1.0  # no move can change the score
+        for xi in (np.zeros(11), np.full(11, 0.3)):
+            assert np.array_equal(best_response(x, xi), xi)
 
     def test_zero_weights_accepting_everyone(self):
         x = np.zeros(12)  # intercept 0 >= 0: everyone is already accepted
@@ -824,13 +830,7 @@ class TestStrategicEnv:
         x[-1] = gen.standard_normal()
         if zero_weights:
             x[:-1] = 0.0
-        try:
-            presented = np.array([best_response(x, xi) for xi in env.features])
-        except DegenerateClassifierError:
-            # raised exactly where some agent needs a move and no move helps
-            with pytest.raises(DegenerateClassifierError):
-                env.exact_objective(x)
-            return
+        presented = np.array([best_response(x, xi) for xi in env.features])
         got = env.exact_objective(x)
         # a loop of (f,) @ (f,) scores rounds differently from the matvec
         loop = float(_logistic_loss(presented @ x[:-1] + x[-1], env.labels).mean())

@@ -15,7 +15,6 @@ import zodd.core
 import zodd.estimators
 from zodd.core import (
     BudgetExhaustedError,
-    PendingDirections,
     ProbePoints,
     RngStream,
     SampleOracle,
@@ -781,3 +780,26 @@ class TestDirectionHelper:
         _kernel(X[:1], wide, env(), RngStream(3))
         assert len(started) == 1
 
+
+
+def test_a_wide_draw_on_a_shared_stream_matches_single_estimates(monkeypatch):
+    # two rows on one stream share its one direction draw, longer than a
+    # chunk, and a third row has its own: the shared draw is always inline
+    d = 16
+    cfg = EstimatorConfig("sphere", mu=0.1, directions=chunk_rows(d) + 100)
+    streams = [RngStream(4), RngStream(4), RngStream(9)]
+    X = RngStream(2).generator().uniform(-1.0, 1.0, (3, d))
+    mu = np.array([0.1, 0.2, 0.3])
+    monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 1)
+    alone = [_kernel(X[r:r + 1], replace(cfg, mu=mu[r]), QuadraticEnv.isotropic(d, 0.5),
+                     streams[r]) for r in range(3)]
+    started = _counted_threads(monkeypatch)
+    for cpus in (1, 2):
+        monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: cpus)
+        rows = RowStreams.of(streams, ["sphere"] * 3)
+        gradients, dirs, forward, backward = _kernel(X, cfg, QuadraticEnv.isotropic(d, 0.5),
+                                                     rows, mu)
+        for r, (g, v, f, b) in enumerate(alone):
+            assert _same_bits(gradients[r], g[0]) and _same_bits(dirs[r], v[0])
+            assert _same_bits(forward[:, r], f[:, 0]) and _same_bits(backward[:, r], b[:, 0])
+    assert started == []

@@ -1,5 +1,6 @@
 """Config grammar, experiment driver, tuning, verify suites, and the CLI."""
 
+import csv
 import hashlib
 import math
 import os
@@ -855,6 +856,35 @@ step = 40.0
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         body = (tmp_path / "o" / "results.csv").read_text()
         assert "diverged" in body
+
+    def test_a_strategic_run_from_zero_weights_stays_put_and_exits_0(self, tmp_path):
+        # x0 = 0 gives zero feature weights: no move changes a score, so
+        # every agent stays put and both rows are written
+        path = _write(tmp_path, """\
+[environment]
+kind = strategic
+dimension = 3
+
+[run]
+seeds = 0
+budget = 200
+x0 = 0.0
+
+[estimator.sphere]
+kind = sphere
+mu = 0.1
+step = 0.01
+
+[estimator.coordinate]
+kind = coordinate
+mu = 0.1
+step = 0.01
+""")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["method"], row["status"]) for row in rows] == [
+            ("sphere", "ok"), ("coordinate", "ok")]
 
     def test_hessian_plan_on_quadratic_runs(self, tmp_path, capsys):
         path = _write(tmp_path, """\

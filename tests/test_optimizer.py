@@ -159,6 +159,13 @@ class TestPlannerSchedules:
         with pytest.raises(ValueError, match=re.escape(f"epsilon {epsilon!r} is out of range")):
             plan_parameters(kind, regime, epsilon, 4, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("kind", ["sphere", "gaussian"])
+    def test_a_schedule_that_rounds_to_no_direction_is_rejected_by_name(self, kind):
+        # past the cap, d^2 / epsilon^3 rounds to 0 directions at 1e100
+        with pytest.raises(ValueError, match=re.escape("epsilon 1e+100 is out of range")):
+            plan_parameters(kind, "hessian", 1e100, 4, 1.0, 1.0, 1.0,
+                            enforce_epsilon_bound=False)
+
     def test_complexity_tags(self):
         assert sample_complexity_order("coordinate", "grad") == "O(d^3 eps^-6)"
         assert sample_complexity_order("coordinate", "hessian") == "O(d^2.5 eps^-5)"
