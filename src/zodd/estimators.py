@@ -33,7 +33,11 @@ One kernel computes every estimate.  :func:`estimate_gradients` runs it on
 R base points at once, the rows of an (R, d) array: the R * N directions
 come from one draw on the call's ``directions`` child stream, and all probe
 points go to the oracle in one ``sample_at`` call on its ``draws`` child
-stream.  The probe points are built in chunks of at most
+stream.  Given a sequence of G streams instead, the rows split into G
+equal blocks and block g draws from stream g exactly what a call on that
+block alone would draw: one direction part and one ``sample_at`` block per
+stream, so the estimates of G calls take the numpy calls of one.  The
+probe points are built in chunks of at most
 :data:`~zodd.core.CHUNK_VALUES` coordinates (see
 :class:`~zodd.core.ProbePoints`), so an estimate holds its (N, d)
 directions, its O(2N * batch) sample values and one chunk of points; the
@@ -64,6 +68,7 @@ their probe blocks.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -426,9 +431,12 @@ def _kernel(
     """The one estimator computation: (R, d) base points in, (R, d) gradients out.
 
     Every row takes N, the batch and its sides from ``cfg.probe_shape(d)``.
-    ``rng`` is one stream for every row, whose directions are laid out by
-    row, or a :class:`RowStreams` of R rows: row r then draws exactly what
-    a single-row call on its stream draws, with its own kind (the gradient
+    ``rng`` is a sequence of G streams, or one stream as the G = 1 case:
+    the R rows split into G equal blocks, and block g draws exactly what a
+    call on its rows alone with stream g draws, its directions laid out by
+    row (a ValueError, before any draw, when they do not split).  Or it is
+    a :class:`RowStreams` of R rows: row r then draws exactly what a
+    single-row call on its stream draws, with its own kind (the gradient
     scale is then an (R, 1) column, which a caller that keeps it passes as
     ``scale``).
     ``mu`` optionally gives each row its own probe radius, an (R,) array;
@@ -448,14 +456,17 @@ def _kernel(
     two_sided, n, batch = cfg.probe_shape(d)
     radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
     # the directions come last: a pending draw is closed by the block after them
-    if isinstance(rng, RngStream):
-        draws = rng.child("draws")
-        scale = _scale(cfg.kind, n, d)
-        dirs = _draw_directions(cfg, d, rows, [rng])
-    else:
+    if isinstance(rng, RowStreams):
         if scale is None:
             scale = np.array([_scale(kind, n, d) for kind in rng.kinds])[rng.index, None]
         dirs, draws = _streams_per_row(cfg, d, rng)
+    else:
+        streams = [rng] if isinstance(rng, RngStream) else list(rng)
+        if not streams or rows % len(streams):
+            raise ValueError(f"{rows} rows do not split into {len(streams)} equal blocks")
+        draws = [stream.child("draws") for stream in streams]
+        scale = _scale(cfg.kind, n, d)
+        dirs = _draw_directions(cfg, d, rows // len(streams), streams)
     pending = None if isinstance(dirs, np.ndarray) else dirs
     try:
         probes = ProbePoints(X, radius, dirs, two_sided=two_sided)
@@ -480,14 +491,18 @@ def _kernel(
 
 
 def estimate_gradients(
-    X, cfg: EstimatorConfig, oracle: SampleOracle, rng: RngStream
+    X, cfg: EstimatorConfig, oracle: SampleOracle, rng: RngStream | Sequence[RngStream]
 ) -> Vector:
     """Independent estimates at every row of the (R, d) array ``X``.
 
     Returns an (R, d) array.  One call draws all R * N directions and all
     R * samples_per_estimate(d) samples at once, so it is much cheaper than
     R single estimates; the draws are laid out by row, and the single-point
-    estimators are exactly the R = 1 case.
+    estimators are exactly the R = 1 case.  ``rng`` may also be a sequence
+    of G streams, as ``sample_at`` takes it: the rows split into G equal
+    blocks, and block g gets exactly the bits of ``estimate_gradients(X_g,
+    cfg, oracle, rng[g])``, while the budget is charged once for the call.
+    G = 0, or R not a multiple of G, raises ValueError before any draw.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != oracle.dimension:

@@ -18,16 +18,22 @@ Suites
 Replicate layout
 ----------------
 ``mse_bounds`` and ``n_dominance`` draw their independent estimates per
-grid point in chunks: each chunk is one :func:`estimate_gradients` call
-with as many rows as fit in ``REPLICATE_CHUNK_DRAWS`` (2^14) oracle draws,
-at least one, and chunk c draws from ``rng.child("chunk", c)`` of the grid
-point's stream.  The chunk size is part of the stream layout, not a
-tuning knob: changing it changes every reported MSE.
+grid point in chunks: each chunk has as many rows as fit in
+``REPLICATE_CHUNK_DRAWS`` (2^14) oracle draws, at least one, and chunk c
+draws from ``rng.child("chunk", c)`` of the grid point's stream.  The chunk
+size is part of the stream layout, not a tuning knob: changing it changes
+every reported MSE.  Consecutive full chunks share one
+:func:`estimate_gradients` call, one stream per chunk, while the call's
+direction and sample values fit ``CALL_VALUES``; a call of several streams
+draws each chunk exactly as a call of its own would, so the grouping is
+not part of the layout.
 
 The grid points run concurrently, one thread per usable CPU.  Each point's
 draws come from its own stream alone and the results are joined in grid
 order, so neither the thread count nor the order in which points finish
-changes a byte of the report.
+changes a byte of the report.  The threads overlap only inside numpy
+calls, each of which releases and retakes the GIL; grouping chunks makes
+those calls fewer and larger, so the threads wait on each other less.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RngStream, gaussian_matrix, sphere_matrix
+from ..core import CHUNK_VALUES, RngStream, gaussian_matrix, sphere_matrix
 # the tests replace the CPU count by this name
 from ..core import usable_cpus as _usable_cpus
 from ..environments import QuadraticEnv
@@ -52,9 +58,14 @@ from ..smoothing import analytic_moment
 
 STDERR_FLOOR = 1e-12
 
-# oracle draws per batched estimator call in the MSE suites; part of the
-# stream layout, so changing it changes every reported MSE
+# oracle draws per replicate chunk in the MSE suites; part of the stream
+# layout, so changing it changes every reported MSE
 REPLICATE_CHUNK_DRAWS = 1 << 14
+
+# the most direction plus sample values of full chunks grouped into one
+# estimator call; not part of the stream layout, and under one chunk of
+# directions, so no call starts the direction helper
+CALL_VALUES = CHUNK_VALUES // 2
 
 
 @dataclass(frozen=True)
@@ -171,14 +182,27 @@ def run_unbiasedness(seed: int = 0, draws: int = 100_000, d: int = 5,
 
 
 def _empirical_mse(env, x, cfg, rng, replicates: int) -> tuple[float, float]:
-    """Mean and standard error of |g - grad F(x)|^2 over chunked replicates."""
+    """Mean and standard error of |g - grad F(x)|^2 over chunked replicates.
+
+    Consecutive full chunks share one estimator call, one stream per chunk,
+    while the call's direction and sample values fit ``CALL_VALUES``; the
+    last chunk, when partial, is a call of its own.
+    """
     grad = env.gradient(x)
-    per_chunk = max(1, REPLICATE_CHUNK_DRAWS // cfg.samples_per_estimate(env.dimension))
+    d = env.dimension
+    cost = cfg.samples_per_estimate(d)
+    per_chunk = max(1, REPLICATE_CHUNK_DRAWS // cost)
+    group = max(1, CALL_VALUES // (per_chunk * (cfg.probe_shape(d)[1] * d + cost)))
+    full = replicates // per_chunk
+    calls = [range(c, min(c + group, full)) for c in range(0, full, group)]
+    if replicates % per_chunk:
+        calls.append(range(full, full + 1))
     errors = np.empty(replicates)
-    for c, start in enumerate(range(0, replicates, per_chunk)):
-        rows = min(per_chunk, replicates - start)
-        points = np.broadcast_to(x, (rows, x.shape[0]))
-        gradients = estimate_gradients(points, cfg, env, rng.child("chunk", c))
+    for chunks in calls:
+        start = chunks[0] * per_chunk
+        rows = min(len(chunks) * per_chunk, replicates - start)
+        streams = [rng.child("chunk", c) for c in chunks]
+        gradients = estimate_gradients(np.broadcast_to(x, (rows, d)), cfg, env, streams)
         errors[start:start + rows] = np.sum((gradients - grad) ** 2, axis=1)
     return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(replicates))
 

@@ -803,3 +803,85 @@ def test_a_wide_draw_on_a_shared_stream_matches_single_estimates(monkeypatch):
             assert _same_bits(gradients[r], g[0]) and _same_bits(dirs[r], v[0])
             assert _same_bits(forward[:, r], f[:, 0]) and _same_bits(backward[:, r], b[:, 0])
     assert started == []
+
+
+def _blocks_alone(X, cfg, oracle, streams):
+    """``_kernel`` on each of the G equal blocks of X alone, block g on stream g."""
+    size = X.shape[0] // len(streams)
+    return [_kernel(X[g * size:(g + 1) * size], cfg, oracle, stream)
+            for g, stream in enumerate(streams)]
+
+
+def _same_block(whole, alone, rows):
+    """Whether rows ``rows`` of a kernel result carry the bits of ``alone``."""
+    gradients, dirs, forward, backward = whole
+    # coordinate calls share one (1, d, d) set of axes
+    dirs = dirs if dirs.shape[0] == 1 else dirs[rows]
+    backward = None if backward is None else backward[:, rows]
+    return all(_same_bits(a, b) for a, b in zip(
+        (gradients[rows], dirs, forward[:, rows], backward), alone))
+
+
+class TestMultiStream:
+    @given(
+        kind=st.sampled_from(ESTIMATOR_KINDS),
+        env_name=st.sampled_from(sorted(_CHUNKED_ENVS)),
+        blocks=st.integers(min_value=1, max_value=4),
+        per_block=st.integers(min_value=1, max_value=5),
+        batch=st.sampled_from([1, 3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_g_is_its_single_stream_call(self, kind, env_name, blocks, per_block,
+                                               batch, seed):
+        env = _CHUNKED_ENVS[env_name]()
+        d = env.dimension
+        X = RngStream(seed).child("points").generator().uniform(-1, 1, (blocks * per_block, d))
+        cfg = EstimatorConfig(kind, mu=0.2, directions=3, batch=batch)
+        # a stream may serve two blocks: each starts from the stream's start
+        streams = [RngStream(seed).child("block", g % 3) for g in range(blocks)]
+        whole = _kernel(X, cfg, env, streams)
+        for g, alone in enumerate(_blocks_alone(X, cfg, env, streams)):
+            assert _same_block(whole, alone, slice(g * per_block, (g + 1) * per_block))
+        assert _same_bits(estimate_gradients(X, cfg, env, tuple(streams)), whole[0])
+
+    def test_the_budget_is_charged_once_for_the_call(self):
+        d, rows = 3, 6
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=4, batch=2)
+        streams = [RngStream(g) for g in range(3)]
+        X = np.zeros((rows, d))
+        oracle = _RecordingOracle(d)
+        estimate_gradients(X, cfg, oracle, streams)
+        assert len(oracle.batches) == 1
+        assert oracle.budget.consumed == rows * cfg.samples_per_estimate(d)
+        short = QuadraticEnv.isotropic(d, 0.5, budget=rows * cfg.samples_per_estimate(d) - 1)
+        with pytest.raises(BudgetExhaustedError):
+            estimate_gradients(X, cfg, short, streams)
+        assert short.budget.consumed == 0
+
+    @pytest.mark.parametrize("rows, blocks", [(4, 0), (5, 2), (3, 4)])
+    def test_rows_that_do_not_split_raise_before_any_draw(self, monkeypatch, rows, blocks):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("directions were drawn")
+
+        monkeypatch.setattr(zodd.estimators, "gaussian_matrix", no_draw)
+        env = QuadraticEnv.isotropic(3, 0.5, budget=10**6)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=2)
+        streams = [RngStream(g) for g in range(blocks)]
+        with pytest.raises(ValueError, match=f"{rows} rows do not split into {blocks} equal"):
+            estimate_gradients(np.zeros((rows, 3)), cfg, env, streams)
+        assert env.budget.consumed == 0
+
+    @pytest.mark.parametrize("kind", ["sphere", "gaussian"])
+    def test_a_table_over_one_chunk_is_its_blocks_alone(self, kind):
+        # two blocks of two rows, about 3 chunks of directions: on more than
+        # one usable CPU a helper thread draws the table, on one the kernel
+        d, rows = 16, 4
+        cfg = _wide_cfg(kind, d, rows, 3)
+        assert rows * cfg.directions > chunk_rows(d)
+        X = RngStream(3).generator().uniform(-1.0, 1.0, (rows, d))
+        streams = [RngStream(5), RngStream(6)]
+        env = QuadraticEnv.isotropic(d, 0.5)
+        whole = _kernel(X, cfg, env, streams)
+        for g, alone in enumerate(_blocks_alone(X, cfg, env, streams)):
+            assert _same_block(whole, alone, slice(2 * g, 2 * g + 2))

@@ -32,7 +32,8 @@ from zodd.harness.runner import (
 )
 from zodd.harness.tuning import TUNING_SEED_BASE, candidate_specs, score_candidate, tune_method
 from zodd.core import RngStream
-from zodd.estimators import EstimatorConfig
+import zodd.estimators
+from zodd.estimators import EstimatorConfig, estimate_gradients
 from zodd.harness import tuning, verify
 from zodd.harness.verify import (
     CheckResult,
@@ -794,6 +795,55 @@ class TestVerifySuites:
         # every helper was joined, and none took a task after the failure
         assert threading.active_count() == threads
         assert 0 in taken and len(taken) <= cpus
+
+    @staticmethod
+    def _per_chunk_mse(env, x, cfg, rng, replicates):
+        """``_empirical_mse`` as one estimator call per replicate chunk."""
+        grad = env.gradient(x)
+        per_chunk = max(1, verify.REPLICATE_CHUNK_DRAWS
+                        // cfg.samples_per_estimate(env.dimension))
+        errors = np.empty(replicates)
+        for c, start in enumerate(range(0, replicates, per_chunk)):
+            rows = min(per_chunk, replicates - start)
+            points = np.broadcast_to(x, (rows, x.shape[0]))
+            gradients = estimate_gradients(points, cfg, env, rng.child("chunk", c))
+            errors[start:start + rows] = np.sum((gradients - grad) ** 2, axis=1)
+        return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(replicates))
+
+    @pytest.mark.parametrize("kind, n, m, replicates, calls", [
+        # chunks of 81 rows, one per call, the last one partial
+        ("sphere", 100, 1, 200, [1, 1, 1]),
+        # chunks of 8 rows, three per call, then the last full and a partial
+        ("sphere", 100, 10, 60, [3, 3, 1, 1]),
+        ("gaussian", 10, 10, 250, [3, 1]),
+        ("coordinate", 5, 10, 500, [3, 1]),
+    ])
+    def test_grouped_chunks_are_the_per_chunk_calls(self, monkeypatch, kind, n, m,
+                                                    replicates, calls):
+        env = QuadraticEnv.isotropic(5, sigma=0.5)
+        x = np.full(5, 0.8)
+        cfg = EstimatorConfig(kind, mu=0.1, directions=n, batch=m)
+        rng = RngStream(3).child(kind)
+        expected = self._per_chunk_mse(env, x, cfg, rng, replicates)
+        made = []
+
+        def counted(X, cfg, oracle, streams):
+            made.append(len(streams))
+            return estimate_gradients(X, cfg, oracle, streams)
+
+        monkeypatch.setattr(verify, "estimate_gradients", counted)
+        assert verify._empirical_mse(env, x, cfg, rng, replicates) == expected
+        assert made == calls
+
+    def test_the_mse_suites_start_no_direction_helper(self, monkeypatch):
+        # on two CPUs, every grouped call still fits in one chunk of directions
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verify call started the direction helper")
+
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(zodd.estimators, "PendingDirections", refuse)
+        assert run_mse_bounds(seed=0) and run_n_dominance(seed=0)
 
     def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
