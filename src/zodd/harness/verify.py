@@ -63,8 +63,8 @@ STDERR_FLOOR = 1e-12
 REPLICATE_CHUNK_DRAWS = 1 << 14
 
 # the most direction plus sample values of full chunks grouped into one
-# estimator call; not part of the stream layout, and under one chunk of
-# directions, so no call starts the direction helper
+# estimator call; not part of the stream layout, and half a chunk, so a
+# call of several chunks starts no direction helper
 CALL_VALUES = CHUNK_VALUES // 2
 
 
