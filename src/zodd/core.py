@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import numbers
 import os
 import threading
 from abc import ABC, abstractmethod
@@ -64,6 +65,17 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as a positive int, or a ValueError naming ``name``.
+
+    Python and numpy integers pass; a bool, a float (2.0 included) or a
+    value below 1 does not, so a count is never truncated or read as a flag.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def as_point(x, dimension: int | None = None) -> Vector:

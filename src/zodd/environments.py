@@ -35,6 +35,7 @@ from .core import (
     RngStream,
     SampleOracle,
     Vector,
+    as_count,
     as_point,
     draw_blocks,
     point_chunks,
@@ -316,11 +317,9 @@ class PricingEnv(Environment):
             raise ValueError("reference prices must be positive")
         if np.any(rho < 0):
             raise ValueError("margin rates must be nonnegative")
-        if buyers < 1:
-            raise ValueError("need at least one buyer")
+        self.buyers = buyers = as_count(buyers, "buyers")
         self.theta = theta
         self.rho = rho
-        self.buyers = int(buyers)
         n = theta.shape[0]
         self.gamma = 2.0 * np.pi / (np.sqrt(6.0) * theta)
         self.opt_out_mass = 0.1 * n

@@ -62,7 +62,12 @@ with N = d directions, say.  Row r draws exactly what a single estimate of
 its kind on its own stream draws, so lockstep groups never change a draw;
 rows that share a stream and a kind (tuning candidates of one trial) share
 its one direction draw, and the oracle restarts the stream for each of
-their probe blocks.
+their probe blocks.  The loop plans its steps in blocks, as a
+:class:`BlockPlan`: one pass derives every step's streams and draws the
+whole block's directions as one table, of one part per (stream, kind) and
+step, and each step hands the kernel its rows of it as a
+:class:`PlannedStep`.  A :class:`RowStreams` call is the one-step case of
+the same plan.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ from .core import (
     SampleOracle,
     Vector,
     _chunked_norms,
+    as_count,
     as_point,
     chunk_rows,
     gaussian_matrix,
@@ -112,10 +118,8 @@ class EstimatorConfig:
             )
         if not (self.mu > 0 and np.isfinite(self.mu)):
             raise ValueError("probe radius mu must be positive and finite")
-        if self.directions < 1:
-            raise ValueError("need at least one direction")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        object.__setattr__(self, "directions", as_count(self.directions, "directions"))
+        object.__setattr__(self, "batch", as_count(self.batch, "batch"))
 
     def probe_shape(self, d: int) -> tuple[bool, int, int]:
         """(two-sided, probe directions N, batch) of one estimate at dimension d.
@@ -396,19 +400,77 @@ class RowStreams(NamedTuple):
                           [self.kinds[i] for i in slot])
 
 
-def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> tuple[Vector, list]:
+class PlannedStep(NamedTuple):
+    """One lockstep step's inputs that do not depend on the iterate.
+
+    ``dirs`` holds the rows' directions, as :func:`_kernel` reads them: an
+    (R, N, d) array, the (1, d, d) axes every coordinate row shares, or a
+    :class:`PendingDirections`.  ``draws`` holds each row's ``draws`` stream.
+    """
+
+    dirs: Vector | PendingDirections
+    draws: list[RngStream]
+
+
+class BlockPlan(NamedTuple):
+    """The iterate-free part of a block of lockstep steps, prepared in one pass.
+
+    :meth:`of` takes one :class:`RowStreams` per step, each the rows'
+    streams for that step, with the same ``index`` and ``kinds``: S distinct
+    entries.  It derives every entry's ``draws`` child and draws the whole
+    block's directions as one table by one :func:`_draw_directions` call,
+    so step j's parts are rows j*S .. j*S + S - 1 of one fill and one
+    finishing pass.  Each part is still one draw on its own ``directions``
+    child and the finishing pass treats every row alone, so a row's
+    directions do not depend on the block around it.  ``dirs`` holds each
+    step's (S, N, d) parts, or the shared axes when every row is coordinate
+    (``per_part`` is then False); ``draws`` holds each step's S ``draws``
+    streams; ``shared`` tells that rows share an entry.  Only a block of one
+    step, every row on its own entry, may come as a pending draw.
+    """
+
+    dirs: list
+    draws: list[list[RngStream]]
+    per_part: bool
+    shared: bool
+
+    @classmethod
+    def of(cls, cfg: EstimatorConfig, d: int, steps: list[RowStreams]) -> "BlockPlan":
+        first = steps[0]
+        parts = len(first.distinct)
+        per_part = any(kind != "coordinate" for kind in first.kinds)
+        # rows on one entry gather its part, so they cannot read a pending draw
+        shared = per_part and parts < len(first.index)
+        draws = [[s.child("draws") for s in step.distinct] for step in steps]
+        # the directions come last, so nothing can raise while a pending draw runs
+        table = _draw_directions(cfg, d, 1, [s for step in steps for s in step.distinct],
+                                 first.kinds * len(steps), overlap=len(steps) == 1 and not shared)
+        if per_part and len(steps) > 1:
+            dirs = [table[j * parts:(j + 1) * parts] for j in range(len(steps))]
+        else:
+            dirs = [table] * len(steps)
+        return cls(dirs, draws, per_part, shared)
+
+    def step(self, j: int, index: np.ndarray) -> PlannedStep:
+        """Step j's inputs for the rows on entries ``index``, an int array.
+
+        ``index`` is the plan's own, or a subset of it once rows have left.
+        """
+        draws, dirs = self.draws[j], self.dirs[j]
+        if self.per_part and (self.shared or len(index) < len(draws)):
+            dirs = dirs[index]
+        return PlannedStep(dirs, [draws[i] for i in index.tolist()])
+
+
+def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> PlannedStep:
     """Directions and ``draws`` streams when every row brings its own stream.
 
-    Each distinct stream draws its N directions and derives its children
-    once; rows that share a stream and a kind share that draw, exactly as
-    separate single-row calls on the stream would draw it.
+    The one-step :class:`BlockPlan` of ``rows``: each distinct stream draws
+    its N directions and derives its children once; rows that share a
+    stream and a kind share that draw, exactly as separate single-row calls
+    on the stream would draw it.
     """
-    distinct = rows.child("draws").distinct
-    draws = [distinct[i] for i in rows.index.tolist()]
-    # all-coordinate rows share one set of axes; other directions are per stream
-    shared = len(rows.distinct) < len(rows.index) and any(k != "coordinate" for k in rows.kinds)
-    dirs = _draw_directions(cfg, d, 1, rows.distinct, rows.kinds, overlap=not shared)
-    return (dirs[rows.index] if shared else dirs), draws
+    return BlockPlan.of(cfg, d, [rows]).step(0, rows.index)
 
 
 def _scale(kind: str, n: int, d: int) -> float:
@@ -438,7 +500,9 @@ def _kernel(
     a :class:`RowStreams` of R rows: row r then draws exactly what a
     single-row call on its stream draws, with its own kind (the gradient
     scale is then an (R, 1) column, which a caller that keeps it passes as
-    ``scale``).
+    ``scale``).  Or it is a :class:`PlannedStep` of R rows, a step of a
+    :class:`BlockPlan`, which a RowStreams call is the one-step case of;
+    its caller passes ``scale``.
     ``mu`` optionally gives each row its own probe radius, an (R,) array;
     the default is ``cfg.mu``.
 
@@ -459,7 +523,9 @@ def _kernel(
     if isinstance(rng, RowStreams):
         if scale is None:
             scale = np.array([_scale(kind, n, d) for kind in rng.kinds])[rng.index, None]
-        dirs, draws = _streams_per_row(cfg, d, rng)
+        rng = _streams_per_row(cfg, d, rng)
+    if isinstance(rng, PlannedStep):
+        dirs, draws = rng
     else:
         streams = [rng] if isinstance(rng, RngStream) else list(rng)
         if not streams or rows % len(streams):

@@ -694,6 +694,18 @@ class TestPricingObjective:
         with pytest.raises(ValueError):
             PricingEnv(np.array([1.0]), np.array([0.3]), buyers=0)
 
+    @pytest.mark.parametrize("buyers", [10.5, 10.0, True])
+    def test_non_integral_buyers_are_rejected_by_name(self, buyers):
+        # 10.5 buyers used to draw from a market of 10 while the restock
+        # thresholds came from 10.5, so samples and exact objective disagreed
+        with pytest.raises(ValueError, match="buyers"):
+            PricingEnv(np.ones(3), np.full(3, 0.3), buyers=buyers)
+
+    def test_numpy_integer_buyers_set_the_thresholds(self):
+        env = PricingEnv(np.ones(3), np.full(3, 0.3), buyers=np.int64(10))
+        assert type(env.buyers) is int and env.buyers == 10
+        assert env.lower[0] == 0.5 * 10 / 3 and env.upper[0] == 1.5 * 10 / 3
+
 
 class TestSyntheticPrices:
     def test_deterministic(self):

@@ -76,6 +76,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             EstimatorConfig("simplex", mu=0.1)
 
+    @pytest.mark.parametrize("field, value", [("directions", 2.5), ("directions", True),
+                                              ("batch", 1.5), ("batch", False)])
+    def test_non_integral_counts_are_rejected_by_name(self, field, value):
+        # they used to pass here and fail later, inside numpy, with a TypeError
+        with pytest.raises(ValueError, match=field):
+            EstimatorConfig("sphere", mu=0.1, **{field: value})
+
+    def test_numpy_integer_counts_are_plain_ints(self):
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=np.int64(3), batch=np.int32(2))
+        assert cfg == EstimatorConfig("sphere", mu=0.1, directions=3, batch=2)
+        assert type(cfg.directions) is int and type(cfg.batch) is int
+
 
 class TestCostAccounting:
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)

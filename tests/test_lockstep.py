@@ -1,19 +1,21 @@
 """Lockstep chains: a grouped descent run equals the same chains run alone."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zodd.core import RngStream
+from zodd import estimators
+from zodd.core import CHUNK_VALUES, RngStream, chunk_rows
 from zodd.environments import QuadraticEnv
-from zodd.estimators import EstimatorConfig, estimate_gradient
+from zodd.estimators import BlockPlan, EstimatorConfig, estimate_gradient
 from zodd.harness import runner
 from zodd.harness.config import EnvironmentSpec, EstimatorSpec, ExperimentConfig
 from zodd.harness.runner import STATUS_DIVERGED, run_cell, run_chains
-from zodd.optimizer import lockstep_descent
+from zodd.optimizer import BLOCK_STEPS, lockstep_descent
 
 ENVIRONMENTS = {
     "quadratic": EnvironmentSpec(kind="quadratic", dimension=3, sigma=0.5),
@@ -248,3 +250,161 @@ def test_output_picked_at_zero_is_the_start_point(monkeypatch):
     outcomes = run_chains(config, [spec] * 3, [0, 1, 2])
     for outcome in outcomes:
         assert np.array_equal(outcome.output_point, config.start_point())
+
+
+# ---------------------------------------------------------------------------
+# Block plan: a block's streams and directions prepared in one pass
+# ---------------------------------------------------------------------------
+
+K = BLOCK_STEPS
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_steps_are_single_estimates(X, cfg, env, streams, steps, mus, iterations, kinds):
+    """Run a group and check every step's rows against single estimates.
+
+    Row r at step t must carry the gradient and probe mean bits of
+    ``estimate_gradient`` at its iterate on ``streams[r].child("iteration", t)``.
+    Returns the step at which each row that diverged left.
+    """
+    X = np.array(X, dtype=np.float64)
+    left = {}
+    for step in lockstep_descent(X, cfg, env, streams, steps, mus, iterations, kinds):
+        for i, r in enumerate(step.live.tolist()):
+            single = estimate_gradient(
+                X[r], dataclasses.replace(cfg, kind=kinds[r], mu=mus[r]), env,
+                streams[r].child("iteration", step.t),
+            )
+            assert np.array_equal(_bits(step.gradients[i]), _bits(single.gradient))
+            assert _bits(step.probe_means[i]) == _bits(single.probe_mean)
+            X[r] = step.X[i]
+            if step.bad[i]:
+                left[r] = step.t
+    return left
+
+
+class TestBlockPlan:
+    @given(
+        group=st.sampled_from(["sphere", "mixed", "coordinate", "one_point"]),
+        iterations=st.sampled_from([1, K - 1, K, K + 1, 2 * K + 3]),
+        rows=st.integers(min_value=1, max_value=5),
+        # rows r and r + distinct share a stream, as the candidates of a trial do
+        distinct=st.integers(min_value=1, max_value=5),
+        n=st.sampled_from([1, 2]),
+        # a row whose step leaves the trust region after a few steps, mid-block
+        wild=st.none() | st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # a chain that shares its stream with another leaves in the first block
+    @example(group="sphere", iterations=2 * K + 3, rows=4, distinct=2, n=1, wild=1, seed=5)
+    # sphere, gaussian and coordinate rows at N = d, the coordinate row sharing a stream
+    @example(group="mixed", iterations=K + 1, rows=4, distinct=3, n=1, wild=None, seed=6)
+    @settings(max_examples=40, deadline=None)
+    def test_steps_are_single_estimates(self, group, iterations, rows, distinct, n, wild, seed):
+        d = 3
+        env = QuadraticEnv.isotropic(d, sigma=0.5)
+        if group == "mixed":
+            kinds = [("sphere", "gaussian", "coordinate")[r % 3] for r in range(rows)]
+            cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
+        else:
+            kinds = [group] * rows
+            cfg = EstimatorConfig(group, mu=0.1, directions=n)
+        gen = RngStream(seed).child("start").generator()
+        X = gen.uniform(-1.0, 1.0, (rows, d))
+        mus = gen.uniform(0.05, 0.2, rows)
+        steps = np.full(rows, 0.01)
+        if wild is not None:
+            steps[wild % rows] = 300.0
+        streams = [RngStream(seed).child("row", r % distinct) for r in range(rows)]
+        left = _assert_steps_are_single_estimates(X, cfg, env, streams, steps, mus, iterations,
+                                                  kinds)
+        # a one_point chain, of high variance, may leave on its own
+        if wild is not None and iterations > 10 and group != "one_point":
+            assert list(left) == [wild % rows]
+
+    def test_a_chain_sharing_a_stream_leaves_mid_block(self):
+        # the wild row leaves a few steps into the first block; the row on
+        # its stream keeps its gathered part, and later blocks drop the copy
+        d = 3
+        env = QuadraticEnv.isotropic(d, sigma=0.5)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=2)
+        streams = [RngStream(9).child("row", r % 2) for r in range(4)]
+        steps = np.array([0.01, 300.0, 0.01, 0.01])
+        left = _assert_steps_are_single_estimates(np.full((4, d), 0.5), cfg, env, streams, steps,
+                                                  np.full(4, 0.1), 2 * K + 3, ["sphere"] * 4)
+        assert list(left) == [1] and 0 < left[1] < K - 1
+
+    @pytest.mark.parametrize("n, iterations, sizes", [
+        (1, 2 * K + 3, [K, K, 3]),  # at most K steps a block
+        # at most one chunk, 8,192 rows at d = 16: two steps of 3 * 1,000
+        (1000, 5, [2, 2, 1]),
+        (3000, 2, [1, 1]),  # a step longer than one chunk is a block of one
+    ])
+    def test_blocks_are_capped_by_steps_and_by_a_chunk(self, monkeypatch, n, iterations, sizes):
+        recorded = []
+        of = BlockPlan.of
+
+        def recording(cfg, d, steps):
+            recorded.append(len(steps))
+            return of(cfg, d, steps)
+
+        monkeypatch.setattr(BlockPlan, "of", recording)
+        d, rows = 16, 3
+        env = QuadraticEnv.isotropic(d, sigma=0.5)
+        cfg = EstimatorConfig("gaussian", mu=0.1, directions=n)
+        streams = [RngStream(3).child("row", r) for r in range(rows)]
+        X = RngStream(3).child("start").generator().uniform(-1.0, 1.0, (rows, d))
+        _assert_steps_are_single_estimates(X, cfg, env, streams, np.full(rows, 0.01),
+                                           np.array([0.05, 0.1, 0.2]), iterations,
+                                           ["gaussian"] * rows)
+        assert recorded == sizes
+
+    @pytest.mark.parametrize("seeds, started", [([4, 5], 2), ([4, 4, 5], 0)])
+    def test_a_wide_step_keeps_its_direction_helper(self, monkeypatch, seeds, started):
+        # each step's table, two parts of just over half a chunk, is drawn on
+        # the helper thread on more than one CPU, unless rows share a stream
+        # and so gather their parts; a single estimate, within a chunk, is inline
+        made = []
+
+        class Recording(estimators.PendingDirections):
+            def __init__(self, *args):
+                made.append(len(args[0]))
+                super().__init__(*args)
+
+        monkeypatch.setattr(estimators, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimators, "PendingDirections", Recording)
+        d, rows = 16, len(seeds)
+        env = QuadraticEnv.isotropic(d, sigma=0.5)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=chunk_rows(d) // 2 + 1)
+        streams = [RngStream(seed) for seed in seeds]
+        _assert_steps_are_single_estimates(np.zeros((rows, d)), cfg, env, streams,
+                                           np.full(rows, 0.01), np.full(rows, 0.1), 2,
+                                           ["sphere"] * rows)
+        assert made == [2 * cfg.directions] * started
+
+    def test_block_table_stays_within_one_chunk(self):
+        # 1,000 N = 1 steps of 4 chains at d = 64 draw 2 MB of directions in
+        # all; a block holds at most one chunk of them, freed before the next
+        d, rows = 64, 4
+        env = QuadraticEnv.isotropic(d, sigma=0.5)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=1)
+        streams = [RngStream(0).child("row", r) for r in range(rows)]
+
+        def run(iterations):
+            for _ in lockstep_descent(np.zeros((rows, d)), cfg, env, streams,
+                                      np.full(rows, 0.01), np.full(rows, 0.1), iterations):
+                pass
+
+        assert 1000 * rows * d > CHUNK_VALUES
+        run(2)  # imports and caches first, so that only the run itself is traced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(1000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_VALUES * 8
