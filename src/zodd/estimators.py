@@ -462,17 +462,6 @@ class BlockPlan(NamedTuple):
         return PlannedStep(dirs, [draws[i] for i in index.tolist()])
 
 
-def _streams_per_row(cfg: EstimatorConfig, d: int, rows: RowStreams) -> PlannedStep:
-    """Directions and ``draws`` streams when every row brings its own stream.
-
-    The one-step :class:`BlockPlan` of ``rows``: each distinct stream draws
-    its N directions and derives its children once; rows that share a
-    stream and a kind share that draw, exactly as separate single-row calls
-    on the stream would draw it.
-    """
-    return BlockPlan.of(cfg, d, [rows]).step(0, rows.index)
-
-
 def _scale(kind: str, n: int, d: int) -> float:
     """An estimator's gradient scale: 1 / N (gaussian), 1 (coordinate), else d / N."""
     if kind == "gaussian":
@@ -523,7 +512,7 @@ def _kernel(
     if isinstance(rng, RowStreams):
         if scale is None:
             scale = np.array([_scale(kind, n, d) for kind in rng.kinds])[rng.index, None]
-        rng = _streams_per_row(cfg, d, rng)
+        rng = BlockPlan.of(cfg, d, [rng]).step(0, rng.index)
     if isinstance(rng, PlannedStep):
         dirs, draws = rng
     else:

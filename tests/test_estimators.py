@@ -26,11 +26,11 @@ from zodd.core import (
 from zodd.environments import PricingEnv, QuadraticEnv, StrategicEnv
 from zodd.estimators import (
     ESTIMATOR_KINDS,
+    BlockPlan,
     EstimatorConfig,
     RowStreams,
     _draw_directions,
     _kernel,
-    _streams_per_row,
     estimate_gradient,
     estimate_gradients,
     mse_upper_bound,
@@ -475,7 +475,7 @@ def _unchunked_kernel(X, cfg, oracle, rng, mu):
         dirs = _draw_directions(cfg, d, rows, [rng])
         draws = rng.child("draws")
     else:
-        dirs, draws = _streams_per_row(cfg, d, rng)
+        dirs, draws = BlockPlan.of(cfg, d, [rng]).step(0, rng.index)
     n = dirs.shape[1]
     radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
     base = X[:, None, :]
