@@ -221,9 +221,10 @@ class ProbePoints:
 
     Row r of the (R, d) ``base`` owns P consecutive points: x_r + mu_r v
     for each of its N directions, then, when ``two_sided``, x_r - mu_r v,
-    so P is 2N or N.  ``radius`` is (R, 1) and ``dirs`` is (R, N, d), or
-    (1, N, d) when every row shares its directions, or a pending draw of
-    shape (R, N, d) (:class:`zodd.estimators.PendingDirections`), read only
+    so P is 2N or N.  ``radius`` is (R, 1); ``dirs``, from the kernel's
+    :class:`zodd.estimators.PlannedStep`, is (R, N, d), or (1, N, d) when
+    every row shares its directions, or a pending draw of shape (R, N, d)
+    (:class:`zodd.estimators.PendingDirections`), read only
     through its ``rows(lo, hi)``, ``unit`` and ``result()``, which give rows
     lo..hi-1 of its (R * N, d) table, whether every entry is at most 1 up
     to rounding, and the whole array.  Only :func:`point_chunks` reads the
@@ -422,16 +423,16 @@ class BudgetCounter:
         return self._limit - self._consumed
 
     def charge(self, k: int) -> None:
-        """Atomically consume k draws, or raise without consuming any."""
-        if k < 0:
-            raise ValueError("cannot charge a negative number of draws")
+        """Atomically consume k draws, an integer >= 0, or raise without consuming any."""
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+            raise ValueError(f"cannot charge {k!r} draws: need a nonnegative integer")
         with self._lock:
             if self._limit is not None and self._consumed + k > self._limit:
                 raise BudgetExhaustedError(
                     f"budget exhausted: {self._consumed} consumed of {self._limit}, "
                     f"requested {k} more"
                 )
-            self._consumed += k
+            self._consumed += int(k)
 
 
 class SampleOracle(ABC):
@@ -506,8 +507,7 @@ class SampleOracle(ABC):
                 pts = pts[None, :]
         if len(pts.shape) != 2 or pts.shape[1] != self.dimension:
             raise ValueError(f"points must be (k, {self.dimension}), got {pts.shape}")
-        if replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        replicates = as_count(replicates, "replicates")
         if isinstance(pts, ProbePoints):
             finite = pts.all_finite()
         else:

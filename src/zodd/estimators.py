@@ -29,16 +29,17 @@ probe points; the direction set is drawn once per call and shared by all
 replicates.  Given the same (x, config, stream), an estimate is bit-for-bit
 reproducible.
 
-One kernel computes every estimate.  :func:`estimate_gradients` runs it on
-R base points at once, the rows of an (R, d) array: the R * N directions
-come from one draw on the call's ``directions`` child stream, and all probe
-points go to the oracle in one ``sample_at`` call on its ``draws`` child
-stream.  Given a sequence of G streams instead, the rows split into G
-equal blocks and block g draws from stream g exactly what a call on that
-block alone would draw: one direction part and one ``sample_at`` block per
-stream, so the estimates of G calls take the numpy calls of one.  The
-probe points are built in chunks of at most
-:data:`~zodd.core.CHUNK_VALUES` coordinates (see
+One kernel computes every estimate, from a :class:`PlannedStep`: the
+rows' directions, their ``draws`` streams and their gradient scale.
+:func:`estimate_gradients` plans one step for R base points at once, the
+rows of an (R, d) array: the R * N directions come from one draw on the
+call's ``directions`` child stream, and all probe points go to the oracle
+in one ``sample_at`` call on its ``draws`` child stream.  Given a sequence
+of G streams instead, the rows split into G equal blocks and block g draws
+from stream g exactly what a call on that block alone would draw: one
+direction part and one ``sample_at`` block per stream, so the estimates of
+G calls take the numpy calls of one.  The probe points are built in chunks
+of at most :data:`~zodd.core.CHUNK_VALUES` coordinates (see
 :class:`~zodd.core.ProbePoints`), so an estimate holds its (N, d)
 directions, its O(2N * batch) sample values and one chunk of points; the
 chunking changes no number.  A call's directions are one table of one
@@ -52,22 +53,21 @@ from the inline draw, so no CPU count changes a byte.
 :func:`estimate_gradient` is its R = 1 case and selects the estimator by
 ``cfg.kind``; directions exist only as rows of these (N, d) arrays.
 
-The descent loop, :func:`zodd.optimizer.lockstep_descent`, calls the kernel
-with one stream *per row* instead, as a :class:`RowStreams`: R lockstep
-chains, each with its own stream, probe radius and estimator kind, of
-which it keeps only the gradients and the probe means.  Rows of different
-kinds share a call when they share a probe shape
-(:meth:`EstimatorConfig.probe_shape`): sphere, gaussian and coordinate rows
-with N = d directions, say.  Row r draws exactly what a single estimate of
-its kind on its own stream draws, so lockstep groups never change a draw;
-rows that share a stream and a kind (tuning candidates of one trial) share
-its one direction draw, and the oracle restarts the stream for each of
-their probe blocks.  The loop plans its steps in blocks, as a
-:class:`BlockPlan`: one pass derives every step's streams and draws the
-whole block's directions as one table, of one part per (stream, kind) and
-step, and each step hands the kernel its rows of it as a
-:class:`PlannedStep`.  A :class:`RowStreams` call is the one-step case of
-the same plan.
+The descent loop, :func:`zodd.optimizer.lockstep_descent`, gives each row
+its own stream instead (:class:`RowStreams`): R lockstep chains, each with
+its own stream, probe radius and estimator kind, of which it keeps only
+the gradients and the probe means.  Rows of different kinds share a call
+when they share a probe shape (:meth:`EstimatorConfig.probe_shape`):
+sphere, gaussian and coordinate rows with N = d directions, say.  Row r
+draws exactly what a single estimate of its kind on its own stream draws,
+so lockstep groups never change a draw; rows that share a stream and a
+kind (tuning candidates of one trial) share its one direction draw, and
+the oracle restarts the stream for each of their probe blocks.  The loop
+plans its steps in blocks, as a :class:`BlockPlan`: one pass derives every
+step's streams and draws the whole block's directions as one table, of
+one part per (stream, kind) and step.  Each step hands the kernel its
+rows of it as a :class:`PlannedStep`, with their gradient-scale column:
+a row's scale comes from its kind, which only this module reads.
 """
 
 from __future__ import annotations
@@ -187,29 +187,29 @@ def _probe_means(forward: Vector, backward: Vector | None) -> list[float]:
     return means.tolist()
 
 
-def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, streams, kinds=None,
+def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, children, kinds=None,
                      overlap: bool = True):
     """Directions as an (S * rows, N, d) array for S streams, N of ``cfg``'s probe shape.
 
-    Stream s draws directions of kind ``kinds[s]``, by default ``cfg.kind``.
-    Each stream's random directions come from one (rows * N, d) draw on its
-    ``directions`` child, so its row r holds draws r*N .. r*N + N - 1; the
-    streams' rows follow one another as parts of one table.  A coordinate
-    stream draws nothing and its rows hold the d axes, so kinds mix only
-    where N = d.  When every stream is coordinate, the directions are one
-    (1, d, d) array shared by every row.  :func:`_fill` draws the random
-    parts and :func:`_finish` makes the unit vectors.  With ``overlap``, a
-    table longer than one chunk, on more than one usable CPU, comes as a
+    Stream s draws directions of kind ``kinds[s]``, by default ``cfg.kind``:
+    one (rows * N, d) draw on ``children[s]``, its ``directions`` child, so
+    its row r holds draws r*N .. r*N + N - 1; the streams' rows follow one
+    another as parts of one table.  A coordinate stream draws nothing and
+    its rows hold the d axes, so kinds mix only where N = d.  When every
+    stream is coordinate, the directions are one (1, d, d) array shared by
+    every row.  :func:`_fill` draws the random parts and :func:`_finish`
+    makes the unit vectors.  With ``overlap``, a table longer than one
+    chunk, on more than one usable CPU, comes as a
     :class:`PendingDirections` of the same values, drawn on a helper thread
     while the caller reads it; otherwise each part is drawn whole and the
     table finished in one pass.
     """
-    kinds = [cfg.kind] * len(streams) if kinds is None else kinds
+    kinds = [cfg.kind] * len(children) if kinds is None else kinds
     n = cfg.probe_shape(d)[1]
     shape, part = (len(kinds) * rows, n, d), rows * n
     # each random part's rows of the table, its stream's directions child and its kind
-    random = [(p * part, (p + 1) * part, s.child("directions"), k)
-              for p, (s, k) in enumerate(zip(streams, kinds)) if k != "coordinate"]
+    random = [(p * part, (p + 1) * part, child, k)
+              for p, (child, k) in enumerate(zip(children, kinds)) if k != "coordinate"]
     if not random:
         return np.eye(d)[None]
     table = np.empty((shape[0] * n, d))
@@ -365,14 +365,14 @@ class RowStreams(NamedTuple):
     """One stream per row, held as the distinct streams and each row's index.
 
     :meth:`of` finds which rows share a stream, the one step that compares
-    streams; :meth:`child` and :meth:`take` keep that sharing, so a caller
-    that resolves it once can derive and drop rows without hashing a stream.
-    ``distinct`` lists the streams in order of first use, and ``index`` is
-    an int array of one entry per row, so when no two rows share a stream
-    it is 0, 1, ..., R - 1.  ``kinds`` holds each distinct entry's
-    estimator kind: rows share an entry only when they share both stream
-    and kind, since rows of two kinds on one stream each draw their own
-    directions.
+    streams; :meth:`take` keeps that sharing, so a caller that resolves it
+    once derives each distinct stream's children (:class:`BlockPlan`) and
+    drops rows without hashing a stream.  ``distinct`` lists the streams in
+    order of first use, and ``index`` is an int array of one entry per row,
+    so when no two rows share a stream it is 0, 1, ..., R - 1.  ``kinds``
+    holds each distinct entry's estimator kind: rows share an entry only
+    when they share both stream and kind, since rows of two kinds on one
+    stream each draw their own directions.
     """
 
     distinct: list[RngStream]
@@ -387,11 +387,6 @@ class RowStreams(NamedTuple):
                          dtype=np.intp)
         return cls([s for s, _ in slot], index, [k for _, k in slot])
 
-    def child(self, *labels: int | str) -> "RowStreams":
-        """Every row's ``child(*labels)``, derived once per distinct stream."""
-        return RowStreams([stream.child(*labels) for stream in self.distinct],
-                          self.index, self.kinds)
-
     def take(self, keep) -> "RowStreams":
         """The rows selected by the boolean mask ``keep``, without unused streams."""
         slot: dict[int, int] = {}
@@ -401,65 +396,18 @@ class RowStreams(NamedTuple):
 
 
 class PlannedStep(NamedTuple):
-    """One lockstep step's inputs that do not depend on the iterate.
+    """The inputs of one :func:`_kernel` call that do not depend on its points.
 
-    ``dirs`` holds the rows' directions, as :func:`_kernel` reads them: an
-    (R, N, d) array, the (1, d, d) axes every coordinate row shares, or a
-    :class:`PendingDirections`.  ``draws`` holds each row's ``draws`` stream.
+    ``dirs`` holds the rows' directions: an (R, N, d) array, the (1, d, d)
+    axes every coordinate row shares, or a :class:`PendingDirections`.
+    ``draws`` holds one ``draws`` stream per equal block of rows, as
+    ``sample_at`` takes them, and ``scale`` the gradient scale, a number or
+    an (R, 1) column.
     """
 
     dirs: Vector | PendingDirections
     draws: list[RngStream]
-
-
-class BlockPlan(NamedTuple):
-    """The iterate-free part of a block of lockstep steps, prepared in one pass.
-
-    :meth:`of` takes one :class:`RowStreams` per step, each the rows'
-    streams for that step, with the same ``index`` and ``kinds``: S distinct
-    entries.  It derives every entry's ``draws`` child and draws the whole
-    block's directions as one table by one :func:`_draw_directions` call,
-    so step j's parts are rows j*S .. j*S + S - 1 of one fill and one
-    finishing pass.  Each part is still one draw on its own ``directions``
-    child and the finishing pass treats every row alone, so a row's
-    directions do not depend on the block around it.  ``dirs`` holds each
-    step's (S, N, d) parts, or the shared axes when every row is coordinate
-    (``per_part`` is then False); ``draws`` holds each step's S ``draws``
-    streams; ``shared`` tells that rows share an entry.  Only a block of one
-    step, every row on its own entry, may come as a pending draw.
-    """
-
-    dirs: list
-    draws: list[list[RngStream]]
-    per_part: bool
-    shared: bool
-
-    @classmethod
-    def of(cls, cfg: EstimatorConfig, d: int, steps: list[RowStreams]) -> "BlockPlan":
-        first = steps[0]
-        parts = len(first.distinct)
-        per_part = any(kind != "coordinate" for kind in first.kinds)
-        # rows on one entry gather its part, so they cannot read a pending draw
-        shared = per_part and parts < len(first.index)
-        draws = [[s.child("draws") for s in step.distinct] for step in steps]
-        # the directions come last, so nothing can raise while a pending draw runs
-        table = _draw_directions(cfg, d, 1, [s for step in steps for s in step.distinct],
-                                 first.kinds * len(steps), overlap=len(steps) == 1 and not shared)
-        if per_part and len(steps) > 1:
-            dirs = [table[j * parts:(j + 1) * parts] for j in range(len(steps))]
-        else:
-            dirs = [table] * len(steps)
-        return cls(dirs, draws, per_part, shared)
-
-    def step(self, j: int, index: np.ndarray) -> PlannedStep:
-        """Step j's inputs for the rows on entries ``index``, an int array.
-
-        ``index`` is the plan's own, or a subset of it once rows have left.
-        """
-        draws, dirs = self.draws[j], self.dirs[j]
-        if self.per_part and (self.shared or len(index) < len(draws)):
-            dirs = dirs[index]
-        return PlannedStep(dirs, [draws[i] for i in index.tolist()])
+    scale: float | Vector
 
 
 def _scale(kind: str, n: int, d: int) -> float:
@@ -471,27 +419,89 @@ def _scale(kind: str, n: int, d: int) -> float:
     return d / n
 
 
-def _kernel(
-    X: Vector,
-    cfg: EstimatorConfig,
-    oracle: SampleOracle,
-    rng,
-    mu=None,
-    scale=None,
-) -> tuple[Vector, Vector, Vector, Vector | None]:
+def _children(streams, kinds) -> tuple[list[RngStream], list[RngStream | None]]:
+    """Each stream's ``draws`` child, and its ``directions`` child unless its
+    kind is coordinate, which draws no direction."""
+    return ([s.child("draws") for s in streams],
+            [None if k == "coordinate" else s.child("directions") for s, k in zip(streams, kinds)])
+
+
+def _plan_step(cfg: EstimatorConfig, rows: int, d: int, rng) -> PlannedStep:
+    """The step of an estimate at ``rows`` points on one stream, or on G
+    streams of G equal blocks of rows (see :func:`estimate_gradients`): a
+    ValueError, before any stream is derived, when the rows do not split."""
+    streams = [rng] if isinstance(rng, RngStream) else list(rng)
+    if not streams or rows % len(streams):
+        raise ValueError(f"{rows} rows do not split into {len(streams)} equal blocks")
+    draws, children = _children(streams, [cfg.kind] * len(streams))
+    scale = _scale(cfg.kind, cfg.probe_shape(d)[1], d)
+    # the directions come last, so nothing can raise while a pending draw runs
+    return PlannedStep(_draw_directions(cfg, d, rows // len(streams), children), draws, scale)
+
+
+class BlockPlan(NamedTuple):
+    """The iterate-free part of a block of lockstep steps, prepared in one pass.
+
+    :meth:`of` takes the rows' roots, a :class:`RowStreams` of S distinct
+    entries, and the block's step numbers.  For each step t it derives every
+    entry's ``child("iteration", t)`` and that child's ``draws`` and
+    ``directions`` children, keeping no iteration stream past its step; it
+    then draws the whole block's directions as one table by one
+    :func:`_draw_directions` call, so step j's parts are rows j*S .. j*S +
+    S - 1 of one fill and one finishing pass.  Each part is still one draw
+    on its own ``directions`` child and the finishing pass treats every row
+    alone, so a row's directions do not depend on the block around it.
+    ``dirs`` holds each step's (S, N, d) parts, or the shared axes when
+    every row is coordinate (``per_part`` is then False); ``draws`` each
+    step's S ``draws`` streams; ``scale`` each entry's gradient scale, an
+    (S, 1) column; ``shared`` tells that rows share an entry.  Only a block
+    of one step, every row on its own entry, may come as a pending draw.
+    """
+
+    dirs: list
+    draws: list[list[RngStream]]
+    scale: Vector
+    per_part: bool
+    shared: bool
+
+    @classmethod
+    def of(cls, cfg: EstimatorConfig, d: int, roots: RowStreams, steps: range) -> "BlockPlan":
+        parts = len(roots.distinct)
+        per_part = any(kind != "coordinate" for kind in roots.kinds)
+        # rows on one entry gather its part, so they cannot read a pending draw
+        shared = parts < len(roots.index)
+        derived = [_children([s.child("iteration", t) for s in roots.distinct], roots.kinds)
+                   for t in steps]
+        n = cfg.probe_shape(d)[1]
+        scale = np.array([_scale(kind, n, d) for kind in roots.kinds])[:, None]
+        # the directions come last, so nothing can raise while a pending draw runs
+        table = _draw_directions(cfg, d, 1, [c for _, children in derived for c in children],
+                                 roots.kinds * len(steps), overlap=len(steps) == 1 and not shared)
+        if per_part and len(steps) > 1:
+            dirs = [table[j * parts:(j + 1) * parts] for j in range(len(steps))]
+        else:
+            dirs = [table] * len(steps)
+        return cls(dirs, [draws for draws, _ in derived], scale, per_part, shared)
+
+    def step(self, j: int, index: np.ndarray) -> PlannedStep:
+        """Step j's inputs for the rows on entries ``index``, an int array: the
+        plan's own, or a subset of it once rows have left."""
+        draws, dirs, scale = self.draws[j], self.dirs[j], self.scale
+        if self.shared or len(index) < len(draws):
+            scale = scale[index]
+            if self.per_part:
+                dirs = dirs[index]
+        return PlannedStep(dirs, [draws[i] for i in index.tolist()], scale)
+
+
+def _kernel(X: Vector, cfg: EstimatorConfig, oracle: SampleOracle, step: PlannedStep,
+            mu=None) -> tuple[Vector, Vector, Vector, Vector | None]:
     """The one estimator computation: (R, d) base points in, (R, d) gradients out.
 
-    Every row takes N, the batch and its sides from ``cfg.probe_shape(d)``.
-    ``rng`` is a sequence of G streams, or one stream as the G = 1 case:
-    the R rows split into G equal blocks, and block g draws exactly what a
-    call on its rows alone with stream g draws, its directions laid out by
-    row (a ValueError, before any draw, when they do not split).  Or it is
-    a :class:`RowStreams` of R rows: row r then draws exactly what a
-    single-row call on its stream draws, with its own kind (the gradient
-    scale is then an (R, 1) column, which a caller that keeps it passes as
-    ``scale``).  Or it is a :class:`PlannedStep` of R rows, a step of a
-    :class:`BlockPlan`, which a RowStreams call is the one-step case of;
-    its caller passes ``scale``.
+    Every row takes N, the batch and its sides from ``cfg.probe_shape(d)``,
+    and its directions, ``draws`` streams and gradient scale from ``step``:
+    a :func:`_plan_step` of one stream or of G equal blocks of rows, or a
+    lockstep step of a :class:`BlockPlan`, one stream and kind per row.
     ``mu`` optionally gives each row its own probe radius, an (R,) array;
     the default is ``cfg.mu``.
 
@@ -501,36 +511,22 @@ def _kernel(
     holds the directions, the sample values and one chunk of points, never
     the whole (R, 2N, d) probe array.  Directions still being drawn by a
     helper thread are read through their pending draw, and the helper is
-    stopped and joined before any exception leaves.  Returns the gradients, the
+    stopped and joined however the call ends.  Returns the gradients, the
     directions (R or 1, N, d), and the forward and backward sample values
     as (batch, R, N) arrays (backward is None when one-sided).
     """
-    rows, d = X.shape
-    two_sided, n, batch = cfg.probe_shape(d)
-    radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
-    # the directions come last: a pending draw is closed by the block after them
-    if isinstance(rng, RowStreams):
-        if scale is None:
-            scale = np.array([_scale(kind, n, d) for kind in rng.kinds])[rng.index, None]
-        rng = BlockPlan.of(cfg, d, [rng]).step(0, rng.index)
-    if isinstance(rng, PlannedStep):
-        dirs, draws = rng
-    else:
-        streams = [rng] if isinstance(rng, RngStream) else list(rng)
-        if not streams or rows % len(streams):
-            raise ValueError(f"{rows} rows do not split into {len(streams)} equal blocks")
-        draws = [stream.child("draws") for stream in streams]
-        scale = _scale(cfg.kind, n, d)
-        dirs = _draw_directions(cfg, d, rows // len(streams), streams)
-    pending = None if isinstance(dirs, np.ndarray) else dirs
     try:
+        dirs, draws, scale = step
+        rows, d = X.shape
+        two_sided, n, batch = cfg.probe_shape(d)
+        radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
         probes = ProbePoints(X, radius, dirs, two_sided=two_sided)
         values = oracle.sample_at(probes, draws, replicates=batch)
-        if pending is not None:
-            dirs = pending.result()
+        if not isinstance(dirs, np.ndarray):
+            dirs = dirs.result()
     finally:
-        if pending is not None:
-            pending.close()
+        if not isinstance(step.dirs, np.ndarray):
+            step.dirs.close()
     values = values.reshape(batch, rows, -1)
     if two_sided:
         forward, backward = values[:, :, :n], values[:, :, n:]
@@ -564,7 +560,7 @@ def estimate_gradients(
         raise ValueError(f"points must be (R, {oracle.dimension}), got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("points have non-finite entries")
-    return _kernel(X, cfg, oracle, rng)[0]
+    return _kernel(X, cfg, oracle, _plan_step(cfg, *X.shape, rng))[0]
 
 
 def mse_upper_bound(
@@ -635,7 +631,8 @@ def estimate_gradient(
     call; every probe point gets its own independent draws.
     """
     x = as_point(x, oracle.dimension)
-    gradients, dirs, forward, backward = _kernel(x[None, :], cfg, oracle, rng)
+    step = _plan_step(cfg, 1, oracle.dimension, rng)
+    gradients, dirs, forward, backward = _kernel(x[None, :], cfg, oracle, step)
     return GradientEstimate(
         gradient=gradients[0],
         samples_used=cfg.samples_per_estimate(oracle.dimension),

@@ -15,8 +15,9 @@ coordinate chains with N = d do.  Which chains share a stream and a kind
 is worked out once, and again only when a chain leaves, so a step derives
 one child per distinct (stream, kind) and compares none.  The steps are
 planned in blocks (:class:`~zodd.estimators.BlockPlan`): one pass derives
-a block's streams and draws all its directions, and each step then takes
-its slice, so the block changes no draw.
+a block's streams and draws all its directions, and each step then hands
+the estimator kernel its slice, its rows' streams and their gradient
+scales as one planned step, so the block changes no draw.
 Each step yields only the chains' gradients and probe means, and frees the
 directions and probe values behind them before the next step draws its own.
 The probe means of all chains come from one reduction per half of the
@@ -49,8 +50,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import RngStream, SampleOracle, Vector, as_point, chunk_rows, row_norms
-from .estimators import BlockPlan, EstimatorConfig, RowStreams, _kernel, _probe_means, _scale
+from .core import RngStream, SampleOracle, Vector, as_count, as_point, chunk_rows, row_norms
+from .estimators import BlockPlan, EstimatorConfig, RowStreams, _kernel, _probe_means
 
 DIVERGENCE_NORM = 1e9
 
@@ -136,8 +137,10 @@ class ParameterPlan:
 
     def __post_init__(self) -> None:
         _require_positive({"mu": self.mu, "step": self.step})
-        if self.directions < 1 or self.batch < 1 or self.iterations < 0:
-            raise ValueError("directions, batch >= 1 and iterations >= 0 required")
+        object.__setattr__(self, "directions", as_count(self.directions, "directions"))
+        object.__setattr__(self, "batch", as_count(self.batch, "batch"))
+        if self.iterations < 0:
+            raise ValueError("iterations >= 0 required")
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(
@@ -208,8 +211,7 @@ def plan_parameters(
     _check_kind_regime(kind, regime)
     constants = constants or PlannerConstants()
     _require_positive({"epsilon": epsilon, "sigma": sigma, "smoothness M": M})
-    if d < 1:
-        raise ValueError("need d >= 1")
+    d = as_count(d, "d")
     cap = _EPSILON_CAPS[(kind, regime)]
     if enforce_epsilon_bound and cap is not None and epsilon > cap:
         raise ValueError(
@@ -340,18 +342,16 @@ def lockstep_descent(
     roots = RowStreams.of(streams, kinds)
     steps = np.asarray(steps, dtype=np.float64)[:, None]
     mus = np.asarray(mus, dtype=np.float64)
-    scales = np.array([_scale(kind, shape[1], oracle.dimension) for kind in kinds])[:, None]
     chunk = chunk_rows(oracle.dimension) // shape[1]
     start = 0
     while start < iterations:
         # at most one chunk of direction rows, or one step when its own do not fit
         size = min(BLOCK_STEPS, iterations - start, max(1, chunk // len(roots.distinct)))
-        plan = BlockPlan.of(cfg, oracle.dimension,
-                            [roots.child("iteration", t) for t in range(start, start + size)])
+        plan = BlockPlan.of(cfg, oracle.dimension, roots, range(start, start + size))
         index = roots.index  # each live row's entry of the plan
         for t in range(start, start + size):
             gradients, dirs, forward, backward = _kernel(
-                X, cfg, oracle, plan.step(t - start, index), mu=mus, scale=scales)
+                X, cfg, oracle, plan.step(t - start, index), mu=mus)
             means = _probe_means(forward, backward)
             del dirs, forward, backward  # freed before the next step draws its own
             X = X - steps * gradients
@@ -361,8 +361,7 @@ def lockstep_descent(
             yield Step(t, live, X, bad, gradients, means)
             if bad.any():
                 keep = ~bad
-                live, X, steps, mus, scales = (live[keep], X[keep], steps[keep], mus[keep],
-                                               scales[keep])
+                live, X, steps, mus = live[keep], X[keep], steps[keep], mus[keep]
                 if live.size == 0:
                     return
                 # the rows left skip the plan's other parts; the next block drops them

@@ -186,6 +186,15 @@ class TestBudgetCounter:
         with pytest.raises(ValueError):
             BudgetCounter(5).charge(-1)
 
+    @pytest.mark.parametrize("k", [True, 2.0, 1.5, np.float64(3.0)])
+    def test_a_non_integral_charge_is_rejected(self, k):
+        c = BudgetCounter(5)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            c.charge(k)
+        assert c.consumed == 0
+        c.charge(np.int64(2))
+        assert c.consumed == 2 and type(c.consumed) is int
+
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
             BudgetCounter(-1)
@@ -288,6 +297,17 @@ class TestSampleOracle:
             o.sample_at(np.array([[np.inf, 0.0]]), RngStream(0))
         with pytest.raises(ValueError):
             o.sample_at(np.zeros((1, 2)), RngStream(0), replicates=0)
+
+    @pytest.mark.parametrize("replicates", [2.0, True, 1.5])
+    def test_sample_at_rejects_non_integral_replicates_before_charging(self, replicates):
+        # 2.0 used to charge 4.0 draws and True 2, before the draw failed
+        o = _CountingOracle(2, budget=100)
+        with pytest.raises(ValueError, match="replicates must be a positive integer"):
+            o.sample_at(np.zeros((2, 2)), RngStream(0), replicates=replicates)
+        assert o.budget.consumed == 0 and type(o.budget.consumed) is int
+        assert o.calls == []
+        o.sample_at(np.zeros((2, 2)), RngStream(0), replicates=np.int64(2))
+        assert o.calls == [(2, 2)] and type(o.budget.consumed) is int
 
     @pytest.mark.parametrize("rng", [
         np.random.default_rng(0),
@@ -567,6 +587,11 @@ class _ZeroRow:
         return out
 
 
+def _directions(streams):
+    """Each stream's ``directions`` child, as ``_draw_directions`` takes them."""
+    return [stream.child("directions") for stream in streams]
+
+
 class TestDirectionTable:
     """An inline draw of per-row directions, one part per stream, against
     each stream's own ``sphere_matrix`` or ``gaussian_matrix``."""
@@ -592,7 +617,7 @@ class TestDirectionTable:
         streams = [RngStream(seed, label) for _, label in parts]
         kinds = [kind for kind, _ in parts]
         cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
-        got = _draw_directions(cfg, d, rows, streams, kinds, overlap=False)
+        got = _draw_directions(cfg, d, rows, _directions(streams), kinds, overlap=False)
         if set(kinds) == {"coordinate"}:
             assert np.array_equal(got, np.eye(d)[None])
             return
@@ -614,7 +639,8 @@ class TestDirectionTable:
 
         monkeypatch.setattr(estimators, "stream_generators", zeroing)
         cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
-        got = _draw_directions(cfg, d, rows, streams, kinds, overlap=False).reshape(-1, d)
+        got = _draw_directions(cfg, d, rows, _directions(streams), kinds,
+                               overlap=False).reshape(-1, d)
         count = rows * d
         expected = [self._alone(k, s, d, count) for k, s in zip(kinds, streams)]
         expected[1] = sphere_matrix(_ZeroRow(zeroed.generator(), row), d, count)
@@ -658,7 +684,7 @@ class TestPendingDirections:
         monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
         made = _zeroing(monkeypatch, stream.child("directions"), row)
         cfg = EstimatorConfig("sphere", mu=0.1, directions=n)
-        pending = _draw_directions(cfg, d, 1, [stream])
+        pending = _draw_directions(cfg, d, 1, _directions([stream]))
         assert isinstance(pending, np.ndarray) == (cpus == 1)
         try:
             got = pending[0] if cpus == 1 else pending.result()[0]
@@ -687,7 +713,7 @@ class TestPendingDirections:
         monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
         _zeroing(monkeypatch, streams[0].child("directions"), row)
         cfg = EstimatorConfig("sphere", mu=0.1, directions=n)
-        pending = _draw_directions(cfg, d, 1, streams)
+        pending = _draw_directions(cfg, d, 1, _directions(streams))
         try:
             got = pending if cpus == 1 else pending.result()
         finally:

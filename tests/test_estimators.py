@@ -29,8 +29,8 @@ from zodd.estimators import (
     BlockPlan,
     EstimatorConfig,
     RowStreams,
-    _draw_directions,
     _kernel,
+    _plan_step,
     estimate_gradient,
     estimate_gradients,
     mse_upper_bound,
@@ -330,15 +330,15 @@ class TestBatchedKernel:
         cfg = EstimatorConfig(kind, mu=0.3, directions=4)
         if per_row:
             # one stream per row, some shared, and a radius per row
-            rng = RowStreams.of([RngStream(seed).child("row", r % 3) for r in range(rows)],
-                                [kind] * rows)
+            step = _step(X, cfg, [RngStream(seed).child("row", r % 3) for r in range(rows)],
+                         [kind] * rows)
             mu = gen.uniform(0.01, 1.0, rows)
             radius = mu[:, None]
         else:
-            rng, mu = RngStream(seed), None
+            step, mu = _step(X, cfg, RngStream(seed)), None
             radius = np.full((rows, 1), cfg.mu)
         oracle = _RecordingOracle(d)
-        dirs = _kernel(X, cfg, oracle, rng, mu)[1]
+        dirs = _kernel(X, cfg, oracle, step, mu)[1]
         base = X[:, None, :]
         offsets = radius[:, :, None] * dirs
         if kind == "one_point":
@@ -405,7 +405,8 @@ class TestBatchedKernel:
 
         X = gen.uniform(-1, 1, (rows, d))
         cfg = EstimatorConfig(kind, mu=0.25, directions=directions)
-        gradients, dirs, forward, backward = _kernel(X, cfg, _RandomOracle(d), RngStream(seed))
+        gradients, dirs, forward, backward = _kernel(X, cfg, _RandomOracle(d),
+                                                     _step(X, cfg, RngStream(seed)))
         diffs = forward if backward is None else forward - backward
         assert diffs.shape[0] == 1
         coeffs = diffs.mean(axis=0) / (2.0 * np.full((rows, 1), cfg.mu))
@@ -428,7 +429,8 @@ def test_row_streams_keep_the_order_of_first_use():
     a, b, c = RngStream(0), RngStream(1), RngStream(2)
     rows = RowStreams.of([a, b, RngStream(0), c], ["sphere"] * 4)
     assert rows.distinct == [a, b, c] and rows.index.tolist() == [0, 1, 0, 2]
-    assert rows.child("iteration", 3).distinct == [s.child("iteration", 3) for s in (a, b, c)]
+    plan = BlockPlan.of(EstimatorConfig("sphere", mu=0.1), 2, rows, range(3, 4))
+    assert plan.draws == [[s.child("iteration", 3).child("draws") for s in (a, b, c)]]
     # once row 0 leaves, b is used first: no two rows share, so index is 0..R-1
     kept = rows.take(np.array([False, True, True, False]))
     assert kept.distinct == [b, a] and kept.index.tolist() == [0, 1]
@@ -441,7 +443,6 @@ def test_row_streams_share_a_draw_only_within_one_kind():
     assert rows.kinds == ["sphere", "gaussian", "sphere"]
     kept = rows.take(np.array([False, True, False, True]))
     assert kept.distinct == [a, b] and kept.kinds == ["gaussian", "sphere"]
-    assert rows.child("draws").kinds == rows.kinds
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -454,28 +455,40 @@ def test_mixed_kind_rows_are_their_single_estimates(batch):
     X = RngStream(1).generator().uniform(-1, 1, (len(kinds), d))
     mu = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     cfg = EstimatorConfig("sphere", mu=0.1, directions=d, batch=batch)
-    gradients = _kernel(X, cfg, env, RowStreams.of(streams, kinds), mu)[0]
+    gradients = _kernel(X, cfg, env, _step(X, cfg, streams, kinds), mu)[0]
     for r, kind in enumerate(kinds):
         single = estimate_gradient(X[r], EstimatorConfig(kind, mu=mu[r], directions=d, batch=batch),
-                                   env, streams[r])
+                                   env, streams[r].child("iteration", 0))
         assert np.array_equal(gradients[r].view(np.int64), single.gradient.view(np.int64))
 
 
-def _whole_array_kernel(X, cfg, oracle, rng, mu=None):
+def _step(X, cfg, streams, kinds=None):
+    """The planned step ``_kernel`` takes for the rows of X.
+
+    Without ``kinds``, ``streams`` is one stream or G, planned as
+    ``estimate_gradients`` plans it.  With ``kinds``, row r is on
+    ``streams[r]`` with kind ``kinds[r]``, as step 0 of a lockstep block,
+    so it draws from ``streams[r].child("iteration", 0)``.
+    """
+    rows, d = X.shape
+    if kinds is None:
+        return _plan_step(cfg, rows, d, streams)
+    roots = RowStreams.of(streams, kinds)
+    return BlockPlan.of(cfg, d, roots, range(1)).step(0, roots.index)
+
+
+def _whole_array_kernel(X, cfg, oracle, streams, mu=None, kinds=None):
     """The kernel as it stood before probe chunking: every probe point in
     one (R, 2N or N, d) array and one plain-array ``sample_at`` call, with
-    chunks too large to split anything, the oracle's arithmetic included."""
+    chunks too large to split anything, the oracle's arithmetic included;
+    its step is ``_step(X, cfg, streams, kinds)``, drawn inline."""
     with mock.patch.object(zodd.core, "CHUNK_VALUES", 1 << 62):
-        return _unchunked_kernel(X, cfg, oracle, rng, mu)
+        return _unchunked_kernel(X, cfg, oracle, _step(X, cfg, streams, kinds), mu)
 
 
-def _unchunked_kernel(X, cfg, oracle, rng, mu):
+def _unchunked_kernel(X, cfg, oracle, step, mu):
     rows, d = X.shape
-    if isinstance(rng, RngStream):
-        dirs = _draw_directions(cfg, d, rows, [rng])
-        draws = rng.child("draws")
-    else:
-        dirs, draws = BlockPlan.of(cfg, d, [rng]).step(0, rng.index)
+    dirs, draws = step.dirs, step.draws
     n = dirs.shape[1]
     radius = np.full((rows, 1), cfg.mu) if mu is None else np.asarray(mu, np.float64)[:, None]
     base = X[:, None, :]
@@ -549,13 +562,12 @@ class TestChunkedProbes:
         X = gen.uniform(0.2, 1.2, (rows, d))
         if per_row:
             # one stream per row, with repeats, and a radius per row
-            rng = RowStreams.of([RngStream(seed).child("row", r % 3) for r in range(rows)],
-                                [kind] * rows)
-            mu = gen.uniform(0.01, 0.2, rows)
+            rng = [RngStream(seed).child("row", r % 3) for r in range(rows)]
+            mu, kinds = gen.uniform(0.01, 0.2, rows), [kind] * rows
         else:
-            rng, mu = RngStream(seed), None
-        streamed = _kernel(X, cfg, streamed_env, rng, mu)
-        whole = _whole_array_kernel(X, cfg, whole_env, rng, mu)
+            rng, mu, kinds = RngStream(seed), None, None
+        streamed = _kernel(X, cfg, streamed_env, _step(X, cfg, rng, kinds), mu)
+        whole = _whole_array_kernel(X, cfg, whole_env, rng, mu, kinds)
         for got, expected in zip(streamed, whole):
             assert _same_bits(got, expected)
         assert streamed_env.budget.consumed == whole_env.budget.consumed
@@ -575,7 +587,7 @@ class TestChunkedProbes:
                 return super()._draw_at(points, streams, replicates)
 
         spy = Spy(env.A, env.b, env.sigma)
-        streamed = _kernel(X, cfg, spy, RngStream(4))
+        streamed = _kernel(X, cfg, spy, _step(X, cfg, RngStream(4)))
         whole = _whole_array_kernel(X, cfg, env, RngStream(4))
         size = chunk_rows(16)
         assert size == 8192
@@ -678,16 +690,17 @@ class TestDirectionHelper:
         cfg = _wide_cfg(kind, d, rows, chunks)
         X = RngStream(1).generator().uniform(-1.0, 1.0, (rows, d))
         if per_row:
-            rng, mu = RowStreams.of([RngStream(7), RngStream(8)], [kind] * 2), np.array([0.1, 0.3])
+            rng, mu, kinds = [RngStream(7), RngStream(8)], np.array([0.1, 0.3]), [kind] * 2
         else:
-            rng, mu = RngStream(7), None
+            rng, mu, kinds = RngStream(7), None, None
         started = _counted_threads(monkeypatch)
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: cpus)
-            runs.append(_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), rng, mu))
+            runs.append(_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5),
+                                _step(X, cfg, rng, kinds), mu))
             assert len(started) == cpus - 1
-        whole = _whole_array_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), rng, mu)
+        whole = _whole_array_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), rng, mu, kinds)
         for one, two, expected in zip(*runs, whole):
             assert _same_bits(one, expected) and _same_bits(two, expected)
 
@@ -696,14 +709,15 @@ class TestDirectionHelper:
         # coordinate rows' axes sit between drawn parts of the pending table
         d, rows = 16, 600
         kinds = [("coordinate", "sphere", "gaussian")[r % 3] for r in range(rows)]
-        streams = RowStreams.of([RngStream(r) for r in range(rows)], kinds)
+        streams = [RngStream(r) for r in range(rows)]
         cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
         X = RngStream(2).generator().uniform(-1.0, 1.0, (rows, d))
         started = _counted_threads(monkeypatch)
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: cpus)
-            runs.append(_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5), streams))
+            runs.append(_kernel(X, cfg, QuadraticEnv.isotropic(d, sigma=0.5),
+                                _step(X, cfg, streams, kinds)))
         assert len(started) == 1
         for one, two in zip(*runs):
             assert _same_bits(one, two)
@@ -784,12 +798,12 @@ class TestDirectionHelper:
         rows = (1 << 14) // cfg.samples_per_estimate(d)
         assert rows * n <= chunk_rows(d)
         X = np.full((rows, d), 0.5)
-        _kernel(X, cfg, env(), RngStream(3))
-        _kernel(X, cfg, env(), RowStreams.of([RngStream(r) for r in range(rows)], [kind] * rows))
+        _kernel(X, cfg, env(), _step(X, cfg, RngStream(3)))
+        _kernel(X, cfg, env(), _step(X, cfg, [RngStream(r) for r in range(rows)], [kind] * rows))
         assert started == []
         # one row past a chunk starts the helper
         wide = replace(cfg, directions=chunk_rows(d) + 1)
-        _kernel(X[:1], wide, env(), RngStream(3))
+        _kernel(X[:1], wide, env(), _step(X[:1], wide, RngStream(3)))
         assert len(started) == 1
 
 
@@ -804,13 +818,14 @@ def test_a_wide_draw_on_a_shared_stream_matches_single_estimates(monkeypatch):
     mu = np.array([0.1, 0.2, 0.3])
     monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 1)
     alone = [_kernel(X[r:r + 1], replace(cfg, mu=mu[r]), QuadraticEnv.isotropic(d, 0.5),
-                     streams[r]) for r in range(3)]
+                     _step(X[r:r + 1], cfg, streams[r].child("iteration", 0)))
+             for r in range(3)]
     started = _counted_threads(monkeypatch)
     for cpus in (1, 2):
         monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: cpus)
-        rows = RowStreams.of(streams, ["sphere"] * 3)
+        step = _step(X, cfg, streams, ["sphere"] * 3)
         gradients, dirs, forward, backward = _kernel(X, cfg, QuadraticEnv.isotropic(d, 0.5),
-                                                     rows, mu)
+                                                     step, mu)
         for r, (g, v, f, b) in enumerate(alone):
             assert _same_bits(gradients[r], g[0]) and _same_bits(dirs[r], v[0])
             assert _same_bits(forward[:, r], f[:, 0]) and _same_bits(backward[:, r], b[:, 0])
@@ -820,7 +835,8 @@ def test_a_wide_draw_on_a_shared_stream_matches_single_estimates(monkeypatch):
 def _blocks_alone(X, cfg, oracle, streams):
     """``_kernel`` on each of the G equal blocks of X alone, block g on stream g."""
     size = X.shape[0] // len(streams)
-    return [_kernel(X[g * size:(g + 1) * size], cfg, oracle, stream)
+    return [_kernel(X[g * size:(g + 1) * size], cfg, oracle,
+                    _step(X[g * size:(g + 1) * size], cfg, stream))
             for g, stream in enumerate(streams)]
 
 
@@ -852,7 +868,7 @@ class TestMultiStream:
         cfg = EstimatorConfig(kind, mu=0.2, directions=3, batch=batch)
         # a stream may serve two blocks: each starts from the stream's start
         streams = [RngStream(seed).child("block", g % 3) for g in range(blocks)]
-        whole = _kernel(X, cfg, env, streams)
+        whole = _kernel(X, cfg, env, _step(X, cfg, streams))
         for g, alone in enumerate(_blocks_alone(X, cfg, env, streams)):
             assert _same_block(whole, alone, slice(g * per_block, (g + 1) * per_block))
         assert _same_bits(estimate_gradients(X, cfg, env, tuple(streams)), whole[0])
@@ -894,6 +910,6 @@ class TestMultiStream:
         X = RngStream(3).generator().uniform(-1.0, 1.0, (rows, d))
         streams = [RngStream(5), RngStream(6)]
         env = QuadraticEnv.isotropic(d, 0.5)
-        whole = _kernel(X, cfg, env, streams)
+        whole = _kernel(X, cfg, env, _step(X, cfg, streams))
         for g, alone in enumerate(_blocks_alone(X, cfg, env, streams)):
             assert _same_block(whole, alone, slice(2 * g, 2 * g + 2))

@@ -1,6 +1,7 @@
 """Lockstep chains: a grouped descent run equals the same chains run alone."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zodd import estimators
-from zodd.core import CHUNK_VALUES, RngStream, chunk_rows
+from zodd.core import CHUNK_VALUES, BudgetExhaustedError, RngStream, chunk_rows
 from zodd.environments import QuadraticEnv
 from zodd.estimators import BlockPlan, EstimatorConfig, estimate_gradient
 from zodd.harness import runner
 from zodd.harness.config import EnvironmentSpec, EstimatorSpec, ExperimentConfig
 from zodd.harness.runner import STATUS_DIVERGED, run_cell, run_chains
-from zodd.optimizer import BLOCK_STEPS, lockstep_descent
+from zodd.optimizer import BLOCK_STEPS, ParameterPlan, lockstep_descent, run_descent
 
 ENVIRONMENTS = {
     "quadratic": EnvironmentSpec(kind="quadratic", dimension=3, sigma=0.5),
@@ -347,9 +348,9 @@ class TestBlockPlan:
         recorded = []
         of = BlockPlan.of
 
-        def recording(cfg, d, steps):
+        def recording(cfg, d, roots, steps):
             recorded.append(len(steps))
-            return of(cfg, d, steps)
+            return of(cfg, d, roots, steps)
 
         monkeypatch.setattr(BlockPlan, "of", recording)
         d, rows = 16, 3
@@ -384,6 +385,31 @@ class TestBlockPlan:
                                            np.full(rows, 0.01), np.full(rows, 0.1), 2,
                                            ["sphere"] * rows)
         assert made == [2 * cfg.directions] * started
+
+    def test_a_failed_wide_step_joins_its_helper(self, monkeypatch):
+        # a step longer than one chunk is a block of one, drawn on the helper
+        # thread on two CPUs; step two is one draw over the budget, so its
+        # charge fails while the helper may still draw, and it is joined
+        made = []
+
+        class Recording(estimators.PendingDirections):
+            def __init__(self, *args):
+                made.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(estimators, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimators, "PendingDirections", Recording)
+        d = 16
+        plan = ParameterPlan("sphere", "grad", mu=0.1, directions=chunk_rows(d) + 1, batch=1,
+                             step=0.01, iterations=3)
+        cost = plan.samples_per_iteration(d)
+        env = QuadraticEnv.isotropic(d, sigma=0.5, budget=2 * cost - 1)
+        threads = threading.active_count()
+        with pytest.raises(BudgetExhaustedError):
+            run_descent(np.zeros(d), plan, env, RngStream(0))
+        assert threading.active_count() == threads
+        assert env.budget.consumed == cost
+        assert len(made) == 2
 
     def test_block_table_stays_within_one_chunk(self):
         # 1,000 N = 1 steps of 4 chains at d = 64 draw 2 MB of directions in

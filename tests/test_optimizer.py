@@ -193,6 +193,27 @@ class TestPlannerSchedules:
             ParameterPlan("sphere", "grad", mu=0.1, directions=0, batch=1,
                           step=0.1, iterations=1)
 
+    @pytest.mark.parametrize("kind", ["coordinate", "sphere", "gaussian"])
+    @pytest.mark.parametrize("d", [2.5, 3.0, True, 0])
+    def test_a_non_integral_dimension_is_rejected_by_name(self, kind, d):
+        # coordinate used to return directions=3.0 at d = 3.0, and fail later
+        # in estimator_config() naming directions
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            plan_parameters(kind, "grad", 0.3, d, 1.0, 1.0)
+        assert plan_parameters(kind, "grad", 0.3, np.int64(3), 1.0, 1.0) == \
+            plan_parameters(kind, "grad", 0.3, 3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["directions", "batch"])
+    @pytest.mark.parametrize("bad", [2.0, True, 0])
+    def test_plan_counts_are_integers(self, field, bad):
+        counts = {"directions": 2, "batch": 1}
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            ParameterPlan("sphere", "grad", mu=0.1, step=0.1, iterations=1,
+                          **{**counts, field: bad})
+        plan = ParameterPlan("sphere", "grad", mu=0.1, step=0.1, iterations=1,
+                             **{**counts, field: np.int64(2)})
+        assert type(getattr(plan, field)) is int
+
 
 class TestRunDescent:
     def _plan(self, **kw):
