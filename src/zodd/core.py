@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import numbers
 import os
 import threading
 from abc import ABC, abstractmethod
@@ -73,7 +72,7 @@ def as_count(value, name: str) -> int:
     Python and numpy integers pass; a bool, a float (2.0 included) or a
     value below 1 does not, so a count is never truncated or read as a flag.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -424,7 +423,7 @@ class BudgetCounter:
 
     def charge(self, k: int) -> None:
         """Atomically consume k draws, an integer >= 0, or raise without consuming any."""
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
             raise ValueError(f"cannot charge {k!r} draws: need a nonnegative integer")
         with self._lock:
             if self._limit is not None and self._consumed + k > self._limit:
