@@ -372,16 +372,20 @@ class PricingEnv(Environment):
         """Total restocking cost for integer demand counts (..., n)."""
         return self._restock.item_costs(np.asarray(counts)).sum(axis=-1)
 
-    def _draw_at(self, points, streams, replicates):
+    def _demand_at(self, points, streams, replicates):
+        """(k, replicates, n + 1) counts per item and opt-out, drawn as ``_draw_at`` draws them."""
         k = points.shape[0]
         probs = np.empty((k, self.dimension + 1))
         for lo, hi, block in point_chunks(points):
             probs[lo:hi] = self._probabilities_at(block)
-        counts = draw_blocks(
+        return draw_blocks(
             streams, k,
             lambda gen, lo, hi: _multinomial_block(gen, self.buyers, probs[lo:hi], replicates),
         )
-        demand = counts[..., :-1]
+
+    def _draw_at(self, points, streams, replicates):
+        k = points.shape[0]
+        demand = self._demand_at(points, streams, replicates)[..., :-1]
         revenue = np.empty((k, replicates))
         for lo, hi, block in point_chunks(points):
             revenue[lo:hi] = np.matmul(demand[lo:hi], block[:, :, None])[..., 0]

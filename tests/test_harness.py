@@ -42,6 +42,7 @@ from zodd.harness.verify import (
     run_mse_bounds,
     run_moments,
     run_n_dominance,
+    run_streams,
     run_suite,
     run_unbiasedness,
 )
@@ -728,6 +729,12 @@ class TestVerifySuites:
         results += run_n_dominance(seed=0, replicates=300)
         results += run_descent_lemma(seed=0, runs=3)
         assert results and all(r.passed for r in results)
+
+    def test_streams_suite_passes_and_joins_all(self, tmp_path):
+        results = run_streams(seed=0)
+        assert len(results) == 13 and all(r.passed for r in results)
+        assert "streams" in verify.SUITES
+        assert main(["verify", "--suite", "streams", "--out", str(tmp_path)]) == 0
 
     def test_mse_bounds_small(self):
         results = run_mse_bounds(seed=0, replicates=150)
