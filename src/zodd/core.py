@@ -7,17 +7,29 @@ ones; coordinate directions are the rows of the identity.
 
 Everything downstream draws its randomness through :class:`RngStream`, a thin
 wrapper over a counter-based bit generator.  A stream is identified by a
-``(seed, stream)`` pair; deriving a child stream is a pure hash of the parent
-identity and a label, so any draw in the library is a pure function of the
-root seed and the chain of labels that leads to it.  Distinct stream ids give
-statistically independent generators, which is what lets independent pieces
-of work (directions of one estimate, seeds of one experiment) run in any
-order, or batched together, without changing results.  Code that draws
-from many streams in turn takes its generators from :func:`stream_generators`:
-each thread keeps one Philox generator and resets it to the start of every
-stream it is lent for, by a state of Python ints (numpy sets it faster than
-uint64 words), which draws exactly what ``stream.generator()`` draws
-without building a generator per stream.
+``(seed, stream)`` pair, which is its Philox key; deriving a child stream is
+a pure hash of the parent identity and a label, so any draw in the library
+is a pure function of the root seed and the chain of labels that leads to
+it.  Only roots are derived: one per seed, chain, tuning trial, verify
+chunk, output pick and evaluation.  Within a root, the draws of step t for
+purpose p (:data:`DRAWS` for the oracle's samples, :data:`DIRECTIONS` for
+the search directions) and chunk c form a :class:`Substream`: the root's
+key at counter (0, 0, c, t * :data:`PURPOSES` + p), reached by
+:meth:`RngStream.at` without hashing anything.  Philox increments counter
+word 0 and carries into word 1, so a substream shorter than 2^128 blocks
+never reaches another's (Salmon, Moraes, Dror & Shaw, "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011).  A root's own ``generator()``
+starts at counter (0, 0, 0, 0), where its substream (0, DRAWS, 0) starts
+too.  Distinct keys, and distinct counters of one key, give statistically
+independent draws, which is what lets independent pieces of work (chunks
+of one direction table, seeds of one experiment) run in any order, on any
+thread, or batched together, without changing results.  Code that draws
+from many streams in turn takes its generators from
+:func:`stream_generators`: each thread keeps one Philox generator and
+resets it to the start of every stream or substream it is lent for, by a
+state of Python ints (numpy sets it faster than uint64 words), which draws
+exactly what that stream's own ``generator()`` draws without building a
+generator per stream.
 
 A :class:`SampleOracle` is the only way samples enter the library.  Every
 draw is counted by a :class:`BudgetCounter`; when a hard budget is set, a
@@ -29,9 +41,11 @@ Points are read in chunks of at most :data:`CHUNK_VALUES` coordinates
 through :func:`point_chunks`: views of a plain (k, d) array, or the blocks
 of a :class:`ProbePoints`, which builds an estimator call's probe points
 chunk by chunk instead of holding them all.  Every row's arithmetic is
-independent of the rows around it, so neither the chunk size nor the order
-in which chunks come is part of the stream layout, and neither changes a
-number; random draws never go by chunk.
+independent of the rows around it, so the order in which point chunks come
+changes no number.  A direction table goes by the same chunks of
+:func:`chunk_rows` rows, each drawn from its own substream, so the chunk
+size is part of the stream layout; the oracle's samples of one step are one
+substream and never go by chunk.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,9 +68,19 @@ Vector = NDArray[np.float64]
 _MASK64 = (1 << 64) - 1
 
 # the most float64 coordinates of points built or read at once (1 MiB), so
-# that a chunk's (rows, d) temporaries stay in cache; not part of the stream
-# layout
+# that a chunk's (rows, d) temporaries stay in cache; a direction table's
+# chunks have as many rows, each its own substream, so it is part of the
+# stream layout
 CHUNK_VALUES = 1 << 17
+
+# the version of the stream layout: 2 is one Philox key per root and a
+# counter offset per (step, purpose, chunk) substream
+STREAM_LAYOUT = 2
+
+# the purposes of a step's substreams, and how many there are
+DRAWS = 0
+DIRECTIONS = 1
+PURPOSES = 2
 
 
 def usable_cpus() -> int:
@@ -108,6 +133,10 @@ class RngStream:
     # the hash of this stream's id, made by the first ``child`` call and
     # copied by every one; not a field, so it takes no part in eq or hash
     _prefix = None
+    # a root starts at counter (0, 0, 0, 0), as its substream (0, DRAWS, 0)
+    # does; not fields, read by stream_generators as a Substream's are
+    chunk = 0
+    word = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
@@ -118,10 +147,12 @@ class RngStream:
         return RngStream, (self.seed, self.stream)
 
     def generator(self) -> np.random.Generator:
-        # a fixed seed reads no OS entropy; the state set next replaces its key
-        gen = np.random.Generator(np.random.Philox(0))
-        gen.bit_generator.state = _start_state([self.seed, self.stream])
-        return gen
+        return _generator(self)
+
+    def at(self, step: int, purpose: int, chunk: int = 0) -> "Substream":
+        """The substream of ``step``, ``purpose`` and ``chunk``: this key at
+        counter (0, 0, chunk, step * PURPOSES + purpose)."""
+        return Substream(self.seed, self.stream, chunk, step * PURPOSES + purpose)
 
     def child(self, *labels: int | str) -> "RngStream":
         if self._prefix is None:
@@ -139,17 +170,44 @@ class RngStream:
         return child
 
 
-def _start_state(key: list[int]) -> dict:
-    """The Philox state at which a stream with key ``[seed, stream]`` begins.
+class Substream(NamedTuple):
+    """The draws of one (step, purpose, chunk) of a stream, made by :meth:`RngStream.at`.
 
-    It is the state ``Philox(key=(stream << 64) | seed)`` starts in.  Its
-    key and words are Python ints, which numpy's setter converts about
-    twice as fast as uint64 arrays; setting a state copies them, so one
-    state may be set again after ``key`` is rewritten.
+    Its generator is the stream's key ``[seed, stream]`` at counter (0, 0,
+    ``chunk``, ``word``), word = step * PURPOSES + purpose.  It is taken
+    wherever an :class:`RngStream` is drawn from: ``sample_at``,
+    :func:`stream_generators` and :func:`draw_blocks`.
+    """
+
+    seed: int
+    stream: int
+    chunk: int
+    word: int
+
+    def generator(self) -> np.random.Generator:
+        return _generator(self)
+
+
+def _generator(stream) -> np.random.Generator:
+    # a fixed seed reads no OS entropy; the state set next replaces its key
+    gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = _start_state([stream.seed, stream.stream],
+                                           [0, 0, stream.chunk, stream.word])
+    return gen
+
+
+def _start_state(key: list[int], counter: list[int]) -> dict:
+    """The Philox state at which the draws of ``key`` at ``counter`` begin.
+
+    At counter (0, 0, 0, 0) it is the state ``Philox(key=(stream << 64) |
+    seed)`` starts in.  Its key and words are Python ints, which numpy's
+    setter converts about twice as fast as uint64 arrays; setting a state
+    copies them, so one state may be set again after ``key`` or ``counter``
+    is rewritten.
     """
     return {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "state": {"counter": counter, "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -170,7 +228,8 @@ _lenders = _Lenders()
 def stream_generators(streams):
     """Yield a generator at the start of each stream in turn, all one object.
 
-    The object is the calling thread's one shared generator, reset to each
+    ``streams`` holds :class:`RngStream` roots or :class:`Substream` s.  The
+    object is the calling thread's one shared generator, reset to each
     stream's start, which draws exactly what ``stream.generator()`` draws at
     a fraction of the cost of building one; the thread's first call builds
     it.  While an iterator is live the shared generator is busy, and an
@@ -185,7 +244,8 @@ def stream_generators(streams):
     gen = lender.gen if shared else None
     lender.busy = True
     key = [0, 0]
-    start = _start_state(key)
+    counter = [0, 0, 0, 0]
+    start = _start_state(key, counter)
     try:
         for stream in streams:
             if gen is None:
@@ -195,6 +255,8 @@ def stream_generators(streams):
             else:
                 key[0] = stream.seed
                 key[1] = stream.stream
+                counter[2] = stream.chunk
+                counter[3] = stream.word
                 gen.bit_generator.state = start
             yield gen
     finally:
@@ -202,7 +264,7 @@ def stream_generators(streams):
             lender.busy = False
 
 
-def draw_blocks(streams: list[RngStream], k: int, draw, axis: int = 0) -> Vector:
+def draw_blocks(streams: list, k: int, draw, axis: int = 0) -> Vector:
     """Join ``draw(gen, lo, hi)`` over the equal blocks of k points along ``axis``.
 
     ``streams`` is the list :meth:`SampleOracle._draw_at` receives, one
@@ -352,8 +414,8 @@ def row_norms(X) -> Vector:
     return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
 
 
-def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
-    """n unit-sphere directions as rows of an (n, d) array.
+def sphere_matrix(gen: np.random.Generator, d: int, n: int, out=None) -> Vector:
+    """n unit-sphere directions as rows of an (n, d) array, or drawn into ``out``.
 
     Each drawn row is divided by its norm.  A zero draw has probability
     zero; it is redrawn from ``gen`` (all zero rows at once, in row order,
@@ -361,7 +423,7 @@ def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
     """
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    u = gen.standard_normal((n, d))
+    u = gen.standard_normal((n, d), out=out)
     norms = _chunked_norms(u)
     while not norms.all():
         bad = norms == 0.0
@@ -372,17 +434,21 @@ def sphere_matrix(gen: np.random.Generator, d: int, n: int) -> Vector:
 
 
 def _chunked_norms(u) -> Vector:
-    """``np.linalg.norm(u, axis=1)`` a chunk of rows at a time, by the norm's
-    own formula for real rows, ``sqrt(add.reduce(u * u, axis=1))``.
+    """``np.linalg.norm(u, axis=1)`` an eighth of a chunk of rows at a time,
+    by the norm's own formula for real rows, ``sqrt(add.reduce(u * u, axis=1))``.
 
-    Each row's sum rounds alike in any chunk, so the norms of any split of a
-    matrix are those of the whole, bit for bit.
+    Each row's sum rounds alike in any piece, so the norms of any split of a
+    matrix are those of the whole, bit for bit; the ``u * u`` temporary of
+    one piece is 128 KiB, so two threads finishing direction chunks at once
+    hold little beside the table.
     """
-    if u.size <= CHUNK_VALUES:
+    size = chunk_rows(u.shape[1] * 8)
+    if u.shape[0] <= size:
         return np.sqrt(np.add.reduce(u * u, axis=1))
     norms = np.empty(u.shape[0])
-    for lo, hi, block in point_chunks(u):
-        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[lo:hi])
+    for lo in range(0, u.shape[0], size):
+        block = u[lo:lo + size]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[lo:lo + size])
     return norms
 
 
@@ -466,12 +532,12 @@ class SampleOracle(ABC):
         """Dimension of the decision vector."""
 
     @abstractmethod
-    def _draw_at(self, points, streams: list[RngStream], replicates: int) -> Vector:
+    def _draw_at(self, points, streams: list, replicates: int) -> Vector:
         """Return a (replicates, k) array of draws for the (k, d) points.
 
         ``points`` is a (k, d) array or a :class:`ProbePoints`; read its
         rows through :func:`point_chunks`.  ``streams`` holds G RngStreams
-        for G equal contiguous blocks of the points; block g must be drawn
+        or Substreams for G equal contiguous blocks of the points; block g must be drawn
         from a generator at the start of ``streams[g]`` exactly as a call
         with that block alone would draw it.  :func:`draw_blocks` does the
         splitting, so the random part is drawn per stream block while the
@@ -481,8 +547,8 @@ class SampleOracle(ABC):
     def sample_at(self, points, rng, replicates: int = 1) -> Vector:
         """Independent draws at many points: (replicates, k) array.
 
-        ``rng`` is one RngStream for all k points, or a non-empty sequence
-        of G RngStreams: the points then split into G equal contiguous
+        ``rng`` is one RngStream or :class:`Substream` for all k points, or
+        a non-empty sequence of G of them: the points then split into G equal contiguous
         blocks, and block g is drawn exactly as ``sample_at(block_g, rng[g],
         replicates)`` would draw it.  A stream may repeat; each of its blocks
         starts from the beginning of the stream.  ``points`` may also be a
@@ -492,9 +558,10 @@ class SampleOracle(ABC):
         is charged atomically, so either the whole batch is counted or an
         error is raised with nothing consumed.
         """
-        if isinstance(rng, RngStream):
+        if isinstance(rng, (RngStream, Substream)):
             streams = [rng]
-        elif isinstance(rng, Sequence) and all(isinstance(s, RngStream) for s in rng):
+        elif isinstance(rng, Sequence) and all(isinstance(s, (RngStream, Substream))
+                                               for s in rng):
             streams = list(rng)
         else:
             raise TypeError("rng must be an RngStream or a sequence of RngStreams")

@@ -30,44 +30,49 @@ replicates.  Given the same (x, config, stream), an estimate is bit-for-bit
 reproducible.
 
 One kernel computes every estimate, from a :class:`PlannedStep`: the
-rows' directions, their ``draws`` streams and their gradient scale.
-:func:`estimate_gradients` plans one step for R base points at once, the
-rows of an (R, d) array: the R * N directions come from one draw on the
-call's ``directions`` child stream, and all probe points go to the oracle
-in one ``sample_at`` call on its ``draws`` child stream.  Given a sequence
-of G streams instead, the rows split into G equal blocks and block g draws
-from stream g exactly what a call on that block alone would draw: one
-direction part and one ``sample_at`` block per stream, so the estimates of
-G calls take the numpy calls of one.  The probe points are built in chunks
-of at most :data:`~zodd.core.CHUNK_VALUES` coordinates (see
+rows' directions, their ``DRAWS`` substreams and their gradient scale.
+:func:`estimate_gradients` plans step 0 of its stream for R base points at
+once, the rows of an (R, d) array: the R * N directions come from the
+stream's ``DIRECTIONS`` substreams, and all probe points go to the oracle
+in one ``sample_at`` call on its ``DRAWS`` substream (see
+:mod:`zodd.core` for the layout).  Given a sequence of G streams instead,
+the rows split into G equal blocks and block g draws from stream g exactly
+what a call on that block alone would draw: one direction part and one
+``sample_at`` block per stream, so the estimates of G calls take the numpy
+calls of one.  The probe points are built in chunks of at most
+:data:`~zodd.core.CHUNK_VALUES` coordinates (see
 :class:`~zodd.core.ProbePoints`), so an estimate holds its (N, d)
 directions, its O(2N * batch) sample values and one chunk of points; the
-chunking changes no number.  A call's directions are one table of one
-part per stream, drawn by one fill and finished by one pass
-(:func:`_draw_directions`).  A table longer than one chunk, on more than
-one usable CPU, is filled on a helper thread (:class:`PendingDirections`)
-while the kernel's own thread finishes and evaluates each chunk as it
-lands; the kernel waits for the last chunk before its reduction and joins
-the helper however the call ends.  The helper is the only difference
-from the inline draw, so no CPU count changes a byte.
-:func:`estimate_gradient` is its R = 1 case and selects the estimator by
-``cfg.kind``; directions exist only as rows of these (N, d) arrays.
+point chunking changes no number.  A call's directions are one table of
+one part per stream, and each part goes by chunks of
+:func:`~zodd.core.chunk_rows` rows, chunk c drawn from its own substream
+(:func:`_draw_directions`), so the direction-chunk size is part of the
+stream layout.  A table longer than one chunk, on more than one usable
+CPU, is a :class:`PendingDirections`: a helper thread draws its chunks in
+order while the kernel's own thread evaluates each chunk as it lands, and
+draws the next unclaimed chunk itself whenever the one it needs is not
+drawn yet; the kernel joins the helper however the call ends.  A chunk's
+values depend only on its substream, so neither the thread that draws it
+nor the CPU count changes a byte.  :func:`estimate_gradient` is its R = 1
+case and selects the estimator by ``cfg.kind``; directions exist only as
+rows of these (N, d) arrays.
 
 The descent loop, :func:`zodd.optimizer.lockstep_descent`, gives each row
 its own stream instead (:class:`RowStreams`): R lockstep chains, each with
 its own stream, probe radius and estimator kind, of which it keeps only
 the gradients and the probe means.  Rows of different kinds share a call
 when they share a probe shape (:meth:`EstimatorConfig.probe_shape`):
-sphere, gaussian and coordinate rows with N = d directions, say.  Row r
-draws exactly what a single estimate of its kind on its own stream draws,
-so lockstep groups never change a draw; rows that share a stream and a
-kind (tuning candidates of one trial) share its one direction draw, and
-the oracle restarts the stream for each of their probe blocks.  The loop
-plans its steps in blocks, as a :class:`BlockPlan`: one pass derives every
-step's streams and draws the whole block's directions as one table, of
-one part per (stream, kind) and step.  Each step hands the kernel its
-rows of it as a :class:`PlannedStep`, with their gradient-scale column:
-a row's scale comes from its kind, which only this module reads.
+sphere, gaussian and coordinate rows with N = d directions, say.  Row r at
+step t draws from its stream's substreams of step t exactly what a single
+estimate of its kind draws from step 0, so lockstep groups never change a
+draw; rows that share a stream and a kind (tuning candidates of one trial)
+share its one direction draw, and the oracle restarts the substream for
+each of their probe blocks.  The loop plans its steps in blocks, as a
+:class:`BlockPlan`: one pass draws the whole block's directions as one
+table, of one part per (stream, kind) and step, and finishes it in one
+pass.  Each step hands the kernel its rows of it as a
+:class:`PlannedStep`, with their gradient scale: a row's scale comes from
+its kind, which only this module reads.  No step derives a stream.
 """
 
 from __future__ import annotations
@@ -80,9 +85,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    DIRECTIONS,
+    DRAWS,
     ProbePoints,
     RngStream,
     SampleOracle,
+    Substream,
     Vector,
     _chunked_norms,
     as_count,
@@ -187,172 +195,174 @@ def _probe_means(forward: Vector, backward: Vector | None) -> list[float]:
     return means.tolist()
 
 
-def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, children, kinds=None,
-                     overlap: bool = True):
-    """Directions as an (S * rows, N, d) array for S streams, N of ``cfg``'s probe shape.
+def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, parts, overlap: bool = True):
+    """Directions as an (S * rows, N, d) array for S parts, N of ``cfg``'s probe shape.
 
-    Stream s draws directions of kind ``kinds[s]``, by default ``cfg.kind``:
-    one (rows * N, d) draw on ``children[s]``, its ``directions`` child, so
-    its row r holds draws r*N .. r*N + N - 1; the streams' rows follow one
-    another as parts of one table.  A coordinate stream draws nothing and
-    its rows hold the d axes, so kinds mix only where N = d.  When every
-    stream is coordinate, the directions are one (1, d, d) array shared by
-    every row.  :func:`_fill` draws the random parts and :func:`_finish`
-    makes the unit vectors.  With ``overlap``, a table longer than one
-    chunk, on more than one usable CPU, comes as a
-    :class:`PendingDirections` of the same values, drawn on a helper thread
-    while the caller reads it; otherwise each part is drawn whole and the
-    table finished in one pass.
+    Part s, ``parts[s] = (stream, step, kind)``, holds rows * N directions
+    of its kind, rows s*rows*N .. (s+1)*rows*N - 1 of one (S * rows * N, d)
+    table.  Its chunks of :func:`~zodd.core.chunk_rows` rows, counted from
+    the part's first row, are each drawn from their own substream,
+    ``stream.at(step, DIRECTIONS, chunk)``: a sphere chunk is
+    :func:`sphere_matrix` of it and a gaussian chunk
+    :func:`gaussian_matrix`.  A coordinate part draws nothing and its rows
+    hold the d axes, so kinds mix only where N = d.  When every part is
+    coordinate, the directions are one (1, d, d) array shared by every row.
+    :func:`_fill` draws the random chunks and :func:`_finish` makes the unit
+    vectors.  With ``overlap``, a table longer than one chunk, on more than
+    one usable CPU, comes as a :class:`PendingDirections` of the same values,
+    whose chunks a helper thread and the caller draw; otherwise the chunks
+    are drawn in order and the table finished in one pass.
     """
-    kinds = [cfg.kind] * len(children) if kinds is None else kinds
     n = cfg.probe_shape(d)[1]
-    shape, part = (len(kinds) * rows, n, d), rows * n
-    # each random part's rows of the table, its stream's directions child and its kind
-    random = [(p * part, (p + 1) * part, child, k)
-              for p, (child, k) in enumerate(zip(children, kinds)) if k != "coordinate"]
-    if not random:
+    shape, part, size = (len(parts) * rows, n, d), rows * n, chunk_rows(d)
+    # each random chunk's rows of the table, its substream and its kind
+    chunks = [(a, min(a + size, (p + 1) * part), stream.at(step, DIRECTIONS, c), kind)
+              for p, (stream, step, kind) in enumerate(parts) if kind != "coordinate"
+              for c, a in enumerate(range(p * part, (p + 1) * part, size))]
+    if not chunks:
         return np.eye(d)[None]
     table = np.empty((shape[0] * n, d))
-    if len(random) < len(kinds):
-        for p, kind in enumerate(kinds):
+    if len(chunks) < len(parts):
+        for p, (*_, kind) in enumerate(parts):
             if kind == "coordinate":
                 table[p * part:(p + 1) * part].reshape(-1, d, d)[:] = np.eye(d)
-    if overlap and len(table) > chunk_rows(d) and usable_cpus() > 1:
-        return PendingDirections(table, random, shape)
-    _fill(table, random, part)
-    _finish(table, random, 0, len(table))
+    if overlap and len(table) > size and usable_cpus() > 1:
+        return PendingDirections(table, chunks, shape)
+    _fill(table, chunks)
+    _finish(table, chunks)
     return table.reshape(shape)
 
 
-def _fill(table: Vector, random, size: int, landed=None) -> None:
-    """Draw each random part of ``table`` from its stream, ``size`` rows at a time.
+def _fill(table: Vector, chunks) -> None:
+    """Draw each chunk of ``table`` from its substream: normal draws, one per chunk.
 
-    ``random`` lists each part's first and last row + 1, directions child
-    and kind.  A part's rows are the values of one (part, d) draw however
-    they are split, and the parts are drawn in order.  After each piece,
-    ``landed(end of the rows drawn so far)`` is called when given; a true
-    return stops the fill.
+    ``chunks`` lists each chunk's first and last row + 1, substream and kind.
     """
     d = table.shape[1]
-    for gen, (a, hi, _, _) in zip(stream_generators([r[2] for r in random]), random):
-        while a < hi:
-            b = a + size if a + size < hi else hi
-            # looked up per call, since the tracer wraps this name in this module
-            gaussian_matrix(gen, d, b - a, out=table[a:b])
-            a = b
-            if landed is not None and landed(b):
-                return
+    for gen, (a, b, _, _) in zip(stream_generators([c[2] for c in chunks]), chunks):
+        # looked up per call, since the tracer wraps this name in this module
+        gaussian_matrix(gen, d, b - a, out=table[a:b])
 
 
-def _finish(table: Vector, parts, lo: int, hi: int, wait=None) -> int:
-    """Finish rows lo..hi-1 of ``table`` in place, and return where the finished rows end.
+def _finish(table: Vector, chunks) -> None:
+    """Finish the drawn rows from the first chunk's to the last chunk's in place.
 
-    ``parts`` lists the random parts (as :func:`_fill` takes them) that
-    meet those rows.  Unit-vector rows, of every kind but gaussian, are
-    divided by their norms, by :func:`sphere_matrix`'s per-row formula;
-    gaussian rows stay as drawn, and a coordinate row's norm is exactly 1.
-    A part with a zero norm (probability zero) is drawn again whole by
-    ``sphere_matrix`` from its directions child, after ``wait(end of the
-    part)``; its rows past ``hi`` are then finished too.
+    Unit-vector rows, of every kind but gaussian, are divided by their
+    norms, by :func:`sphere_matrix`'s per-row formula; gaussian rows stay
+    as drawn, and a coordinate row between chunks has norm exactly 1.  A
+    chunk with a zero norm (probability zero) is drawn again by
+    ``sphere_matrix`` from its own substream, which redraws its zero rows.
     """
-    for *_, kind in parts:
+    for *_, kind in chunks:
         if kind != "gaussian":
             break
     else:
-        return hi
-    block = table[lo:hi]
+        return
+    lo = chunks[0][0]
+    block = table[lo:chunks[-1][1]]
     norms = _chunked_norms(block)
-    for a, b, _, kind in parts:
+    for a, b, _, kind in chunks:
         if kind == "gaussian":
-            norms[max(a - lo, 0):b - lo] = 1.0
+            norms[a - lo:b - lo] = 1.0
     if not norms.all():
-        for a, b, child, _ in parts:
-            if not norms[max(a - lo, 0):b - lo].all():
-                if wait is not None:
-                    wait(b)
-                for gen in stream_generators([child]):
-                    table[a:b] = sphere_matrix(gen, table.shape[1], b - a)
-                norms[max(a - lo, 0):b - lo] = 1.0
-                hi = max(hi, b)
+        for a, b, sub, _ in chunks:
+            if not norms[a - lo:b - lo].all():
+                for gen in stream_generators([sub]):
+                    sphere_matrix(gen, table.shape[1], b - a, out=table[a:b])
+                norms[a - lo:b - lo] = 1.0
     block /= norms[:, None]
-    return hi
 
 
 class PendingDirections:
-    """A direction table drawn on a helper thread while the caller reads the first rows.
+    """A direction table whose chunks a helper thread and the caller draw.
 
     The (R * N, d) ``table``, of shape ``shape`` = (R, N, d), holds its
-    coordinate parts already; one helper thread runs :func:`_fill` over the
-    ``random`` parts a chunk (:func:`~zodd.core.chunk_rows`) at a time.
-    :meth:`rows` hands out finished rows only: the calling thread waits for
-    each chunk to land and finishes it by :func:`_finish`.  A unit-vector
-    entry is at most 1 up to rounding, since sqrt(fl(sum u_j^2)) >= |u_i|
-    but for one rounding of each step, so :attr:`unit` tells that without
-    waiting.  :meth:`result` finishes the whole table and joins the helper;
-    :meth:`close` stops it between chunks and joins it.
+    coordinate parts already; each random chunk (see
+    :func:`_draw_directions`) is drawn and finished alone, from its own
+    substream, into its rows of the table.  One helper thread claims and
+    draws chunks in row order.  :meth:`rows` hands out finished rows only:
+    whenever a chunk the caller needs is not drawn yet, the caller claims
+    and draws the next unclaimed chunk itself, and waits only when every
+    chunk is claimed.  Which thread draws a chunk changes none of its bits.
+    A unit-vector entry is at most 1 up to rounding, since sqrt(fl(sum
+    u_j^2)) >= |u_i| but for one rounding of each step, so :attr:`unit`
+    tells that without waiting.  :meth:`result` finishes the whole table and
+    joins the helper; :meth:`close` stops it between chunks and joins it.
     """
 
-    def __init__(self, table: Vector, random, shape):
+    def __init__(self, table: Vector, chunks, shape):
         self.shape = shape
-        self.unit = all(kind != "gaussian" for *_, kind in random)
+        self.unit = all(kind != "gaussian" for *_, kind in chunks)
         self._table = table
-        self._part = part = random[0][1] - random[0][0]
-        self._random = {entry[0] // part: entry for entry in random}  # by part index
-        self._size = chunk_rows(shape[2])
-        self._drawn = 0  # the end of the random rows the helper has drawn
-        self._done = 0  # rows finished for reading, a prefix of the table
+        self._chunks = chunks
+        self._claimed = 0  # chunks claimed so far, a prefix
+        self._drawn = [False] * len(chunks)
+        self._read = 0  # chunks the caller has seen drawn, a prefix
         self._stopped = False
         self._over = False
         self._error = None
         self._cond = threading.Condition()
-        self._thread = threading.Thread(target=self._draw, args=(random,), daemon=True)
+        self._thread = threading.Thread(target=self._help, daemon=True)
         self._thread.start()
 
-    def _draw(self, random) -> None:
-        """The helper thread: fill the random parts, telling the caller of each chunk."""
+    def _claim(self) -> int | None:
+        """The next unclaimed chunk, now claimed, or None; hold the lock."""
+        if self._claimed == len(self._chunks):
+            return None
+        self._claimed += 1
+        return self._claimed - 1
+
+    def _draw(self, i: int) -> None:
+        chunk = [self._chunks[i]]
+        _fill(self._table, chunk)
+        _finish(self._table, chunk)
+        with self._cond:
+            self._drawn[i] = True
+            self._cond.notify_all()
+
+    def _help(self) -> None:
+        """The helper thread: claim and draw chunks in order until none is left."""
         try:
-            _fill(self._table, random, self._size, self._landed)
+            while not self._stopped:
+                with self._cond:
+                    i = self._claim()
+                if i is None:
+                    break
+                self._draw(i)
         except BaseException as exc:
             self._error = exc
         finally:
             with self._cond:
                 self._over = True
-                self._cond.notify()
+                self._cond.notify_all()
 
-    def _landed(self, drawn: int) -> bool:
-        with self._cond:
-            self._drawn = drawn
-            self._cond.notify()
-        return self._stopped
-
-    def _wait(self, drawn: int) -> None:
-        """Wait until the helper has drawn every random row before ``drawn``."""
-        with self._cond:
-            while self._drawn < drawn and not self._over:
-                self._cond.wait()
-        if self._drawn < drawn:
-            self._thread.join()
-            raise self._error or RuntimeError("the direction draw was stopped")
+    def _ready(self, i: int) -> None:
+        """Return once chunk i is drawn, drawing unclaimed chunks meanwhile."""
+        while True:
+            with self._cond:
+                while not self._drawn[i]:
+                    j = self._claim()
+                    if j is not None:
+                        break
+                    if self._over:
+                        self._thread.join()
+                        raise self._error or RuntimeError("the direction draw was stopped")
+                    self._cond.wait()
+                else:
+                    return
+            self._draw(j)
 
     def rows(self, lo: int, hi: int) -> Vector:
         """Rows lo..hi-1 of the table, finished."""
-        while self._done < hi:
-            start, part = self._done, self._part
-            p = start // part
-            end = min(start + self._size, (p + 1) * part)
-            entry = self._random.get(p)
-            if entry is not None:
-                self._wait(end)
-                end = _finish(self._table, [entry], start, end, self._wait)
-            self._done = end
+        while self._read < len(self._chunks) and self._chunks[self._read][0] < hi:
+            self._ready(self._read)
+            self._read += 1
         return self._table[lo:hi]
 
     def result(self) -> Vector:
         """The whole finished (R, N, d) array, the helper joined."""
         table = self.rows(0, len(self._table))
         self._thread.join()
-        if self._error is not None:
-            raise self._error
         return table.reshape(self.shape)
 
     def close(self) -> None:
@@ -366,13 +376,13 @@ class RowStreams(NamedTuple):
 
     :meth:`of` finds which rows share a stream, the one step that compares
     streams; :meth:`take` keeps that sharing, so a caller that resolves it
-    once derives each distinct stream's children (:class:`BlockPlan`) and
-    drops rows without hashing a stream.  ``distinct`` lists the streams in
-    order of first use, and ``index`` is an int array of one entry per row,
-    so when no two rows share a stream it is 0, 1, ..., R - 1.  ``kinds``
-    holds each distinct entry's estimator kind: rows share an entry only
-    when they share both stream and kind, since rows of two kinds on one
-    stream each draw their own directions.
+    once draws each distinct stream's directions once (:class:`BlockPlan`)
+    and drops rows without hashing a stream.  ``distinct`` lists the streams
+    in order of first use, and ``index`` is an int array of one entry per
+    row, so when no two rows share a stream it is 0, 1, ..., R - 1.
+    ``kinds`` holds each distinct entry's estimator kind: rows share an
+    entry only when they share both stream and kind, since rows of two kinds
+    on one stream each draw their own directions.
     """
 
     distinct: list[RngStream]
@@ -400,13 +410,13 @@ class PlannedStep(NamedTuple):
 
     ``dirs`` holds the rows' directions: an (R, N, d) array, the (1, d, d)
     axes every coordinate row shares, or a :class:`PendingDirections`.
-    ``draws`` holds one ``draws`` stream per equal block of rows, as
+    ``draws`` holds one ``DRAWS`` substream per equal block of rows, as
     ``sample_at`` takes them, and ``scale`` the gradient scale, a number or
     an (R, 1) column.
     """
 
     dirs: Vector | PendingDirections
-    draws: list[RngStream]
+    draws: list[Substream]
     scale: float | Vector
 
 
@@ -419,48 +429,42 @@ def _scale(kind: str, n: int, d: int) -> float:
     return d / n
 
 
-def _children(streams, kinds) -> tuple[list[RngStream], list[RngStream | None]]:
-    """Each stream's ``draws`` child, and its ``directions`` child unless its
-    kind is coordinate, which draws no direction."""
-    return ([s.child("draws") for s in streams],
-            [None if k == "coordinate" else s.child("directions") for s, k in zip(streams, kinds)])
-
-
 def _plan_step(cfg: EstimatorConfig, rows: int, d: int, rng) -> PlannedStep:
     """The step of an estimate at ``rows`` points on one stream, or on G
-    streams of G equal blocks of rows (see :func:`estimate_gradients`): a
-    ValueError, before any stream is derived, when the rows do not split."""
+    streams of G equal blocks of rows (see :func:`estimate_gradients`): step
+    0 of each stream, or a ValueError, before any draw, when the rows do not
+    split."""
     streams = [rng] if isinstance(rng, RngStream) else list(rng)
     if not streams or rows % len(streams):
         raise ValueError(f"{rows} rows do not split into {len(streams)} equal blocks")
-    draws, children = _children(streams, [cfg.kind] * len(streams))
     scale = _scale(cfg.kind, cfg.probe_shape(d)[1], d)
+    draws = [s.at(0, DRAWS) for s in streams]
     # the directions come last, so nothing can raise while a pending draw runs
-    return PlannedStep(_draw_directions(cfg, d, rows // len(streams), children), draws, scale)
+    dirs = _draw_directions(cfg, d, rows // len(streams), [(s, 0, cfg.kind) for s in streams])
+    return PlannedStep(dirs, draws, scale)
 
 
 class BlockPlan(NamedTuple):
     """The iterate-free part of a block of lockstep steps, prepared in one pass.
 
     :meth:`of` takes the rows' roots, a :class:`RowStreams` of S distinct
-    entries, and the block's step numbers.  For each step t it derives every
-    entry's ``child("iteration", t)`` and that child's ``draws`` and
-    ``directions`` children, keeping no iteration stream past its step; it
-    then draws the whole block's directions as one table by one
-    :func:`_draw_directions` call, so step j's parts are rows j*S .. j*S +
-    S - 1 of one fill and one finishing pass.  Each part is still one draw
-    on its own ``directions`` child and the finishing pass treats every row
-    alone, so a row's directions do not depend on the block around it.
-    ``dirs`` holds each step's (S, N, d) parts, or the shared axes when
-    every row is coordinate (``per_part`` is then False); ``draws`` each
-    step's S ``draws`` streams; ``scale`` each entry's gradient scale, an
-    (S, 1) column; ``shared`` tells that rows share an entry.  Only a block
-    of one step, every row on its own entry, may come as a pending draw.
+    entries, and the block's step numbers.  It draws the whole block's
+    directions as one table by one :func:`_draw_directions` call, so step
+    j's parts are rows j*S .. j*S + S - 1 of one fill and one finishing
+    pass; entry s's part of step t is drawn from its stream's substreams
+    ``at(t, DIRECTIONS, chunk)`` and finished row by row, so a row's
+    directions do not depend on the block around it.  ``dirs`` holds each
+    step's (S, N, d) parts, or the shared axes when every row is coordinate
+    (``per_part`` is then False); ``draws`` each step's S ``DRAWS``
+    substreams; ``scale`` the gradient scale, a number when every entry's is
+    the same and otherwise each entry's, an (S, 1) column; ``shared`` tells
+    that rows share an entry.  Only a block of one step, every row on its
+    own entry, may come as a pending draw.
     """
 
     dirs: list
-    draws: list[list[RngStream]]
-    scale: Vector
+    draws: list[list[Substream]]
+    scale: float | Vector
     per_part: bool
     shared: bool
 
@@ -470,25 +474,27 @@ class BlockPlan(NamedTuple):
         per_part = any(kind != "coordinate" for kind in roots.kinds)
         # rows on one entry gather its part, so they cannot read a pending draw
         shared = parts < len(roots.index)
-        derived = [_children([s.child("iteration", t) for s in roots.distinct], roots.kinds)
-                   for t in steps]
         n = cfg.probe_shape(d)[1]
-        scale = np.array([_scale(kind, n, d) for kind in roots.kinds])[:, None]
+        scales = [_scale(kind, n, d) for kind in roots.kinds]
+        scale = scales[0] if len(set(scales)) == 1 else np.array(scales)[:, None]
+        draws = [[s.at(t, DRAWS) for s in roots.distinct] for t in steps]
         # the directions come last, so nothing can raise while a pending draw runs
-        table = _draw_directions(cfg, d, 1, [c for _, children in derived for c in children],
-                                 roots.kinds * len(steps), overlap=len(steps) == 1 and not shared)
+        table = _draw_directions(cfg, d, 1, [(s, t, kind) for t in steps
+                                             for s, kind in zip(roots.distinct, roots.kinds)],
+                                 overlap=len(steps) == 1 and not shared)
         if per_part and len(steps) > 1:
             dirs = [table[j * parts:(j + 1) * parts] for j in range(len(steps))]
         else:
             dirs = [table] * len(steps)
-        return cls(dirs, [draws for draws, _ in derived], scale, per_part, shared)
+        return cls(dirs, draws, scale, per_part, shared)
 
     def step(self, j: int, index: np.ndarray) -> PlannedStep:
         """Step j's inputs for the rows on entries ``index``, an int array: the
         plan's own, or a subset of it once rows have left."""
         draws, dirs, scale = self.draws[j], self.dirs[j], self.scale
         if self.shared or len(index) < len(draws):
-            scale = scale[index]
+            if isinstance(scale, np.ndarray):
+                scale = scale[index]
             if self.per_part:
                 dirs = dirs[index]
         return PlannedStep(dirs, [draws[i] for i in index.tolist()], scale)
@@ -499,9 +505,10 @@ def _kernel(X: Vector, cfg: EstimatorConfig, oracle: SampleOracle, step: Planned
     """The one estimator computation: (R, d) base points in, (R, d) gradients out.
 
     Every row takes N, the batch and its sides from ``cfg.probe_shape(d)``,
-    and its directions, ``draws`` streams and gradient scale from ``step``:
-    a :func:`_plan_step` of one stream or of G equal blocks of rows, or a
-    lockstep step of a :class:`BlockPlan`, one stream and kind per row.
+    and its directions, ``DRAWS`` substreams and gradient scale from
+    ``step``: a :func:`_plan_step` of one stream or of G equal blocks of
+    rows, or a lockstep step of a :class:`BlockPlan`, one stream and kind
+    per row.
     ``mu`` optionally gives each row its own probe radius, an (R,) array;
     the default is ``cfg.mu``.
 

@@ -11,13 +11,15 @@ chains as one (R, d) state, with one estimator call per step, each chain on
 its own stream, step, probe radius and estimator kind, and drops a chain
 that diverges.  Chains of different kinds share a step when they share a
 probe shape (one- or two-sided, N, batch), as sphere, gaussian and
-coordinate chains with N = d do.  Which chains share a stream and a kind
-is worked out once, and again only when a chain leaves, so a step derives
-one child per distinct (stream, kind) and compares none.  The steps are
-planned in blocks (:class:`~zodd.estimators.BlockPlan`): one pass derives
-a block's streams and draws all its directions, and each step then hands
-the estimator kernel its slice, its rows' streams and their gradient
-scales as one planned step, so the block changes no draw.
+coordinate chains with N = d do.  Step t of a chain draws from its
+stream's substreams of step t (:meth:`~zodd.core.RngStream.at`), so no
+step derives or hashes a stream.  Which chains share a stream and a kind
+is worked out once, and again only when a chain leaves, so a step draws
+directions once per distinct (stream, kind) and compares none.  The steps
+are planned in blocks (:class:`~zodd.estimators.BlockPlan`): one pass
+draws all of a block's directions, and each step then hands the estimator
+kernel its slice, its rows' substreams and their gradient scale as one
+planned step, so the block changes no draw.
 Each step yields only the chains' gradients and probe means, and frees the
 directions and probe values behind them before the next step draws its own.
 The probe means of all chains come from one reduction per half of the
@@ -59,7 +61,9 @@ DIVERGENCE_NORM = 1e9
 # block also holds at most one chunk of direction rows.  Warm pricing_tune
 # rounds (2-vCPU Xeon, fastest of 12) took 0.41 s at 1 step, 0.35 s at 16,
 # 0.33-0.34 s at 64 and 0.35 s at 256; strategic_run's peak RSS rose by
-# 0.1 MB at 16 or 32, 0.5 MB at 64 and 3.1 MB at 256 over one step a block
+# 0.1 MB at 16 or 32, 0.5 MB at 64 and 3.1 MB at 256 over one step a block.
+# With counter-addressed substreams, which a block no longer derives, 4
+# pricing_tune rounds still read 0.145-0.147 s at 64 and 0.173-0.178 s at 1
 BLOCK_STEPS = 64
 
 PLANNER_KINDS = ("coordinate", "sphere", "gaussian")
@@ -322,9 +326,9 @@ def lockstep_descent(
     Row r starts at ``X[r]`` and descends with step ``steps[r]``, probe
     radius ``mus[r]`` and estimator kind ``kinds[r]`` (by default
     ``cfg.kind``) on its own stream ``streams[r]``: at step t it draws from
-    ``streams[r].child("iteration", t)`` exactly what a single estimate of
-    its kind on that stream draws, whichever rows share the call; rows with
-    equal streams and kinds derive that child once.  Every row's kind must
+    the stream's substreams of step t exactly what a single estimate of its
+    kind on that stream draws from step 0, whichever rows share the call;
+    rows with equal streams and kinds draw their directions once.  Every row's kind must
     fit ``cfg``'s probe shape (:meth:`EstimatorConfig.probe_shape`).  Each
     step makes one estimator call for all live rows, updates
     x_{t+1} = x_t - step * g_t and yields a :class:`Step`; a row whose

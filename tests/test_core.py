@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 
 from zodd.core import (
     CHUNK_VALUES,
+    DIRECTIONS,
+    DRAWS,
+    PURPOSES,
     BudgetCounter,
     BudgetExhaustedError,
     ProbePoints,
     RngStream,
     SampleOracle,
+    Substream,
     as_point,
     chunk_rows,
     draw_blocks,
@@ -417,6 +421,40 @@ class TestStreamHelpers:
             assert np.array_equal(normals, fresh.standard_normal(6))
             assert np.array_equal(ints, fresh.integers(0, 2**63, 3))
 
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           step=st.integers(0, 2**40), purpose=st.sampled_from([DRAWS, DIRECTIONS]),
+           chunk=st.integers(0, 2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_substream_is_its_key_at_its_counter(self, seed, stream, step, purpose, chunk):
+        # a substream, lent or built, draws what a keyed Philox set to counter
+        # (0, 0, chunk, step * PURPOSES + purpose) draws; a root is its
+        # substream (0, DRAWS, 0)
+        sub = RngStream(seed, stream).at(step, purpose, chunk)
+        assert sub == Substream(seed, stream, chunk, step * PURPOSES + purpose)
+        keyed = np.random.Philox(key=(stream << 64) | seed)
+        state = keyed.state
+        state["state"]["counter"] = np.array([0, 0, chunk, sub.word], dtype=np.uint64)
+        keyed.state = state
+        keyed = np.random.Generator(keyed)
+        streams = [RngStream(stream, seed), sub, RngStream(seed, stream)]
+        drawn = [gen.standard_normal(9) for gen in stream_generators(streams)]
+        expected = keyed.standard_normal(9)
+        assert np.array_equal(drawn[1], expected)
+        assert np.array_equal(sub.generator().standard_normal(9), expected)
+        root = RngStream(seed, stream)
+        assert np.array_equal(drawn[2], root.at(0, DRAWS).generator().standard_normal(9))
+
+    def test_a_substream_carries_within_its_first_two_counter_words(self):
+        # Philox increments word 0 and carries into word 1, so a substream
+        # shorter than 2^128 blocks never reaches the counter words that
+        # address the others
+        gen = np.random.Philox(key=7)
+        state = gen.state
+        state["state"]["counter"] = np.array([2**64 - 1, 0, 5, 1], dtype=np.uint64)
+        gen.state = state
+        gen.random_raw(8)  # two blocks of four words
+        assert gen.state["state"]["counter"].tolist() == [1, 1, 5, 1]
+
     def test_nested_and_interleaved_generators_draw_what_fresh_ones_draw(self):
         # the thread's shared generator is lent to one live iterator; one
         # started inside it, or beside it, draws from its own generator
@@ -587,70 +625,63 @@ class _ZeroRow:
         return out
 
 
-def _directions(streams):
-    """Each stream's ``directions`` child, as ``_draw_directions`` takes them."""
-    return [stream.child("directions") for stream in streams]
+def _alone(kind, stream, d, count, step=0):
+    """A part of ``count`` directions of ``kind`` drawn alone: chunk c of
+    chunk_rows(d) rows from ``stream.at(step, DIRECTIONS, c)``."""
+    if kind == "coordinate":
+        return np.tile(np.eye(d), (count // d, 1))
+    draw = gaussian_matrix if kind == "gaussian" else sphere_matrix
+    size = chunk_rows(d)
+    return np.concatenate([draw(stream.at(step, DIRECTIONS, c).generator(), d,
+                                min(size, count - a))
+                           for c, a in enumerate(range(0, count, size))])
 
 
 class TestDirectionTable:
-    """An inline draw of per-row directions, one part per stream, against
-    each stream's own ``sphere_matrix`` or ``gaussian_matrix``."""
-
-    @staticmethod
-    def _alone(kind, stream, d, count, gen=None):
-        if kind == "coordinate":
-            return np.tile(np.eye(d), (count // d, 1))
-        gen = stream.child("directions").generator() if gen is None else gen
-        return (gaussian_matrix if kind == "gaussian" else sphere_matrix)(gen, d, count)
+    """An inline draw of per-row directions, one part per stream and step,
+    against each part's own chunks drawn alone."""
 
     @given(
         parts=st.lists(st.tuples(st.sampled_from(["coordinate", "sphere", "gaussian", "one_point"]),
-                                 st.integers(0, 2)), min_size=1, max_size=6),
+                                 st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=6),
         d=st.integers(1, 6),
         rows=st.integers(1, 3),
         seed=st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_each_part_holds_its_streams_own_draw(self, parts, d, rows, seed):
-        # mixed kinds share a table at N = d; a stream may repeat, with one
-        # kind or with two, and each part draws from the stream's start
-        streams = [RngStream(seed, label) for _, label in parts]
-        kinds = [kind for kind, _ in parts]
+    def test_each_part_holds_its_substreams_own_draw(self, parts, d, rows, seed):
+        # mixed kinds share a table at N = d; a stream may repeat, at one
+        # step or at two, with one kind or with two
+        parts = [(RngStream(seed, label), step, kind) for kind, label, step in parts]
+        kinds = [kind for *_, kind in parts]
         cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
-        got = _draw_directions(cfg, d, rows, _directions(streams), kinds, overlap=False)
+        got = _draw_directions(cfg, d, rows, parts, overlap=False)
         if set(kinds) == {"coordinate"}:
             assert np.array_equal(got, np.eye(d)[None])
             return
         assert got.shape == (len(parts) * rows, d, d)
-        expected = np.concatenate([self._alone(k, s, d, rows * d) for k, s in zip(kinds, streams)])
+        expected = np.concatenate([_alone(k, s, d, rows * d, t) for s, t, k in parts])
         assert np.array_equal(got.reshape(-1, d).view(np.int64), expected.view(np.int64))
 
-    def test_a_zero_norm_part_is_drawn_again_as_sphere_matrix_redraws_it(self, monkeypatch):
+    def test_a_zero_norm_chunk_is_drawn_again_as_sphere_matrix_redraws_it(self, monkeypatch):
         d, rows, row = 3, 4, 5
         streams = [RngStream(1), RngStream(2), RngStream(1), RngStream(3)]
         kinds = ["gaussian", "sphere", "sphere", "coordinate"]
-        zeroed = streams[1].child("directions")
-        lend = estimators.stream_generators
-
-        def zeroing(children):
-            children = list(children)
-            return (_ZeroRow(gen, row if child == zeroed else -1)
-                    for child, gen in zip(children, lend(children)))
-
-        monkeypatch.setattr(estimators, "stream_generators", zeroing)
+        zeroed = streams[1].at(0, DIRECTIONS)
+        _zeroing(monkeypatch, zeroed, row)
         cfg = EstimatorConfig("sphere", mu=0.1, directions=d)
-        got = _draw_directions(cfg, d, rows, _directions(streams), kinds,
+        got = _draw_directions(cfg, d, rows, [(s, 0, k) for s, k in zip(streams, kinds)],
                                overlap=False).reshape(-1, d)
         count = rows * d
-        expected = [self._alone(k, s, d, count) for k, s in zip(kinds, streams)]
+        expected = [_alone(k, s, d, count) for k, s in zip(kinds, streams)]
         expected[1] = sphere_matrix(_ZeroRow(zeroed.generator(), row), d, count)
-        assert not np.array_equal(expected[1], self._alone("sphere", streams[1], d, count))
+        assert not np.array_equal(expected[1], _alone("sphere", streams[1], d, count))
         assert np.array_equal(got.view(np.int64), np.concatenate(expected).view(np.int64))
         assert abs(np.linalg.norm(got[count + row]) - 1.0) < 1e-15
 
 
 def _zeroing(monkeypatch, zeroed, row):
-    """Zero row ``row`` of every draw from the ``zeroed`` child's generators.
+    """Zero row ``row`` of every draw from the ``zeroed`` substream's generators.
 
     Returns the generators made for it, each as a (generator, rows its
     predecessors had drawn when it was made) pair.
@@ -658,10 +689,10 @@ def _zeroing(monkeypatch, zeroed, row):
     lend = estimators.stream_generators
     made = []
 
-    def zeroing(children):
-        children = list(children)
-        for child, gen in zip(children, lend(children)):
-            if child == zeroed:
+    def zeroing(subs):
+        subs = list(subs)
+        for sub, gen in zip(subs, lend(subs)):
+            if sub == zeroed:
                 made.append((_ZeroRow(gen, row), [m._drawn for m, _ in made]))
                 gen = made[-1][0]
             yield gen
@@ -674,51 +705,55 @@ class TestPendingDirections:
     """A zero norm on a wide draw, with and without the helper thread."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_zero_norm_in_chunk_two_is_redrawn_as_sphere_matrix_redraws_it(
-        self, monkeypatch, cpus
-    ):
+    def test_a_zero_norm_in_chunk_two_is_redrawn_from_its_own_substream(self, monkeypatch, cpus):
         d = 16
         size = chunk_rows(d)
-        n, row = 2 * size + size // 2, size + 17
+        n, row = 2 * size + size // 2, 17
         stream = RngStream(3)
         monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
-        made = _zeroing(monkeypatch, stream.child("directions"), row)
+        zeroed = stream.at(0, DIRECTIONS, 1)
+        made = _zeroing(monkeypatch, zeroed, row)
         cfg = EstimatorConfig("sphere", mu=0.1, directions=n)
-        pending = _draw_directions(cfg, d, 1, _directions([stream]))
+        pending = _draw_directions(cfg, d, 1, [(stream, 0, "sphere")])
         assert isinstance(pending, np.ndarray) == (cpus == 1)
         try:
             got = pending[0] if cpus == 1 else pending.result()[0]
         finally:
             if cpus > 1:
                 pending.close()
-        alone = _ZeroRow(stream.child("directions").generator(), row)
-        expected = sphere_matrix(alone, d, n)
+        alone = _ZeroRow(zeroed.generator(), row)
+        expected = _alone("sphere", stream, d, n)
+        expected[size:2 * size] = sphere_matrix(alone, d, size)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-        assert abs(np.linalg.norm(got[row]) - 1.0) < 1e-15
-        # the part is drawn again only once its whole first draw has landed,
-        # and the redraw leaves its generator where sphere_matrix leaves it
-        (fill, _), (drawing, before) = made
-        assert fill._drawn == before[0] == n
-        assert drawing._drawn == alone._drawn == n + 1
-        assert np.array_equal(drawing.standard_normal(5), alone.standard_normal(5))
+        assert abs(np.linalg.norm(got[size + row]) - 1.0) < 1e-15
+        # only the chunk is drawn again, and the redraw leaves its generator
+        # where sphere_matrix leaves it (on two CPUs the thread that drew it
+        # may have reset its generator for another chunk since)
+        (fill, _), (drawing, _) = made
+        assert fill._drawn == size
+        assert drawing._drawn == alone._drawn == size + 1
+        if cpus == 1:
+            assert np.array_equal(drawing.standard_normal(5), alone.standard_normal(5))
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_zero_norm_of_a_first_part_is_redrawn_on_its_own_stream(self, monkeypatch, cpus):
-        # two streams take turns on the fill's one generator; the first
-        # part is drawn again from its own stream's start
+    def test_a_zero_norm_of_a_first_part_is_redrawn_on_its_own_substream(self, monkeypatch, cpus):
+        # two streams' chunks take turns on the fill's one generator; the
+        # zeroed chunk is drawn again from its own substream's start
         d = 16
         size = chunk_rows(d)
-        n, row = size + size // 2, size + 3
+        n, row = size + size // 2, 3
         streams = [RngStream(5), RngStream(6)]
         monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
-        _zeroing(monkeypatch, streams[0].child("directions"), row)
+        zeroed = streams[0].at(4, DIRECTIONS, 1)
+        _zeroing(monkeypatch, zeroed, row)
         cfg = EstimatorConfig("sphere", mu=0.1, directions=n)
-        pending = _draw_directions(cfg, d, 1, _directions(streams))
+        pending = _draw_directions(cfg, d, 1, [(s, 4, "sphere") for s in streams])
         try:
             got = pending if cpus == 1 else pending.result()
         finally:
             if cpus > 1:
                 pending.close()
-        first = sphere_matrix(_ZeroRow(streams[0].child("directions").generator(), row), d, n)
-        second = sphere_matrix(streams[1].child("directions").generator(), d, n)
+        first = _alone("sphere", streams[0], d, n, 4)
+        first[size:] = sphere_matrix(_ZeroRow(zeroed.generator(), row), d, n - size)
+        second = _alone("sphere", streams[1], d, n, 4)
         assert np.array_equal(got.view(np.int64), np.stack([first, second]).view(np.int64))

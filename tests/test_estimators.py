@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import zodd.core
 import zodd.estimators
 from zodd.core import (
+    DIRECTIONS,
+    DRAWS,
     BudgetExhaustedError,
     ProbePoints,
     RngStream,
@@ -141,7 +143,7 @@ class TestExactnessOnQuadratics:
         env = QuadraticEnv(np.diag([1.0, 3.0, 0.5]), np.array([1.0, -2.0, 0.0]), sigma=0.0)
         x = np.array([0.3, -1.0, 2.0])
         rng = RngStream(9)
-        dirs = sphere_matrix(rng.child("directions").generator(), 3, 7)
+        dirs = sphere_matrix(rng.at(0, DIRECTIONS).generator(), 3, 7)
         cfg = EstimatorConfig("sphere", mu=0.2, directions=7)
         est = estimate_gradient(x, cfg, env, rng)
         expected = (3 / 7) * ((dirs @ env.gradient(x)) @ dirs)
@@ -151,7 +153,7 @@ class TestExactnessOnQuadratics:
         env = QuadraticEnv(np.diag([1.0, 3.0, 0.5]), np.array([1.0, -2.0, 0.0]), sigma=0.0)
         x = np.array([0.3, -1.0, 2.0])
         rng = RngStream(9)
-        dirs = gaussian_matrix(rng.child("directions").generator(), 3, 7)
+        dirs = gaussian_matrix(rng.at(0, DIRECTIONS).generator(), 3, 7)
         cfg = EstimatorConfig("gaussian", mu=0.2, directions=7)
         est = estimate_gradient(x, cfg, env, rng)
         expected = (1 / 7) * ((dirs @ env.gradient(x)) @ dirs)
@@ -171,7 +173,10 @@ class TestExactnessOnQuadratics:
         x, mu, K = np.zeros(4), 0.5, 400_000
         rng = RngStream(17)
         est = estimate_gradient(x, EstimatorConfig("one_point", mu=mu, directions=K), env, rng)
-        u = sphere_matrix(rng.child("directions").generator(), 4, K)
+        size = chunk_rows(4)
+        u = np.concatenate([sphere_matrix(rng.at(0, DIRECTIONS, c).generator(), 4,
+                                          min(size, K - a))
+                            for c, a in enumerate(range(0, K, size))])
         terms = 4 * env.exact_objective_at(x + mu * u)[:, None] * u / (2 * mu)
         assert np.allclose(terms.mean(axis=0), est.gradient, rtol=0, atol=1e-9)
         se = terms.std(axis=0, ddof=1) / np.sqrt(K)
@@ -377,7 +382,7 @@ class TestBatchedKernel:
         points, replicates = oracle.batches[0]
         assert points.shape == (R * 2 * N, d) and replicates == m
         assert oracle.budget.consumed == R * cfg.samples_per_estimate(d)
-        dirs = sphere_matrix(rng.child("directions").generator(), d, R * N)
+        dirs = sphere_matrix(rng.at(0, DIRECTIONS).generator(), d, R * N)
         for r in range(R):
             u = dirs[r * N:(r + 1) * N]
             assert np.allclose(points[r * 2 * N:r * 2 * N + N], X[r] + 0.5 * u)
@@ -430,7 +435,7 @@ def test_row_streams_keep_the_order_of_first_use():
     rows = RowStreams.of([a, b, RngStream(0), c], ["sphere"] * 4)
     assert rows.distinct == [a, b, c] and rows.index.tolist() == [0, 1, 0, 2]
     plan = BlockPlan.of(EstimatorConfig("sphere", mu=0.1), 2, rows, range(3, 4))
-    assert plan.draws == [[s.child("iteration", 3).child("draws") for s in (a, b, c)]]
+    assert plan.draws == [[s.at(3, DRAWS) for s in (a, b, c)]]
     # once row 0 leaves, b is used first: no two rows share, so index is 0..R-1
     kept = rows.take(np.array([False, True, True, False]))
     assert kept.distinct == [b, a] and kept.index.tolist() == [0, 1]
@@ -458,7 +463,7 @@ def test_mixed_kind_rows_are_their_single_estimates(batch):
     gradients = _kernel(X, cfg, env, _step(X, cfg, streams, kinds), mu)[0]
     for r, kind in enumerate(kinds):
         single = estimate_gradient(X[r], EstimatorConfig(kind, mu=mu[r], directions=d, batch=batch),
-                                   env, streams[r].child("iteration", 0))
+                                   env, streams[r])
         assert np.array_equal(gradients[r].view(np.int64), single.gradient.view(np.int64))
 
 
@@ -468,7 +473,7 @@ def _step(X, cfg, streams, kinds=None):
     Without ``kinds``, ``streams`` is one stream or G, planned as
     ``estimate_gradients`` plans it.  With ``kinds``, row r is on
     ``streams[r]`` with kind ``kinds[r]``, as step 0 of a lockstep block,
-    so it draws from ``streams[r].child("iteration", 0)``.
+    so it draws what an estimate of its kind on ``streams[r]`` draws.
     """
     rows, d = X.shape
     if kinds is None:
@@ -481,9 +486,13 @@ def _whole_array_kernel(X, cfg, oracle, streams, mu=None, kinds=None):
     """The kernel as it stood before probe chunking: every probe point in
     one (R, 2N or N, d) array and one plain-array ``sample_at`` call, with
     chunks too large to split anything, the oracle's arithmetic included;
-    its step is ``_step(X, cfg, streams, kinds)``, drawn inline."""
+    its step is ``_step(X, cfg, streams, kinds)``, whose direction chunks
+    belong to the stream layout."""
+    step = _step(X, cfg, streams, kinds)
+    if not isinstance(step.dirs, np.ndarray):
+        step = step._replace(dirs=step.dirs.result())
     with mock.patch.object(zodd.core, "CHUNK_VALUES", 1 << 62):
-        return _unchunked_kernel(X, cfg, oracle, _step(X, cfg, streams, kinds), mu)
+        return _unchunked_kernel(X, cfg, oracle, step, mu)
 
 
 def _unchunked_kernel(X, cfg, oracle, step, mu):
@@ -818,7 +827,7 @@ def test_a_wide_draw_on_a_shared_stream_matches_single_estimates(monkeypatch):
     mu = np.array([0.1, 0.2, 0.3])
     monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 1)
     alone = [_kernel(X[r:r + 1], replace(cfg, mu=mu[r]), QuadraticEnv.isotropic(d, 0.5),
-                     _step(X[r:r + 1], cfg, streams[r].child("iteration", 0)))
+                     _step(X[r:r + 1], cfg, streams[r]))
              for r in range(3)]
     started = _counted_threads(monkeypatch)
     for cpus in (1, 2):

@@ -966,14 +966,14 @@ epsilon = 0.25
 
     @pytest.mark.parametrize("name, results_sha, trace_sha", [
         ("quadratic.ini",
-         "ba58e6d1c73a302d3a3c67729e377a8b4743faa7074a27b04c906ade46dc8e72",
-         "63ca97327e5d137793ac207ef32a90386093cf070d9f1c9c600aed4fb847f33e"),
+         "6e1724f6c475963ba4af0379cac6dc4de3983e1a4966b78b0b0b1510d80553fb",
+         "6cd6a3008337abaf8668088e58361e53dd38f2a0df17116224d41b86c6a64d42"),
         ("planned_quadratic.ini",
-         "8b9e37d142355f0b7338ca892c9d4a0d748f7a5820868f506afb0c7beeb3c53b",
-         "cc0c37b4f07d7e29145819f742fa5d09c3709355856342dddd0b760e3e0006b7"),
+         "fe58c1913b90aee55d0bba8b24d669186bd9779b0a5d2d59dfbf1231225cc206",
+         "27d238aea67e45192c3d3df6117c2ff58916c86ade4f409ea1917d26fdad7af1"),
     ])
     def test_demo_outputs_are_pinned(self, name, results_sha, trace_sha, tmp_path):
-        # digests of the single-estimate stream layout; any drift in a
+        # digests of stream layout 2; any drift in a
         # random draw or a float of zodd run shows up here
         assert main(["run", "--config", str(DEMO_CONFIGS / name), "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == results_sha
@@ -981,11 +981,11 @@ epsilon = 0.25
 
     @pytest.mark.parametrize("text, results_sha, trace_sha", [
         (TUNED_PRICING,
-         "28f25d17a6f8d2a36d286974597be7487289845a75cbb2ae2ed1e100adddf87d",
-         "fa8184a1f5a94e08ea413ff5144c08bda87b0744eb66b59e7101b30bcee315f0"),
+         "c0496a4e7b94c16cefe6a3c870cda486359e51c52d0fb6cbb82b5bdb76b7749d",
+         "67cb9b80c6ce164973d380b2b95069bf369120fe195376eab4d2cd0cd6f646a7"),
         (TUNED_STRATEGIC,
-         "58da9071e885f2445f499d263016e0691a987278d8d811ad4c5eb03f6a4d9e09",
-         "0574c88d0d1e5eb63e9c59e470ff2fc074438b9a36e1e4e82d9911c3b0cfb6f4"),
+         "9653884ebeed9ab328c7d2abc87c59153dafa5604fc60c1ca0bc44f265cf3800",
+         "2f22b4e2d3a31b16ba82fab73de3fe2f3a4947b7ec8a4c151751ae2bb17a5c76"),
     ], ids=["pricing", "strategic"])
     def test_tuned_outputs_are_pinned(self, text, results_sha, trace_sha, tmp_path):
         # tuning scores candidates by the exact objective, so these digests
@@ -997,15 +997,15 @@ epsilon = 0.25
         assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
 
     def test_planned_wide_outputs_are_pinned(self, tmp_path):
-        # digests from before the probe points were chunked: streaming them
-        # through the oracle moves no draw and no float
+        # digests of stream layout 2, on one usable CPU and on two alike:
+        # which thread draws a direction chunk moves no draw and no float
         path = tmp_path / "wide.ini"
         path.write_text(PLANNED_WIDE)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == (
-            "b60dde5cb5c92e7f1ec4f4afd6a95d853a9c48713811bbfc0a2990e5919c8b20")
+            "e9f26c20be4e85498d2bf1a67edbe9de0636a6b507e1aff44f801d5732d11bea")
         assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == (
-            "9dad9a8b19e95b196d3aebe0c478562c5e172f7fd3360355f46fa61cbc1e5ec2")
+            "210e9a8da0ae3be6ff9b23bff6d3fe6c8cceedea1a7b2f16edb6a20fd0729a84")
 
     def test_descent_lemma_report_is_pinned(self, tmp_path):
         # the suite's runs go through run_descent; any drift in a draw, an
@@ -1014,7 +1014,7 @@ epsilon = 0.25
                      "--out", str(tmp_path)]) == 0
         report = (tmp_path / "verify_report.txt").read_bytes()
         assert hashlib.sha256(report).hexdigest() == (
-            "32207fb772b27cfb63dd258d8794ed26233cc76f776befcb67af37a6f8f0e8c2")
+            "4ed341fc74bbbfba29c3c192ad7b2900f2f7840aa1c7424fafaceeed07ef9fcc")
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_mse_bounds_report_is_pinned(self, tmp_path, monkeypatch, cpus):
@@ -1034,7 +1034,7 @@ epsilon = 0.25
         assert len(started) == cpus - 1
         report = (tmp_path / "verify_report.txt").read_bytes()
         assert hashlib.sha256(report).hexdigest() == (
-            "dcf9a058475052fd67981a66c020d0b94611437c7a0c206d234de83fb59c824d")
+            "2e6711d859dd75cce2e5df7877190fa2b7950f0fc9fa2c315864a4826a16ab15")
 
     def test_verify_has_no_threads_option(self, tmp_path):
         with pytest.raises(SystemExit) as err:

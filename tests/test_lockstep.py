@@ -148,6 +148,21 @@ def test_chains_sharing_a_stream_diverge_mid_run(chains, wild):
             assert len(outcome.trace) >= 2
 
 
+@dataclasses.dataclass(frozen=True)
+class _StepOf(RngStream):
+    """A stream whose substreams of step s are those of step s + t of its
+    key, so that an estimate on it, which draws step 0, draws step t."""
+
+    t: int = 0
+
+    @classmethod
+    def of(cls, stream: RngStream, t: int) -> "_StepOf":
+        return cls(stream.seed, stream.stream, t)
+
+    def at(self, step, purpose, chunk=0):
+        return RngStream.at(self, self.t + step, purpose, chunk)
+
+
 @given(
     kind=st.sampled_from(["sphere", "gaussian", "coordinate", "one_point"]),
     batch=st.sampled_from([1, 2, 3]),
@@ -175,8 +190,7 @@ def test_probe_means_are_single_estimates_probe_means(kind, batch, size, rows, d
     for step in lockstep_descent(X, cfg, env, streams, steps, mus, 2):
         for r, mean in zip(step.live, step.probe_means):
             single = estimate_gradient(
-                X[r], dataclasses.replace(cfg, mu=mus[r]), env,
-                streams[r].child("iteration", step.t),
+                X[r], dataclasses.replace(cfg, mu=mus[r]), env, _StepOf.of(streams[r], step.t),
             )
             assert np.float64(mean).view(np.int64) == np.float64(single.probe_mean).view(np.int64)
         X = step.X
@@ -254,7 +268,7 @@ def test_output_picked_at_zero_is_the_start_point(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Block plan: a block's streams and directions prepared in one pass
+# Block plan: a block's substreams and directions prepared in one pass
 # ---------------------------------------------------------------------------
 
 K = BLOCK_STEPS
@@ -268,7 +282,7 @@ def _assert_steps_are_single_estimates(X, cfg, env, streams, steps, mus, iterati
     """Run a group and check every step's rows against single estimates.
 
     Row r at step t must carry the gradient and probe mean bits of
-    ``estimate_gradient`` at its iterate on ``streams[r].child("iteration", t)``.
+    ``estimate_gradient`` at its iterate on step t of ``streams[r]``.
     Returns the step at which each row that diverged left.
     """
     X = np.array(X, dtype=np.float64)
@@ -277,7 +291,7 @@ def _assert_steps_are_single_estimates(X, cfg, env, streams, steps, mus, iterati
         for i, r in enumerate(step.live.tolist()):
             single = estimate_gradient(
                 X[r], dataclasses.replace(cfg, kind=kinds[r], mu=mus[r]), env,
-                streams[r].child("iteration", step.t),
+                _StepOf.of(streams[r], step.t),
             )
             assert np.array_equal(_bits(step.gradients[i]), _bits(single.gradient))
             assert _bits(step.probe_means[i]) == _bits(single.probe_mean)

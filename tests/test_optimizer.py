@@ -251,15 +251,15 @@ class TestRunDescent:
         (lambda: QuadraticEnv.isotropic(4, sigma=0.5), np.full(4, 1.5),
          ParameterPlan("sphere", "grad", mu=0.1, directions=5, batch=2,
                        step=0.2, iterations=25), 11,
-         "3e1a66377a68c343dd8c5cde0a51b0ea7f6a0bb9ff9d89daac645e2215142952"),
+         "eea3a68e8674e81dea0d4bce5a6c5ee1d04d4e078cf93a8a667a51c894172eb5"),
         (lambda: QuadraticEnv.isotropic(3, sigma=0.5), np.full(3, 1.5),
          ParameterPlan("coordinate", "grad", mu=0.1, directions=3, batch=2,
                        step=0.2, iterations=25), 12,
-         "f4fd2033cc1d2312c359e77642921c4fd6dd5dc965027f6fb7ad8758243eef1a"),
+         "b5cdf3eb763135a913a2a9ebf1915069911adeed7bb2eaaa0665256872e1432d"),
         (lambda: PricingEnv.synthetic(0, n=5), np.ones(5),
          ParameterPlan("one_point", "grad", mu=0.1, directions=4, batch=1,
                        step=1e-3, iterations=25), 13,
-         "180f52ac6fb9f3df6215ab004dfcd12dd57781cd1f3ccfe1a29a8655bc91c544"),
+         "f2a4a98c2ffa11df512c907603d9d918e228ac3801b9767289d95ca3ea30986a"),
     ], ids=["sphere", "coordinate", "one_point"])
     def test_trajectory_is_pinned(self, make_env, x0, plan, seed, digest):
         # every iterate, estimate gradient and x_bar, bit for bit: any drift
