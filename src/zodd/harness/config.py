@@ -34,6 +34,11 @@ from ..optimizer import REGIMES, PlannerConstants, plan_parameters
 DEFAULT_BUDGET = 5000
 DEFAULT_EVAL_DRAWS = 1000
 
+# the most bytes of one estimate's (N, d) float64 direction table, what
+# ``zodd plan`` prints as direction matrix bytes: 128 MiB, 16 times the
+# planned_wide benchmark's 8 MiB
+DIRECTION_BYTES_MAX = 1 << 27
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names section and field."""
@@ -425,6 +430,15 @@ def parse_config(path) -> ExperimentConfig:
         if tuning.enabled and spec.plan_regime is not None:
             raise ConfigError(f"[estimator.{spec.name}] plan: a planned estimator cannot be tuned")
         est_cfg, _ = spec.resolve(env)
+        n = est_cfg.probe_shape(env.dimension)[1]
+        if tuning.enabled and tuning.directions and spec.kind in ("sphere", "gaussian"):
+            n = max(tuning.directions)
+        if n * env.dimension * 8 > DIRECTION_BYTES_MAX:
+            raise ConfigError(
+                f"[estimator.{spec.name}] one estimate's direction table would be "
+                f"{n * env.dimension * 8} bytes ({n} directions at d = {env.dimension}), "
+                f"above the {DIRECTION_BYTES_MAX}-byte ceiling"
+            )
         if spec.plan_regime is None:  # planner-sized methods are checked per row at run time
             costs.append(est_cfg.samples_per_estimate(env.dimension))
     if costs and budget < min(costs):
