@@ -15,6 +15,7 @@ import pytest
 from zodd.environments import PricingEnv, QuadraticEnv, save_population, save_prices
 from zodd.harness.cli import main
 from zodd.harness.config import (
+    DIRECTION_BYTES_MAX,
     ConfigError,
     EnvironmentSpec,
     EstimatorSpec,
@@ -31,7 +32,8 @@ from zodd.harness.runner import (
     run_experiment,
 )
 from zodd.harness.tuning import TUNING_SEED_BASE, candidate_specs, score_candidate, tune_method
-from zodd.core import RngStream
+from zodd.core import DRAWS, RngStream
+import zodd.environments
 import zodd.estimators
 from zodd.estimators import EstimatorConfig, estimate_gradients
 from zodd.harness import tuning, verify
@@ -449,6 +451,61 @@ epsilon = 0.2
         assert est_cfg.mu == pytest.approx(0.2)
         assert step == pytest.approx(0.25)
 
+    def test_a_planned_direction_table_over_the_ceiling_exits_2(self, tmp_path, capsys):
+        # sphere/grad at d = 10 and epsilon = 0.05 plans N = 16,000,000
+        # directions: 1.28 GB for one estimate's table, which zodd plan prints
+        assert main(["plan", "--kind", "sphere", "--regime", "grad", "--epsilon", "0.05",
+                     "--dimension", "10", "--sigma", "1", "--smoothness", "1"]) == 0
+        assert "direction matrix bytes  1280000000" in capsys.readouterr().out
+        path = _write(tmp_path, """\
+[environment]
+kind = quadratic
+dimension = 10
+
+[estimator.wide]
+kind = sphere
+plan = grad
+epsilon = 0.05
+""")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[estimator.wide]" in err and "1280000000 bytes" in err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("directions, tuned, ok", [
+        (DIRECTION_BYTES_MAX // 80, None, True),
+        (DIRECTION_BYTES_MAX // 80 + 1, None, False),
+        (1, DIRECTION_BYTES_MAX // 80 + 1, False),
+    ])
+    def test_an_explicit_direction_table_meets_the_same_ceiling(self, tmp_path, directions,
+                                                                tuned, ok):
+        tuning = "" if tuned is None else f"""
+[tuning]
+enabled = true
+step = 0.1
+mu = 0.1
+directions = 1 {tuned}
+"""
+        path = _write(tmp_path, f"""\
+[environment]
+kind = quadratic
+dimension = 10
+
+[run]
+budget = {10 * directions}
+
+[estimator.wide]
+kind = gaussian
+mu = 0.1
+step = 0.1
+directions = {directions}
+{tuning}""")
+        if ok:
+            parse_config(path)
+            return
+        with pytest.raises(ConfigError, match=f"{80 * (tuned or directions)} bytes"):
+            parse_config(path)
+
     def test_planner_needs_analytic_constants(self):
         spec = EstimatorSpec(name="p", kind="sphere", plan_regime="grad", plan_epsilon=0.2)
         with pytest.raises(ConfigError):
@@ -717,6 +774,64 @@ trials = 2
         assert score_candidate(cfg, spec) == math.inf
 
 
+def _failing_stream_checks():
+    """The checks of ``zodd verify --suite streams`` that fail, by name."""
+    return [r.check for r in run_streams(seed=0) if not r.passed]
+
+
+class TestStreamsSuiteOnDoctoredLayouts:
+    """Each check of the streams suite fails on a layout doctored to break
+    what it checks."""
+
+    def test_forward_and_backward_probes_on_one_substream(self, monkeypatch):
+        # each row's draws substream twice: the backward half of its probes
+        # starts the substream over
+        plan = zodd.estimators._plan_step
+
+        def doubled(*args):
+            step = plan(*args)
+            return step._replace(draws=[sub for sub in step.draws for _ in (0, 1)])
+
+        monkeypatch.setattr(zodd.estimators, "_plan_step", doubled)
+        assert "forward vs backward probe noise of one estimate" in _failing_stream_checks()
+
+    def test_a_draws_substream_reused_across_two_steps(self, monkeypatch):
+        at = RngStream.at
+        monkeypatch.setattr(RngStream, "at", lambda self, step, purpose, chunk=0: at(
+            self, 0 if purpose == DRAWS else step, purpose, chunk))
+        assert _failing_stream_checks() == ["noise of one chain at steps t and t+1"]
+
+    def test_two_seeds_mapped_to_one_key(self, monkeypatch):
+        at = RngStream.at
+        monkeypatch.setattr(RngStream, "at", lambda self, step, purpose, chunk=0: at(
+            RngStream(0, self.stream), step, purpose, chunk))
+        assert ("noise of two chains on two seeds in one lockstep group"
+                in _failing_stream_checks())
+
+    def test_two_replicate_chunks_mapped_to_one_key(self, monkeypatch):
+        child = RngStream.child
+        monkeypatch.setattr(RngStream, "child", lambda self, *labels: child(
+            self, *(labels[:1] if labels[:1] == ("chunk",) else labels)))
+        assert _failing_stream_checks() == ["noise of two replicate chunks of the MSE suites"]
+
+    def test_two_direction_chunks_mapped_to_one_counter(self, monkeypatch):
+        at = RngStream.at
+        monkeypatch.setattr(RngStream, "at", lambda self, step, purpose, chunk=0: at(
+            self, step, purpose, 0))
+        assert _failing_stream_checks() == [
+            f"{kind} rows across a chunk boundary: uncorrelated" for kind in ("sphere", "gaussian")]
+
+    def test_every_point_restarting_one_substream(self, monkeypatch):
+        # every environment's draws go by point, each from the block's start
+        blocks = zodd.environments.draw_blocks
+        monkeypatch.setattr(zodd.environments, "draw_blocks", lambda streams, k, draw, axis=0:
+                            blocks([s for s in streams for _ in range(k // len(streams))],
+                                   k, draw, axis))
+        failing = _failing_stream_checks()
+        assert all(f"pricing demand of item {i} ~ Binomial(buyers, p_i)" in failing
+                   for i in range(3))
+
+
 class TestVerifySuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -869,6 +984,68 @@ class TestVerifySuites:
         assert "FAIL" in report
         assert "2 checks, 1 failed" in report
         assert report.splitlines()[0].startswith("check")
+
+
+class _FirstChunkOnly(zodd.estimators.PendingDirections):
+    """A pending table whose helper thread stops after the first chunk it
+    claims, so the caller claims and draws the rest; ``drawn_by`` records
+    each drawn chunk's thread, True for the helper."""
+
+    drawn_by: list = []
+
+    def _claim(self):
+        if threading.current_thread() is self._thread:
+            if getattr(self, "_helped", False):
+                return None
+            self._helped = True
+        return super()._claim()
+
+    def _draw(self, i):
+        self.drawn_by.append(threading.current_thread() is self._thread)
+        super()._draw(i)
+
+
+class TestWhoeverDrawsTheChunks:
+    """A planned_wide-shaped estimate and run carry the same bits on one
+    usable CPU (inline draws), on two (the helper and the caller share the
+    chunks), and with a helper stopped after its first chunk."""
+
+    CASES = ["one-cpu", "two-cpus", "helper-stops"]
+
+    @staticmethod
+    def _case(monkeypatch, case):
+        monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 1 if case == "one-cpu" else 2)
+        monkeypatch.setattr(_FirstChunkOnly, "drawn_by", [])
+        if case == "helper-stops":
+            monkeypatch.setattr(zodd.estimators, "PendingDirections", _FirstChunkOnly)
+
+    def test_a_planned_estimate(self, monkeypatch):
+        env = QuadraticEnv.isotropic(16, 0.75)
+        spec = EstimatorSpec(name="planned", kind="sphere", plan_regime="grad", plan_epsilon=0.25)
+        cfg, _ = spec.resolve(env)
+        assert cfg.directions == 65_536
+        x = np.linspace(-1.0, 1.0, 16)
+        runs = []
+        for case in self.CASES:
+            self._case(monkeypatch, case)
+            estimate = zodd.estimators.estimate_gradient(x, cfg, env, RngStream(5))
+            runs.append((estimate.gradient.tobytes(), estimate._directions.tobytes(),
+                         estimate._forward.tobytes(), estimate._backward.tobytes()))
+        # eight chunks: the helper drew at most one, the caller the rest
+        assert _FirstChunkOnly.drawn_by.count(True) <= 1 and len(_FirstChunkOnly.drawn_by) == 8
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_a_planned_wide_run(self, monkeypatch, tmp_path):
+        path = tmp_path / "wide.ini"
+        path.write_text(PLANNED_WIDE)
+        outputs = []
+        for case in self.CASES:
+            self._case(monkeypatch, case)
+            out = tmp_path / case
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("results.csv", "trace.csv")])
+        assert _FirstChunkOnly.drawn_by.count(True) < _FirstChunkOnly.drawn_by.count(False)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCli:
