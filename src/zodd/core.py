@@ -130,9 +130,6 @@ class RngStream:
     seed: int
     stream: int = 0
 
-    # the hash of this stream's id, made by the first ``child`` call and
-    # copied by every one; not a field, so it takes no part in eq or hash
-    _prefix = None
     # a root starts at counter (0, 0, 0, 0), as its substream (0, DRAWS, 0)
     # does; not fields, read by stream_generators as a Substream's are
     chunk = 0
@@ -142,12 +139,8 @@ class RngStream:
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
         object.__setattr__(self, "stream", int(self.stream) & _MASK64)
 
-    def __reduce__(self):
-        # a hash object cannot be pickled or deep-copied; the two ids suffice
-        return RngStream, (self.seed, self.stream)
-
     def generator(self) -> np.random.Generator:
-        return _generator(self)
+        return Substream(self.seed, self.stream, 0, 0).generator()
 
     def at(self, step: int, purpose: int, chunk: int = 0) -> "Substream":
         """The substream of ``step``, ``purpose`` and ``chunk``: this key at
@@ -155,19 +148,13 @@ class RngStream:
         return Substream(self.seed, self.stream, chunk, step * PURPOSES + purpose)
 
     def child(self, *labels: int | str) -> "RngStream":
-        if self._prefix is None:
-            prefix = hashlib.blake2b(self.stream.to_bytes(8, "little"), digest_size=8)
-            object.__setattr__(self, "_prefix", prefix)
-        h = self._prefix.copy()
+        h = hashlib.blake2b(self.stream.to_bytes(8, "little"), digest_size=8)
         for label in labels:
             if isinstance(label, int):
                 h.update(b"i%s/" % (label & _MASK64).to_bytes(8, "little"))
             else:
                 h.update(b"s%s/" % label.encode("utf-8"))
-        # both ids are in range already, so the child skips __init__ and its masking
-        child = object.__new__(RngStream)
-        child.__dict__.update(seed=self.seed, stream=int.from_bytes(h.digest(), "little"))
-        return child
+        return RngStream(self.seed, int.from_bytes(h.digest(), "little"))
 
 
 class Substream(NamedTuple):
@@ -185,15 +172,11 @@ class Substream(NamedTuple):
     word: int
 
     def generator(self) -> np.random.Generator:
-        return _generator(self)
-
-
-def _generator(stream) -> np.random.Generator:
-    # a fixed seed reads no OS entropy; the state set next replaces its key
-    gen = np.random.Generator(np.random.Philox(0))
-    gen.bit_generator.state = _start_state([stream.seed, stream.stream],
-                                           [0, 0, stream.chunk, stream.word])
-    return gen
+        # a fixed seed reads no OS entropy; the state set next replaces its key
+        gen = np.random.Generator(np.random.Philox(0))
+        gen.bit_generator.state = _start_state([self.seed, self.stream],
+                                               [0, 0, self.chunk, self.word])
+        return gen
 
 
 def _start_state(key: list[int], counter: list[int]) -> dict:

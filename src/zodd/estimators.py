@@ -253,10 +253,7 @@ def _finish(table: Vector, chunks) -> None:
     chunk with a zero norm (probability zero) is drawn again by
     ``sphere_matrix`` from its own substream, which redraws its zero rows.
     """
-    for *_, kind in chunks:
-        if kind != "gaussian":
-            break
-    else:
+    if all(kind == "gaussian" for *_, kind in chunks):
         return
     lo = chunks[0][0]
     block = table[lo:chunks[-1][1]]

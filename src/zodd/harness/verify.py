@@ -94,11 +94,13 @@ def _standardized_gap(empirical, analytic, stderr) -> float:
     return float(np.max(gaps / scale))
 
 
-def _matrix_moment_check(draws, weights, analytic) -> float:
-    """Per-entry mean of weights[r] * draws[r] outer products vs analytic."""
+def _matrix_moment_check(draws, weights, analytic, right=None) -> float:
+    """Per-entry mean of weights[r] * draws[r] outer products vs analytic,
+    or of weights[r] * draws[r] right[r]^T when ``right`` is given."""
     K = draws.shape[0]
-    emp = np.einsum("r,ri,rj->ij", weights, draws, draws) / K
-    second = np.einsum("r,ri,rj->ij", weights**2, draws**2, draws**2) / K
+    right = draws if right is None else right
+    emp = np.einsum("r,ri,rj->ij", weights, draws, right) / K
+    second = np.einsum("r,ri,rj->ij", weights**2, draws**2, right**2) / K
     var = np.maximum(second - emp**2, 0.0) * K / (K - 1)
     stderr = np.sqrt(var / K)
     return _standardized_gap(emp, analytic, stderr)
@@ -351,12 +353,8 @@ def run_descent_lemma(seed: int = 0, runs: int = 10, d: int = 5,
 
 
 class _NoiseRecorder(QuadraticEnv):
-    """An isotropic quadratic that keeps the standardized noise of every draw.
-
-    ``noise`` gets one (replicates, k) array per ``_draw_at`` call, in call
-    order: each value minus the mean it was drawn around, over sigma, so
-    each entry is one standard normal draw of the stream layout.
-    """
+    """An isotropic quadratic that keeps, per ``_draw_at`` call, each draw's
+    noise: its value minus its mean, over sigma, one standard normal."""
 
     def __init__(self, d: int, sigma: float):
         super().__init__(np.eye(d), np.zeros(d), sigma)
@@ -364,115 +362,90 @@ class _NoiseRecorder(QuadraticEnv):
 
     def _draw_at(self, points, streams, replicates):
         values = super()._draw_at(points, streams, replicates)
-        self.noise.append((values - self.exact_objective_at(points)) / self.sigma)
+        self.noise.append((values - self.exact_objective_at(points)).ravel() / self.sigma)
         return values
-
-
-def _uncorrelated(a, b) -> float:
-    """|mean(a * b)| in standard errors, for paired draws a and b of mean 0."""
-    products = np.ravel(a) * np.ravel(b)
-    se = max(products.std(ddof=1) / np.sqrt(products.size), STDERR_FLOOR)
-    return float(abs(products.mean()) / se)
-
-
-def _cross_moment_gap(u, v) -> float:
-    """Largest entry of mean(u_r v_r^T) in standard errors, against 0."""
-    K = u.shape[0]
-    emp = u.T @ v / K
-    second = (u**2).T @ (v**2) / K
-    stderr = np.sqrt(np.maximum(second - emp**2, 0.0) / (K - 1))
-    return _standardized_gap(emp, 0.0, stderr)
 
 
 def run_streams(seed: int = 0, draws: int = 20_000, d: int = 4,
                 sigma: float = 1.0, mu: float = 0.1) -> list[CheckResult]:
     """Draws that the stream layout keeps apart are uncorrelated.
 
-    On a quadratic, each sample's noise is a standard normal draw, so paired
-    draws of two places of the layout should have E[a b] = 0: the forward
-    and backward probes of one estimate, one chain's steps t and t + 1, two
+    On a quadratic each sample's noise is a standard normal draw, so paired
+    draws from two places of the layout have E[a b] = 0: the forward and
+    backward probes of one estimate, one chain's steps t and t + 1, two
     chains of one lockstep group on different seeds, and two replicate
-    chunks of the MSE suites.  The rows of a direction table on either side
-    of a chunk boundary should have mean 0, second moment I/d (sphere) or I
-    (gaussian), and no correlation across it; and the demand counts of a
-    pricing sample should follow Binomial(buyers, p_i) per item.  Every
-    check passes when its statistic is within 5 standard errors.
+    chunks of the MSE suites.  The direction rows on either side of a chunk
+    boundary have mean 0, second moment I/d (sphere) or I (gaussian), and
+    no correlation across it; a pricing sample's demand counts follow
+    Binomial(buyers, p_i) per item.  Each check passes within 5 standard
+    errors.
     """
     rng = RngStream(seed).child("verify", "streams")
     x = np.full(d, 0.5)
     cfg = EstimatorConfig(kind="sphere", mu=mu, directions=draws)
     results = []
 
-    def paired(check, a, b, point):
-        results.append(CheckResult("streams", check, point, _uncorrelated(a, b), 5.0))
+    def check(name, point, gap):
+        results.append(CheckResult("streams", name, point, gap, 5.0))
+
+    def uncorrelated(a, b):
+        return _matrix_moment_check(a[:, None], np.ones(a.size), 0.0, b[:, None])
 
     env = _NoiseRecorder(d, sigma)
     estimate_gradient(x, cfg, env, rng.child("estimate"))
-    (noise,) = env.noise
-    paired("forward vs backward probe noise of one estimate", noise[0, :draws],
-           noise[0, draws:], f"d={d} N={draws}")
+    check("forward vs backward probe noise of one estimate", f"d={d} N={draws}",
+          uncorrelated(*np.split(env.noise[0], 2)))
 
     env = _NoiseRecorder(d, sigma)
-    plan = ParameterPlan(kind="sphere", regime="grad", mu=mu, directions=draws, batch=1,
-                         step=0.1, iterations=2)
-    run_descent(x, plan, env, rng.child("chain"))
-    paired("noise of one chain at steps t and t+1", *env.noise, f"d={d} N={draws} t=0")
+    run_descent(x, ParameterPlan(kind="sphere", regime="grad", mu=mu, directions=draws,
+                                 batch=1, step=0.1, iterations=2), env, rng.child("chain"))
+    check("noise of one chain at steps t and t+1", f"d={d} N={draws} t=0",
+          uncorrelated(*env.noise))
 
     env = _NoiseRecorder(d, sigma)
     chains = [RngStream(seed + i).child("verify", "streams", "chain") for i in (0, 1)]
     for _ in lockstep_descent(np.tile(x, (2, 1)), cfg, env, chains, [0.1] * 2, [mu] * 2, 1):
         pass
-    (noise,) = env.noise
-    paired("noise of two chains on two seeds in one lockstep group",
-           noise[0, :2 * draws], noise[0, 2 * draws:], f"d={d} N={draws} seeds={seed},{seed + 1}")
+    check("noise of two chains on two seeds in one lockstep group",
+          f"d={d} N={draws} seeds={seed},{seed + 1}", uncorrelated(*np.split(env.noise[0], 2)))
 
     env = _NoiseRecorder(d, sigma)
     one = EstimatorConfig(kind="sphere", mu=mu, directions=1)
-    per_chunk = max(1, REPLICATE_CHUNK_DRAWS // one.samples_per_estimate(d))
+    per_chunk = REPLICATE_CHUNK_DRAWS // one.samples_per_estimate(d)
     _empirical_mse(env, x, one, rng.child("chunks"), 2 * per_chunk)
-    noise = np.concatenate([n.ravel() for n in env.noise])
-    half = noise.size // 2
-    paired("noise of two replicate chunks of the MSE suites", noise[:half], noise[half:],
-           f"d={d} rows={per_chunk}")
+    check("noise of two replicate chunks of the MSE suites", f"d={d} rows={per_chunk}",
+          uncorrelated(*np.split(np.concatenate(env.noise), 2)))
 
     size = chunk_rows(d)
-    flat = QuadraticEnv.isotropic(d, 0.0)
+    ones = np.ones(size)
     for kind, second in (("sphere", np.eye(d) / d), ("gaussian", np.eye(d))):
         wide = EstimatorConfig(kind=kind, mu=mu, directions=2 * size)
-        dirs = estimate_gradient(x, wide, flat, rng.child("directions", kind))._directions
-        u, v = dirs[:size], dirs[size:]
+        dirs = estimate_gradient(x, wide, QuadraticEnv.isotropic(d, 0.0),
+                                 rng.child("directions", kind))._directions
+        sides = np.split(dirs, 2)
         point = f"d={d} rows={size}|{size}"
-        ones = np.ones(size)
-        mean_gap = max(_standardized_gap(w.mean(axis=0), 0.0, w.std(axis=0, ddof=1) / np.sqrt(size))
-                       for w in (u, v))
-        results.append(CheckResult(
-            "streams", f"{kind} rows on each side of a chunk boundary: mean 0", point,
-            mean_gap, 5.0))
-        results.append(CheckResult(
-            "streams", f"{kind} rows on each side of a chunk boundary: second moment",
-            point, max(_matrix_moment_check(w, ones, second) for w in (u, v)), 5.0))
-        results.append(CheckResult(
-            "streams", f"{kind} rows across a chunk boundary: uncorrelated", point,
-            _cross_moment_gap(u, v), 5.0))
+        check(f"{kind} rows on each side of a chunk boundary: mean 0", point,
+              max(_standardized_gap(w.mean(axis=0), 0.0, w.std(axis=0, ddof=1) / np.sqrt(size))
+                  for w in sides))
+        check(f"{kind} rows on each side of a chunk boundary: second moment", point,
+              max(_matrix_moment_check(w, ones, second) for w in sides))
+        check(f"{kind} rows across a chunk boundary: uncorrelated", point,
+              _matrix_moment_check(*sides[:1], ones, 0.0, sides[1]))
 
     buyers = 30
     pricing = PricingEnv(np.array([1.0, 1.5, 2.0]), np.array([0.3, 0.3, 0.3]), buyers=buyers)
     at = np.array([1.2, 1.4, 1.6])
     counts = pricing._demand_at(np.tile(at, (draws, 1)), [rng.child("pricing")], 1)[:, 0]
     probs = pricing.choice_probabilities(at)[:-1]
-    pmf = pricing._binomial_pmf(probs)
     ks = np.arange(buyers + 1)
-    for i, p in enumerate(probs):
-        median = int(np.searchsorted(np.cumsum(pmf[i]), 0.5))
-        gaps = []
-        for values, expected in ((ks, pmf[i] @ ks), (ks**2, pmf[i] @ ks**2),
-                                 (ks <= median, pmf[i][:median + 1].sum())):
-            drawn = values[counts[:, i]]
-            se = drawn.std(ddof=1) / np.sqrt(draws)
-            gaps.append(_standardized_gap(drawn.mean(), expected, se))
-        results.append(CheckResult(
-            "streams", f"pricing demand of item {i} ~ Binomial(buyers, p_i)",
-            f"buyers={buyers} p={p:.4f} K={draws}", max(gaps), 5.0))
+    for i, pmf in enumerate(pricing._binomial_pmf(probs)):
+        median = int(np.searchsorted(np.cumsum(pmf), 0.5))
+        # the mean, the second moment and P(count <= median) of item i's counts
+        gaps = [_standardized_gap(f[counts[:, i]].mean(), pmf @ f,
+                                  f[counts[:, i]].std(ddof=1) / np.sqrt(draws))
+                for f in (ks, ks**2, ks <= median)]
+        check(f"pricing demand of item {i} ~ Binomial(buyers, p_i)",
+              f"buyers={buyers} p={probs[i]:.4f} K={draws}", max(gaps))
     return results
 
 

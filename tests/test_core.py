@@ -69,8 +69,8 @@ class TestRngStream:
         assert s.seed == 42
 
     def test_a_parent_hashes_alike_for_every_child_and_still_copies(self):
-        # the parent's hashed prefix is reused by every child call; it is
-        # not part of the stream, which pickles and copies as its two ids
+        # every child call hashes alike, and a stream pickles and copies as
+        # its two ids
         base = RngStream(3, 2**63 + 5)
         first = base.child("x", 1)
         assert base.child("x", 1) == first == RngStream(3, 2**63 + 5).child("x", 1)
