@@ -520,9 +520,9 @@ class SampleOracle(ABC):
 
         ``points`` is a (k, d) array or a :class:`ProbePoints`; read its
         rows through :func:`point_chunks`.  ``streams`` holds G RngStreams
-        or Substreams for G equal contiguous blocks of the points; block g must be drawn
-        from a generator at the start of ``streams[g]`` exactly as a call
-        with that block alone would draw it.  :func:`draw_blocks` does the
+        or Substreams for G equal contiguous blocks of the points; block g
+        must be drawn from a generator at the start of ``streams[g]``
+        exactly as a call with that block alone would draw it.  :func:`draw_blocks` does the
         splitting, so the random part is drawn per stream block while the
         deterministic work runs over the chunks of all k points.
         """
@@ -531,9 +531,9 @@ class SampleOracle(ABC):
         """Independent draws at many points: (replicates, k) array.
 
         ``rng`` is one RngStream or :class:`Substream` for all k points, or
-        a non-empty sequence of G of them: the points then split into G equal contiguous
-        blocks, and block g is drawn exactly as ``sample_at(block_g, rng[g],
-        replicates)`` would draw it.  A stream may repeat; each of its blocks
+        a non-empty sequence of G of them: the points then split into G
+        equal contiguous blocks, and block g is drawn exactly as
+        ``sample_at(block_g, rng[g], replicates)`` would draw it.  A stream may repeat; each of its blocks
         starts from the beginning of the stream.  ``points`` may also be a
         :class:`ProbePoints`, which the estimator kernel passes.
 

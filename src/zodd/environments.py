@@ -373,7 +373,7 @@ class PricingEnv(Environment):
         return self._restock.item_costs(np.asarray(counts)).sum(axis=-1)
 
     def _demand_at(self, points, streams, replicates):
-        """(k, replicates, n + 1) counts per item and opt-out, drawn as ``_draw_at`` draws them."""
+        """(k, replicates, n + 1) counts per item and opt-out, as ``_draw_at`` draws them."""
         k = points.shape[0]
         probs = np.empty((k, self.dimension + 1))
         for lo, hi, block in point_chunks(points):

@@ -433,10 +433,11 @@ def parse_config(path) -> ExperimentConfig:
         n = est_cfg.probe_shape(env.dimension)[1]
         if tuning.enabled and tuning.directions and spec.kind in ("sphere", "gaussian"):
             n = max(tuning.directions)
-        if n * env.dimension * 8 > DIRECTION_BYTES_MAX:
+        table_bytes = n * env.dimension * 8
+        if table_bytes > DIRECTION_BYTES_MAX:
             raise ConfigError(
                 f"[estimator.{spec.name}] one estimate's direction table would be "
-                f"{n * env.dimension * 8} bytes ({n} directions at d = {env.dimension}), "
+                f"{table_bytes} bytes ({n} directions at d = {env.dimension}), "
                 f"above the {DIRECTION_BYTES_MAX}-byte ceiling"
             )
         if spec.plan_regime is None:  # planner-sized methods are checked per row at run time

@@ -328,13 +328,13 @@ def lockstep_descent(
     ``cfg.kind``) on its own stream ``streams[r]``: at step t it draws from
     the stream's substreams of step t exactly what a single estimate of its
     kind on that stream draws from step 0, whichever rows share the call;
-    rows with equal streams and kinds draw their directions once.  Every row's kind must
-    fit ``cfg``'s probe shape (:meth:`EstimatorConfig.probe_shape`).  Each
-    step makes one estimator call for all live rows, updates
-    x_{t+1} = x_t - step * g_t and yields a :class:`Step`; a row whose
-    iterate has norm above 1e9 or a non-finite entry is marked ``bad`` and
-    leaves the live set.  The loop ends after ``iterations`` steps or when
-    no row is live.
+    rows with equal streams and kinds draw their directions once.  Every
+    row's kind must fit ``cfg``'s probe shape
+    (:meth:`EstimatorConfig.probe_shape`).  Each step makes one estimator
+    call for all live rows, updates x_{t+1} = x_t - step * g_t and yields a
+    :class:`Step`; a row whose iterate has norm above 1e9 or a non-finite
+    entry is marked ``bad`` and leaves the live set.  The loop ends after
+    ``iterations`` steps or when no row is live.
     """
     live = np.arange(len(streams))
     kinds = [cfg.kind] * len(streams) if kinds is None else list(kinds)
