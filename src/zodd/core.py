@@ -144,7 +144,14 @@ class RngStream:
 
     def at(self, step: int, purpose: int, chunk: int = 0) -> "Substream":
         """The substream of ``step``, ``purpose`` and ``chunk``: this key at
-        counter (0, 0, chunk, step * PURPOSES + purpose)."""
+        counter (0, 0, chunk, step * PURPOSES + purpose).
+
+        A negative step or chunk, or a purpose outside 0..PURPOSES - 1,
+        would address another substream's counter, so it is a ValueError.
+        """
+        if step < 0 or chunk < 0 or not 0 <= purpose < PURPOSES:
+            raise ValueError(f"no substream at step {step!r}, purpose {purpose!r}, "
+                             f"chunk {chunk!r}")
         return Substream(self.seed, self.stream, chunk, step * PURPOSES + purpose)
 
     def child(self, *labels: int | str) -> "RngStream":

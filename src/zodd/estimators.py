@@ -429,9 +429,11 @@ def _scale(kind: str, n: int, d: int) -> float:
 def _plan_step(cfg: EstimatorConfig, rows: int, d: int, rng) -> PlannedStep:
     """The step of an estimate at ``rows`` points on one stream, or on G
     streams of G equal blocks of rows (see :func:`estimate_gradients`): step
-    0 of each stream, or a ValueError, before any draw, when the rows do not
-    split."""
+    0 of each stream.  Before any draw, anything but RngStreams is a
+    TypeError, and rows that do not split are a ValueError."""
     streams = [rng] if isinstance(rng, RngStream) else list(rng)
+    if not all(isinstance(s, RngStream) for s in streams):
+        raise TypeError("rng must be an RngStream or a sequence of RngStreams")
     if not streams or rows % len(streams):
         raise ValueError(f"{rows} rows do not split into {len(streams)} equal blocks")
     scale = _scale(cfg.kind, cfg.probe_shape(d)[1], d)
@@ -557,7 +559,8 @@ def estimate_gradients(
     of G streams, as ``sample_at`` takes it: the rows split into G equal
     blocks, and block g gets exactly the bits of ``estimate_gradients(X_g,
     cfg, oracle, rng[g])``, while the budget is charged once for the call.
-    G = 0, or R not a multiple of G, raises ValueError before any draw.
+    G = 0, or R not a multiple of G, raises ValueError before any draw, and
+    anything but RngStreams (a ``Substream`` included) a TypeError.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != oracle.dimension:

@@ -444,6 +444,14 @@ class TestStreamHelpers:
         root = RngStream(seed, stream)
         assert np.array_equal(drawn[2], root.at(0, DRAWS).generator().standard_normal(9))
 
+    @pytest.mark.parametrize("step, purpose, chunk", [(0, 2, 0), (0, -1, 0), (-1, 1, 0),
+                                                      (0, 0, -1)])
+    def test_an_address_that_would_alias_another_substream_is_rejected(self, step, purpose,
+                                                                        chunk):
+        # at(0, 2) would be at(1, 0), and at(-1, 2) at(0, 0)
+        with pytest.raises(ValueError, match="no substream"):
+            RngStream(0).at(step, purpose, chunk)
+
     def test_a_substream_carries_within_its_first_two_counter_words(self):
         # Philox increments word 0 and carries into word 1, so a substream
         # shorter than 2^128 blocks never reaches the counter words that

@@ -896,6 +896,17 @@ class TestMultiStream:
             estimate_gradients(X, cfg, short, streams)
         assert short.budget.consumed == 0
 
+    def test_a_substream_is_not_a_stream_of_an_estimate(self):
+        # a Substream is a tuple of four ints, not four streams
+        env = QuadraticEnv.isotropic(3, 0.5, budget=10**6)
+        cfg = EstimatorConfig("sphere", mu=0.1, directions=2)
+        for rng in (RngStream(0).at(0, DRAWS), [RngStream(0), RngStream(1).at(0, DRAWS)]):
+            with pytest.raises(TypeError, match="rng must be an RngStream"):
+                estimate_gradients(np.zeros((2, 3)), cfg, env, rng)
+        with pytest.raises(TypeError, match="rng must be an RngStream"):
+            estimate_gradient(np.zeros(3), cfg, env, RngStream(0).at(0, DRAWS))
+        assert env.budget.consumed == 0
+
     @pytest.mark.parametrize("rows, blocks", [(4, 0), (5, 2), (3, 4)])
     def test_rows_that_do_not_split_raise_before_any_draw(self, monkeypatch, rows, blocks):
         def no_draw(*args, **kwargs):
