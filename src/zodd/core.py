@@ -529,9 +529,10 @@ class SampleOracle(ABC):
         rows through :func:`point_chunks`.  ``streams`` holds G RngStreams
         or Substreams for G equal contiguous blocks of the points; block g
         must be drawn from a generator at the start of ``streams[g]``
-        exactly as a call with that block alone would draw it.  :func:`draw_blocks` does the
-        splitting, so the random part is drawn per stream block while the
-        deterministic work runs over the chunks of all k points.
+        exactly as a call with that block alone would draw it.
+        :func:`draw_blocks` does the splitting, so the random part is drawn
+        per stream block while the deterministic work runs over the chunks
+        of all k points.
         """
 
     def sample_at(self, points, rng, replicates: int = 1) -> Vector:
@@ -540,9 +541,10 @@ class SampleOracle(ABC):
         ``rng`` is one RngStream or :class:`Substream` for all k points, or
         a non-empty sequence of G of them: the points then split into G
         equal contiguous blocks, and block g is drawn exactly as
-        ``sample_at(block_g, rng[g], replicates)`` would draw it.  A stream may repeat; each of its blocks
-        starts from the beginning of the stream.  ``points`` may also be a
-        :class:`ProbePoints`, which the estimator kernel passes.
+        ``sample_at(block_g, rng[g], replicates)`` would draw it.  A stream
+        may repeat; each of its blocks starts from the beginning of the
+        stream.  ``points`` may also be a :class:`ProbePoints`, which the
+        estimator kernel passes.
 
         All draws are independent across points and replicates; the budget
         is charged atomically, so either the whole batch is counted or an
