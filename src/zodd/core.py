@@ -91,14 +91,98 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def as_count(value, name: str) -> int:
-    """``value`` as a positive int, or a ValueError naming ``name``.
+class ClaimMap:
+    """``fn`` of each of ``items``, claimed in item order by ``helpers`` threads and the caller.
+
+    :meth:`result` reads item i: until it is done, the caller claims and
+    runs the next unclaimed item itself, and waits only when every item is
+    claimed.  With no helpers the caller runs every item at once, and no
+    lock or thread is made.  The first exception an item raises stops
+    further claims; reading an item not done then raises it, once every
+    helper is joined.  :meth:`close` stops the helpers between items and
+    joins them; call it however the caller exits.
+    """
+
+    def __init__(self, fn, items, helpers: int):
+        self._fn = fn
+        self._items = items
+        self._stopped = False
+        self._threads = [threading.Thread(target=self._help, daemon=True)
+                         for _ in range(helpers)]
+        # each item's result, in a 1-tuple once the item is done
+        if not self._threads:
+            self._results = [(fn(item),) for item in items]
+            return
+        self._results = [None] * len(items)
+        self._claimed = 0  # items claimed so far, a prefix
+        self._error = None
+        self._cond = threading.Condition()
+        for thread in self._threads:
+            thread.start()
+
+    def _claim(self) -> int | None:
+        """The next item, now claimed, unless none is left or one raised; hold the lock."""
+        if self._error is not None or self._claimed == len(self._items):
+            return None
+        self._claimed += 1
+        return self._claimed - 1
+
+    def _run(self, i: int) -> None:
+        try:
+            done, error = (self._fn(self._items[i]),), None
+        except BaseException as exc:  # raised again by result(), in the caller
+            done, error = None, exc
+        with self._cond:
+            self._results[i] = done
+            if self._error is None:
+                self._error = error
+            self._cond.notify_all()
+
+    def _help(self) -> None:
+        while not self._stopped:
+            with self._cond:
+                i = self._claim()
+            if i is None:
+                return
+            self._run(i)
+
+    def result(self, i: int):
+        """Item i's result, once it is done."""
+        while self._results[i] is None:
+            with self._cond:
+                j = self._claim()
+                if j is None and self._results[i] is None and self._error is None:
+                    self._cond.wait()
+            if self._error is not None:
+                self.close()
+                raise self._error
+            if j is not None:
+                self._run(j)
+        return self._results[i][0]
+
+    def results(self) -> list:
+        """Every item's result, in item order, the helpers joined however it ends."""
+        try:
+            return [self.result(i) for i in range(len(self._items))]
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        self._stopped = True
+        for thread in self._threads:
+            thread.join()
+
+
+def as_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int of at least ``minimum``, or a ValueError naming ``name``.
 
     Python and numpy integers pass; a bool, a float (2.0 included) or a
-    value below 1 does not, so a count is never truncated or read as a flag.
+    value below ``minimum`` does not, so a count is never truncated or read
+    as a flag.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        what = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return int(value)
 
 
@@ -275,10 +359,11 @@ class ProbePoints:
     so P is 2N or N.  ``radius`` is (R, 1); ``dirs``, from the kernel's
     :class:`zodd.estimators.PlannedStep`, is (R, N, d), or (1, N, d) when
     every row shares its directions, or a pending draw of shape (R, N, d)
-    (:class:`zodd.estimators.PendingDirections`), read only
-    through its ``rows(lo, hi)``, ``unit`` and ``result()``, which give rows
-    lo..hi-1 of its (R * N, d) table, whether every entry is at most 1 up
-    to rounding, and the whole array.  Only :func:`point_chunks` reads the
+    (:class:`zodd.estimators.PendingDirections`, a view of the
+    :class:`ClaimMap` that draws its chunks), read only through its
+    ``rows(lo, hi)``, ``unit`` and ``result()``, which give rows lo..hi-1 of
+    its (R * N, d) table, finished, whether every entry is at most 1 up to
+    rounding, and the whole array.  Only :func:`point_chunks` reads the
     points.  A chunk holds at most :func:`chunk_rows` points: several whole
     rows when one row's P points fit, and otherwise a consecutive piece of
     one row's forward half or of its backward half.  Such a row comes
@@ -457,9 +542,7 @@ class BudgetCounter:
     """Thread-safe counter of sample draws with an optional hard limit."""
 
     def __init__(self, limit: int | None = None):
-        if limit is not None and limit < 0:
-            raise ValueError("budget limit must be nonnegative")
-        self._limit = limit
+        self._limit = None if limit is None else as_count(limit, "budget limit", 0)
         self._consumed = 0
         self._lock = threading.Lock()
 

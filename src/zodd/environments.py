@@ -149,6 +149,7 @@ class QuadraticEnv(Environment):
     def isotropic(
         cls, d: int, sigma: float, curvature: float = 1.0, budget: int | None = None
     ) -> "QuadraticEnv":
+        d = as_count(d, "dimension d")
         return cls(curvature * np.eye(d), np.zeros(d), sigma, budget)
 
     @property

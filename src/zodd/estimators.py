@@ -47,15 +47,15 @@ point chunking changes no number.  A call's directions are one table of
 one part per stream, and each part goes by chunks of
 :func:`~zodd.core.chunk_rows` rows, chunk c drawn from its own substream
 (:func:`_draw_directions`), so the direction-chunk size is part of the
-stream layout.  A table longer than one chunk, on more than one usable
-CPU, is a :class:`PendingDirections`: a helper thread draws its chunks in
-order while the kernel's own thread evaluates each chunk as it lands, and
-draws the next unclaimed chunk itself whenever the one it needs is not
-drawn yet; the kernel joins the helper however the call ends.  A chunk's
-values depend only on its substream, so neither the thread that draws it
-nor the CPU count changes a byte.  :func:`estimate_gradient` is its R = 1
-case and selects the estimator by ``cfg.kind``; directions exist only as
-rows of these (N, d) arrays.
+stream layout.  The chunks of a longer table are the items of a
+:class:`~zodd.core.ClaimMap`, so on more than one usable CPU helper threads
+draw them in order while the kernel's own thread evaluates each chunk as it
+lands, drawing the next unclaimed chunk itself whenever the one it needs is
+not drawn yet (a :class:`PendingDirections`); the kernel joins the helpers
+however the call ends.  A chunk's values depend only on its substream, so
+neither the thread that draws it nor the CPU count changes a byte.
+:func:`estimate_gradient` is its R = 1 case and selects the estimator by
+``cfg.kind``; directions exist only as rows of these (N, d) arrays.
 
 The descent loop, :func:`zodd.optimizer.lockstep_descent`, gives each row
 its own stream instead (:class:`RowStreams`): R lockstep chains, each with
@@ -77,7 +77,6 @@ its kind, which only this module reads.  No step derives a stream.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -87,6 +86,7 @@ import numpy as np
 from .core import (
     DIRECTIONS,
     DRAWS,
+    ClaimMap,
     ProbePoints,
     RngStream,
     SampleOracle,
@@ -207,11 +207,12 @@ def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, parts, overlap: bo
     :func:`gaussian_matrix`.  A coordinate part draws nothing and its rows
     hold the d axes, so kinds mix only where N = d.  When every part is
     coordinate, the directions are one (1, d, d) array shared by every row.
-    :func:`_fill` draws the random chunks and :func:`_finish` makes the unit
-    vectors.  With ``overlap``, a table longer than one chunk, on more than
-    one usable CPU, comes as a :class:`PendingDirections` of the same values,
-    whose chunks a helper thread and the caller draw; otherwise the chunks
-    are drawn in order and the table finished in one pass.
+    :func:`_draw_chunks` draws and finishes a table of at most one chunk of
+    rows in one pass, and a longer one a chunk at a time, each chunk an item
+    of one :class:`~zodd.core.ClaimMap` with min(usable CPUs, chunks) - 1
+    helper threads, or none without ``overlap``.  With helpers the table
+    comes as a :class:`PendingDirections` of the same values; otherwise the
+    caller has drawn it all, in order, and it comes as an array.
     """
     n = cfg.probe_shape(d)[1]
     shape, part, size = (len(parts) * rows, n, d), rows * n, chunk_rows(d)
@@ -226,33 +227,27 @@ def _draw_directions(cfg: EstimatorConfig, d: int, rows: int, parts, overlap: bo
         for p, (*_, kind) in enumerate(parts):
             if kind == "coordinate":
                 table[p * part:(p + 1) * part].reshape(-1, d, d)[:] = np.eye(d)
-    if overlap and len(table) > size and usable_cpus() > 1:
-        return PendingDirections(table, chunks, shape)
-    _fill(table, chunks)
-    _finish(table, chunks)
-    return table.reshape(shape)
+    groups = [chunks] if len(table) <= size else [[chunk] for chunk in chunks]
+    helpers = min(usable_cpus(), len(groups)) - 1 if overlap else 0
+    claims = ClaimMap(lambda group: _draw_chunks(table, group), groups, helpers)
+    return PendingDirections(table, chunks, claims, shape) if helpers else table.reshape(shape)
 
 
-def _fill(table: Vector, chunks) -> None:
-    """Draw each chunk of ``table`` from its substream: normal draws, one per chunk.
+def _draw_chunks(table: Vector, chunks) -> None:
+    """Draw each chunk of ``table`` from its substream, then finish the rows
+    from the first chunk's to the last chunk's in place.
 
-    ``chunks`` lists each chunk's first and last row + 1, substream and kind.
+    ``chunks`` lists each chunk's first and last row + 1, substream and
+    kind.  Unit-vector rows, of every kind but gaussian, are divided by
+    their norms, by :func:`sphere_matrix`'s per-row formula; gaussian rows
+    stay as drawn, and a coordinate row between chunks has norm exactly 1.
+    A chunk with a zero norm (probability zero) is drawn again by
+    ``sphere_matrix`` from its own substream, which redraws its zero rows.
     """
     d = table.shape[1]
     for gen, (a, b, _, _) in zip(stream_generators([c[2] for c in chunks]), chunks):
         # looked up per call, since the tracer wraps this name in this module
         gaussian_matrix(gen, d, b - a, out=table[a:b])
-
-
-def _finish(table: Vector, chunks) -> None:
-    """Finish the drawn rows from the first chunk's to the last chunk's in place.
-
-    Unit-vector rows, of every kind but gaussian, are divided by their
-    norms, by :func:`sphere_matrix`'s per-row formula; gaussian rows stay
-    as drawn, and a coordinate row between chunks has norm exactly 1.  A
-    chunk with a zero norm (probability zero) is drawn again by
-    ``sphere_matrix`` from its own substream, which redraws its zero rows.
-    """
     if all(kind == "gaussian" for *_, kind in chunks):
         return
     lo = chunks[0][0]
@@ -265,107 +260,46 @@ def _finish(table: Vector, chunks) -> None:
         for a, b, sub, _ in chunks:
             if not norms[a - lo:b - lo].all():
                 for gen in stream_generators([sub]):
-                    sphere_matrix(gen, table.shape[1], b - a, out=table[a:b])
+                    sphere_matrix(gen, d, b - a, out=table[a:b])
                 norms[a - lo:b - lo] = 1.0
     block /= norms[:, None]
 
 
 class PendingDirections:
-    """A direction table whose chunks a helper thread and the caller draw.
+    """A direction table whose chunks helper threads and the caller draw.
 
     The (R * N, d) ``table``, of shape ``shape`` = (R, N, d), holds its
-    coordinate parts already; each random chunk (see
-    :func:`_draw_directions`) is drawn and finished alone, from its own
-    substream, into its rows of the table.  One helper thread claims and
-    draws chunks in row order.  :meth:`rows` hands out finished rows only:
-    whenever a chunk the caller needs is not drawn yet, the caller claims
-    and draws the next unclaimed chunk itself, and waits only when every
-    chunk is claimed.  Which thread draws a chunk changes none of its bits.
-    A unit-vector entry is at most 1 up to rounding, since sqrt(fl(sum
+    coordinate parts already; ``claims``, a :class:`~zodd.core.ClaimMap`
+    over ``chunks`` (see :func:`_draw_directions`), draws and finishes each
+    chunk into its rows, and :meth:`rows` reads the chunks in order through
+    it.  A unit-vector entry is at most 1 up to rounding, since sqrt(fl(sum
     u_j^2)) >= |u_i| but for one rounding of each step, so :attr:`unit`
-    tells that without waiting.  :meth:`result` finishes the whole table and
-    joins the helper; :meth:`close` stops it between chunks and joins it.
+    tells that without waiting.
     """
 
-    def __init__(self, table: Vector, chunks, shape):
+    def __init__(self, table: Vector, chunks, claims: ClaimMap, shape):
         self.shape = shape
         self.unit = all(kind != "gaussian" for *_, kind in chunks)
         self._table = table
         self._chunks = chunks
-        self._claimed = 0  # chunks claimed so far, a prefix
-        self._drawn = [False] * len(chunks)
+        self._claims = claims
         self._read = 0  # chunks the caller has seen drawn, a prefix
-        self._stopped = False
-        self._over = False
-        self._error = None
-        self._cond = threading.Condition()
-        self._thread = threading.Thread(target=self._help, daemon=True)
-        self._thread.start()
-
-    def _claim(self) -> int | None:
-        """The next unclaimed chunk, now claimed, or None; hold the lock."""
-        if self._claimed == len(self._chunks):
-            return None
-        self._claimed += 1
-        return self._claimed - 1
-
-    def _draw(self, i: int) -> None:
-        chunk = [self._chunks[i]]
-        _fill(self._table, chunk)
-        _finish(self._table, chunk)
-        with self._cond:
-            self._drawn[i] = True
-            self._cond.notify_all()
-
-    def _help(self) -> None:
-        """The helper thread: claim and draw chunks in order until none is left."""
-        try:
-            while not self._stopped:
-                with self._cond:
-                    i = self._claim()
-                if i is None:
-                    break
-                self._draw(i)
-        except BaseException as exc:
-            self._error = exc
-        finally:
-            with self._cond:
-                self._over = True
-                self._cond.notify_all()
-
-    def _ready(self, i: int) -> None:
-        """Return once chunk i is drawn, drawing unclaimed chunks meanwhile."""
-        while True:
-            with self._cond:
-                while not self._drawn[i]:
-                    j = self._claim()
-                    if j is not None:
-                        break
-                    if self._over:
-                        self._thread.join()
-                        raise self._error or RuntimeError("the direction draw was stopped")
-                    self._cond.wait()
-                else:
-                    return
-            self._draw(j)
 
     def rows(self, lo: int, hi: int) -> Vector:
         """Rows lo..hi-1 of the table, finished."""
         while self._read < len(self._chunks) and self._chunks[self._read][0] < hi:
-            self._ready(self._read)
+            self._claims.result(self._read)
             self._read += 1
         return self._table[lo:hi]
 
     def result(self) -> Vector:
-        """The whole finished (R, N, d) array, the helper joined."""
-        table = self.rows(0, len(self._table))
-        self._thread.join()
-        return table.reshape(self.shape)
+        """The whole finished (R, N, d) array, the helpers joined."""
+        self._claims.results()
+        return self._table.reshape(self.shape)
 
     def close(self) -> None:
-        """Stop the helper between chunks, if it still runs, and join it."""
-        self._stopped = True
-        self._thread.join()
+        """Stop the helpers between chunks, if they still run, and join them."""
+        self._claims.close()
 
 
 class RowStreams(NamedTuple):
@@ -515,8 +449,8 @@ def _kernel(X: Vector, cfg: EstimatorConfig, oracle: SampleOracle, step: Planned
     call, so the budget is charged once for the whole call.  They go as a
     :class:`~zodd.core.ProbePoints`, built a chunk at a time, so the call
     holds the directions, the sample values and one chunk of points, never
-    the whole (R, 2N, d) probe array.  Directions still being drawn by a
-    helper thread are read through their pending draw, and the helper is
+    the whole (R, 2N, d) probe array.  Directions still being drawn by
+    helper threads are read through their pending draw, and the helpers are
     stopped and joined however the call ends.  Returns the gradients, the
     directions (R or 1, N, d), and the forward and backward sample values
     as (batch, R, N) arrays (backward is None when one-sided).

@@ -30,22 +30,22 @@ direction and sample values fit ``CALL_VALUES``; a call of several streams
 draws each chunk exactly as a call of its own would, so the grouping is
 not part of the layout.
 
-The grid points run concurrently, one thread per usable CPU.  Each point's
-draws come from its own stream alone and the results are joined in grid
-order, so neither the thread count nor the order in which points finish
-changes a byte of the report.  The threads overlap only inside numpy
+The grid points are the items of one :class:`~zodd.core.ClaimMap`, run by
+the calling thread and one helper thread per further usable CPU.  Each
+point's draws come from its own stream alone and the results are joined in
+grid order, so neither the thread count nor the order in which points
+finish changes a byte of the report.  The threads overlap only inside numpy
 calls, each of which releases and retakes the GIL; grouping chunks makes
 those calls fewer and larger, so the threads wait on each other less.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import CHUNK_VALUES, RngStream, chunk_rows, gaussian_matrix, sphere_matrix
+from ..core import CHUNK_VALUES, ClaimMap, RngStream, chunk_rows, gaussian_matrix, sphere_matrix
 # the tests replace the CPU count by this name
 from ..core import usable_cpus as _usable_cpus
 from ..environments import PricingEnv, QuadraticEnv
@@ -214,42 +214,17 @@ def _empirical_mse(env, x, cfg, rng, replicates: int) -> tuple[float, float]:
 def _map_empirical_mse(env, x, tasks, replicates: int) -> list[tuple[float, float]]:
     """``_empirical_mse`` of every ``(cfg, rng)`` task, in task order.
 
-    A pool of min(usable CPUs, tasks) - 1 helper threads queues every task,
-    those with the most samples per estimate first, so that no long task
-    starts last; the calling thread works too, running each queued task it
-    can still cancel there.  Once a task raises, no task starts: one taken
-    meanwhile does nothing, and the pool cancels the rest.  The pool is
-    joined before the exception is re-raised: the calling thread's own,
-    else the first in that order.
+    The tasks are claimed on a :class:`~zodd.core.ClaimMap` of min(usable
+    CPUs, tasks) - 1 helper threads and the caller, those with the most
+    samples per estimate first, so that no long task starts last.
     """
-    # imported here, so that importing the CLI does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    failed = threading.Event()
-
-    def run(i):
-        if failed.is_set():
-            return None
-        try:
-            return _empirical_mse(env, x, *tasks[i], replicates)
-        except BaseException:
-            failed.set()
-            raise
-
     order = sorted(range(len(tasks)), reverse=True,
                    key=lambda i: tasks[i][0].samples_per_estimate(env.dimension))
-    helpers = min(_usable_cpus(), len(tasks)) - 1
-    pool = ThreadPoolExecutor(max_workers=helpers) if helpers > 0 else None
-    futures = {i: pool.submit(run, i) for i in order} if pool else {}
-    try:
-        own = {i: run(i) for i in order if i not in futures or futures[i].cancel()}
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
-    for i in order:
-        if i not in own and futures[i].exception() is not None:
-            raise futures[i].exception()
-    return [own[i] if i in own else futures[i].result() for i in range(len(tasks))]
+    # looked up per task, since the tracer wraps this name in this module
+    claims = ClaimMap(lambda i: _empirical_mse(env, x, *tasks[i], replicates), order,
+                      min(_usable_cpus(), len(tasks)) - 1)
+    by_task = dict(zip(order, claims.results()))
+    return [by_task[i] for i in range(len(tasks))]
 
 
 _MU_GRID = (0.05, 0.1, 0.2)

@@ -143,8 +143,7 @@ class ParameterPlan:
         _require_positive({"mu": self.mu, "step": self.step})
         object.__setattr__(self, "directions", as_count(self.directions, "directions"))
         object.__setattr__(self, "batch", as_count(self.batch, "batch"))
-        if self.iterations < 0:
-            raise ValueError("iterations >= 0 required")
+        object.__setattr__(self, "iterations", as_count(self.iterations, "iterations", 0))
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(
@@ -393,8 +392,7 @@ def run_descent(
     :class:`DivergenceError` carrying the partial trace.
     """
     x = as_point(x0, oracle.dimension)
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    thin = as_count(thin, "thin")
     cfg = plan.estimator_config()
     cost = cfg.samples_per_estimate(oracle.dimension)
     keep_gradients = thin == 1

@@ -4,6 +4,7 @@ import copy
 import pickle
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from zodd.core import (
     PURPOSES,
     BudgetCounter,
     BudgetExhaustedError,
+    ClaimMap,
     ProbePoints,
     RngStream,
     SampleOracle,
@@ -203,6 +205,16 @@ class TestBudgetCounter:
         with pytest.raises(ValueError):
             BudgetCounter(-1)
 
+    @pytest.mark.parametrize("limit", [2.5, 3.0, True, -1])
+    def test_a_limit_is_a_count_from_zero(self, limit):
+        # 2.5 used to be kept, and reported as "2 consumed of 2.5"
+        with pytest.raises(ValueError, match="budget limit must be an integer >= 0"):
+            BudgetCounter(limit)
+        assert BudgetCounter(0).limit == 0
+        assert BudgetCounter(None).limit is None
+        c = BudgetCounter(np.int64(3))
+        assert c.limit == 3 and type(c.limit) is int
+
     @given(
         limit=st.integers(min_value=0, max_value=200),
         charges=st.lists(st.integers(min_value=0, max_value=60), max_size=20),
@@ -254,6 +266,100 @@ class TestBudgetCounter:
         assert c.consumed == sum(accepted)
         assert c.consumed <= limit
         assert c.consumed > limit - 4  # the limit was reached, not just approached
+
+
+class TestClaimMap:
+    @pytest.mark.parametrize("helpers", [0, 3])
+    def test_results_come_in_item_order_when_later_items_finish_first(self, helpers):
+        def late_first(i):
+            time.sleep(0.002 * (8 - i))
+            return i * i
+
+        claims = ClaimMap(late_first, range(8), helpers)
+        assert claims.result(5) == 25
+        assert claims.results() == [i * i for i in range(8)]
+
+    def test_no_helpers_run_every_item_at_once_with_no_lock_or_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a claim map without helpers made a lock or a thread")
+
+        monkeypatch.setattr("zodd.core.threading.Condition", refuse)
+        monkeypatch.setattr("zodd.core.threading.Thread", refuse)
+        ran = []
+        claims = ClaimMap(lambda i: ran.append(i) or 2 * i, range(5), 0)
+        assert ran == [0, 1, 2, 3, 4]
+        assert claims.result(3) == 6 and claims.results() == [0, 2, 4, 6, 8]
+
+    def test_each_item_runs_once_under_thread_switching(self):
+        # more helpers than cores, switching every microsecond, and a length
+        # check that gives up the interpreter lock inside every claim: an
+        # item taken twice, never, or past the end of a map shows in the
+        # items taken from twenty maps
+        taken = []
+        got = []
+
+        class Items(list):
+            def __len__(self):
+                time.sleep(0)
+                return super().__len__()
+
+            def __getitem__(self, i):
+                taken.append(i)
+                return super().__getitem__(i)
+
+        def run():
+            for _ in range(20):
+                got.append(ClaimMap(lambda i: -i, Items(range(150)), 8).results())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=run)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert sorted(taken) == sorted(list(range(150)) * 20)
+        assert got == [[-i for i in range(150)]] * 20
+
+    @pytest.mark.parametrize("helpers", [0, 3])
+    def test_a_failing_item_reaches_the_caller_once_the_helpers_are_joined(self, helpers):
+        events = []
+
+        def fail_first(i):
+            # item 0 fails while the items claimed beside it still run, the
+            # later ones (the caller's, most likely) ending first
+            events.append(("start", i))
+            if i == 0:
+                time.sleep(0.005)
+                events.append(("fail", i))
+                raise RuntimeError("item 0 failed")
+            time.sleep(0.04 * (4 - i % 4))
+            events.append(("end", i))
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="item 0 failed"):
+            ClaimMap(fail_first, range(8), helpers).results()
+        assert threading.active_count() == threads
+        starts = [i for event, i in events if event == "start"]
+        ends = [i for event, i in events if event == "end"]
+        assert 0 in starts and len(starts) <= helpers + 1
+        assert sorted(ends) == sorted(starts)[1:]
+        # no item starts after the failure
+        assert all(event != "start" for event, _ in events[events.index(("fail", 0)):])
+
+    def test_close_midway_joins_the_helpers(self):
+        ran = []
+        threads = threading.active_count()
+        claims = ClaimMap(lambda i: ran.append(i) or time.sleep(0.01), range(50), 2)
+        claims.result(0)
+        claims.close()
+        assert threading.active_count() == threads
+        done = len(ran)
+        assert done < 50
+        time.sleep(0.05)
+        assert len(ran) == done
 
 
 class _CountingOracle(SampleOracle):
@@ -691,8 +797,9 @@ class TestDirectionTable:
 def _zeroing(monkeypatch, zeroed, row):
     """Zero row ``row`` of every draw from the ``zeroed`` substream's generators.
 
-    Returns the generators made for it, each as a (generator, rows its
-    predecessors had drawn when it was made) pair.
+    Returns the generators made for it, in order.  Each one's ``after`` is
+    a copy of its generator taken once its draw is done, before its thread
+    resets the generator for another stream.
     """
     lend = estimators.stream_generators
     made = []
@@ -701,9 +808,11 @@ def _zeroing(monkeypatch, zeroed, row):
         subs = list(subs)
         for sub, gen in zip(subs, lend(subs)):
             if sub == zeroed:
-                made.append((_ZeroRow(gen, row), [m._drawn for m, _ in made]))
-                gen = made[-1][0]
+                gen = _ZeroRow(gen, row)
+                made.append(gen)
             yield gen
+            if sub == zeroed:
+                gen.after = copy.deepcopy(gen._gen)
 
     monkeypatch.setattr(estimators, "stream_generators", zeroing)
     return made
@@ -735,13 +844,12 @@ class TestPendingDirections:
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         assert abs(np.linalg.norm(got[size + row]) - 1.0) < 1e-15
         # only the chunk is drawn again, and the redraw leaves its generator
-        # where sphere_matrix leaves it (on two CPUs the thread that drew it
-        # may have reset its generator for another chunk since)
-        (fill, _), (drawing, _) = made
+        # where sphere_matrix leaves it (whichever thread drew it may have
+        # reset its generator for another chunk since)
+        fill, drawing = made
         assert fill._drawn == size
         assert drawing._drawn == alone._drawn == size + 1
-        if cpus == 1:
-            assert np.array_equal(drawing.standard_normal(5), alone.standard_normal(5))
+        assert np.array_equal(drawing.after.standard_normal(5), alone.standard_normal(5))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_zero_norm_of_a_first_part_is_redrawn_on_its_own_substream(self, monkeypatch, cpus):

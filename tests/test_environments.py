@@ -67,6 +67,17 @@ class TestQuadraticEnv:
         with pytest.raises(ValueError, match="dimension"):
             QuadraticEnv.isotropic(0, 1.0)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, True])
+    def test_isotropic_counts_are_integers(self, d):
+        # d = 2.5 used to raise a TypeError from np.eye, and budget = 2.5 to
+        # be kept as a limit
+        with pytest.raises(ValueError, match="dimension d must be a positive integer"):
+            QuadraticEnv.isotropic(d, 1.0)
+        with pytest.raises(ValueError, match="budget limit must be an integer >= 0"):
+            QuadraticEnv.isotropic(3, 1.0, budget=2.5)
+        env = QuadraticEnv.isotropic(np.int64(3), 1.0, budget=np.int64(0))
+        assert env.dimension == 3 and env.budget.limit == 0
+
     def test_gradient_matches_finite_differences(self):
         env = self._env()
         gen = RngStream(0).generator()

@@ -33,6 +33,7 @@ from zodd.harness.runner import (
 )
 from zodd.harness.tuning import TUNING_SEED_BASE, candidate_specs, score_candidate, tune_method
 from zodd.core import DRAWS, RngStream
+import zodd.core
 import zodd.environments
 import zodd.estimators
 from zodd.estimators import EstimatorConfig, estimate_gradients
@@ -986,23 +987,23 @@ class TestVerifySuites:
         assert report.splitlines()[0].startswith("check")
 
 
-class _FirstChunkOnly(zodd.estimators.PendingDirections):
-    """A pending table whose helper thread stops after the first chunk it
+class _FirstChunkOnly(zodd.core.ClaimMap):
+    """A claim map whose one helper thread stops after the first chunk it
     claims, so the caller claims and draws the rest; ``drawn_by`` records
-    each drawn chunk's thread, True for the helper."""
+    each chunk a thread draws, True for the helper."""
 
     drawn_by: list = []
 
     def _claim(self):
-        if threading.current_thread() is self._thread:
+        if threading.current_thread() in self._threads:
             if getattr(self, "_helped", False):
                 return None
             self._helped = True
         return super()._claim()
 
-    def _draw(self, i):
-        self.drawn_by.append(threading.current_thread() is self._thread)
-        super()._draw(i)
+    def _run(self, i):
+        self.drawn_by.append(threading.current_thread() in self._threads)
+        super()._run(i)
 
 
 class TestWhoeverDrawsTheChunks:
@@ -1017,7 +1018,7 @@ class TestWhoeverDrawsTheChunks:
         monkeypatch.setattr(zodd.estimators, "usable_cpus", lambda: 1 if case == "one-cpu" else 2)
         monkeypatch.setattr(_FirstChunkOnly, "drawn_by", [])
         if case == "helper-stops":
-            monkeypatch.setattr(zodd.estimators, "PendingDirections", _FirstChunkOnly)
+            monkeypatch.setattr(zodd.estimators, "ClaimMap", _FirstChunkOnly)
 
     def test_a_planned_estimate(self, monkeypatch):
         env = QuadraticEnv.isotropic(16, 0.75)
@@ -1205,7 +1206,7 @@ epsilon = 0.25
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(verify.threading, "Thread", CountedThread)
+        monkeypatch.setattr(zodd.core.threading, "Thread", CountedThread)
         assert main(["verify", "--suite", "mse_bounds", "--seed", "0",
                      "--out", str(tmp_path)]) == 0
         assert len(started) == cpus - 1

@@ -214,6 +214,17 @@ class TestPlannerSchedules:
                              **{**counts, field: np.int64(2)})
         assert type(getattr(plan, field)) is int
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, -1])
+    def test_iterations_are_a_count_from_zero(self, bad):
+        # 2.5 and 3.0 used to fail inside run_descent with a TypeError, and
+        # True to run one iteration
+        counts = dict(kind="sphere", regime="grad", mu=0.1, directions=1, batch=1, step=0.1)
+        with pytest.raises(ValueError, match="iterations must be an integer >= 0"):
+            ParameterPlan(**counts, iterations=bad)
+        assert ParameterPlan(**counts, iterations=0).iterations == 0
+        plan = ParameterPlan(**counts, iterations=np.int64(3))
+        assert plan.iterations == 3 and type(plan.iterations) is int
+
 
 class TestRunDescent:
     def _plan(self, **kw):
@@ -221,6 +232,15 @@ class TestRunDescent:
                     batch=1, step=0.25, iterations=30)
         base.update(kw)
         return ParameterPlan(**base)
+
+    @pytest.mark.parametrize("thin", [2.5, 2.0, True, 0])
+    def test_thin_is_a_positive_count(self, thin):
+        env = QuadraticEnv.isotropic(3, sigma=0.5, budget=10**6)
+        with pytest.raises(ValueError, match="thin must be a positive integer"):
+            run_descent(np.zeros(3), self._plan(), env, RngStream(0), thin=thin)
+        assert env.budget.consumed == 0
+        _, trace = run_descent(np.zeros(3), self._plan(), env, RngStream(0), thin=np.int64(10))
+        assert len(trace.iterates) == 4
 
     def test_noise_free_coordinate_descent_converges(self):
         env = QuadraticEnv.isotropic(3, sigma=0.0)
